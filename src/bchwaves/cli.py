@@ -21,10 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (BchWavesError, ConvergenceFailure,
-                     DiscretizationNotConverged, FDUnreliable, MarginTooSmall,
-                     NotInExistenceSet, PositivityLost, QuadratureFailure,
-                     RouteMismatch)
+from .errors import (BchWavesError, CoefficientInconsistency,
+                     ConvergenceFailure, DiscretizationNotConverged,
+                     FDUnreliable, MarginTooSmall, NotInExistenceSet,
+                     PositivityLost, QuadratureFailure, RouteMismatch)
 from .evolution import run_experiment
 from .invariants import (CLASS_OUT_OF_SCOPE, classify_stability,
                          conserved_quantities, multipliers,
@@ -35,7 +35,8 @@ from .spectral import assemble_operator, periodic_spectrum, proof_identities
 
 _DOMAIN_ERRORS = (NotInExistenceSet, MarginTooSmall, ValueError)
 _NUMERICAL_ERRORS = (QuadratureFailure, ConvergenceFailure, RouteMismatch,
-                     FDUnreliable, DiscretizationNotConverged, PositivityLost)
+                     FDUnreliable, DiscretizationNotConverged, PositivityLost,
+                     CoefficientInconsistency)
 
 
 def _fmt(v: float) -> str:

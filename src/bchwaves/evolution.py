@@ -8,14 +8,15 @@ so a synthesized wave is a fixed point and orbital drift is measured
 directly.  Setting the frame speed to zero gives the lab-frame equation.
 
 Quadratic products are dealiased by the 2/3 rule, time stepping is a fixed
-step classical RK4 with the step chosen from the initial advective CFL
-bound, and positivity of m (membership in the admissible state space) is
-monitored every step.
+step classical RK4 on the rfft coefficients with the step chosen from the
+initial advective CFL bound, and positivity of m (membership in the
+admissible state space) is monitored every step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,14 +26,19 @@ from .invariants import delta_F1, delta_F2
 from .profile import WaveProfile
 
 _BLOWUP_GUARD = 1e6
+_NEWTON_MAXITER = 60
 
 
 @dataclass(frozen=True)
 class EvolutionState:
+    """Momentum density on the grid at time t.  cfl is the advective
+    number max|u - c| dt/dx of the step that produced the state (0 for
+    initial data)."""
+
     t: float
     m: np.ndarray
-    u: np.ndarray
     dx: float
+    cfl: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -59,30 +65,42 @@ def reconstruct_velocity(m: np.ndarray, period: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(m) / (1.0 + kr**2), n=n)
 
 
+@lru_cache(maxsize=16)
 def _rfft_tools(n: int, period: float):
+    """Half-spectrum wavenumbers, the derivative symbol ik (Nyquist zeroed
+    on even grids), the 2/3-rule mask and the Helmholtz symbol 1 + k^2."""
     kr = 2.0 * np.pi * np.arange(n // 2 + 1) / period
     deriv = 1j * kr
     if n % 2 == 0:
         deriv[-1] = 0.0
-    modes = np.arange(n // 2 + 1)
-    mask = modes <= n / 3.0
-    return kr, deriv, mask
+    mask = np.arange(n // 2 + 1) <= n / 3.0
+    helm = 1.0 + kr**2
+    for a in (kr, deriv, mask, helm):
+        a.flags.writeable = False
+    return kr, deriv, mask, helm
+
+
+def _rhs_hat(mh: np.ndarray, n: int, period: float, b: float,
+             frame_speed: float) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand side in rfft space, from the rfft coefficients mh of m,
+    and the velocity u on the grid.  One stacked inverse transform gives
+    m, u, m_x and u_x; the product u m_x + b m u_x is dealiased as one."""
+    _, deriv, mask, helm = _rfft_tools(n, period)
+    stack = np.empty((4, mh.shape[-1]), dtype=complex)
+    stack[0] = mh
+    np.divide(mh, helm, out=stack[1])
+    np.multiply(deriv, mh, out=stack[2])
+    np.multiply(deriv, stack[1], out=stack[3])
+    m, u, m_x, u_x = np.fft.irfft(stack, n=n)
+    prodh = np.fft.rfft(u * m_x + b * (m * u_x))
+    return frame_speed * stack[2] - prodh * mask, u
 
 
 def rhs(m: np.ndarray, period: float, b: float, frame_speed: float) -> np.ndarray:
     """Right-hand side c m_x - u m_x - b m u_x with dealiased products."""
     n = m.shape[-1]
-    kr, deriv, mask = _rfft_tools(n, period)
-    mh = np.fft.rfft(m)
-    uh = mh / (1.0 + kr**2)
-    mxh = deriv * mh
-    uxh = deriv * uh
-    u = np.fft.irfft(uh, n=n)
-    m_x = np.fft.irfft(mxh, n=n)
-    u_x = np.fft.irfft(uxh, n=n)
-    advh = np.fft.rfft(u * m_x) * mask
-    strainh = np.fft.rfft(m * u_x) * mask
-    return np.fft.irfft(frame_speed * mxh - advh - b * strainh, n=n)
+    out, _ = _rhs_hat(np.fft.rfft(m), n, period, b, frame_speed)
+    return np.fft.irfft(out, n=n)
 
 
 def cfl_dt(m: np.ndarray, period: float, frame_speed: float,
@@ -96,22 +114,22 @@ def cfl_dt(m: np.ndarray, period: float, frame_speed: float,
 
 def step(state: EvolutionState, dt: float, b: float,
          frame_speed: float) -> EvolutionState:
-    """One classical RK4 step; aborts if m leaves the positive cone or
-    exceeds the blow-up guard."""
+    """One classical RK4 step in rfft space; aborts if m leaves the
+    positive cone or exceeds the blow-up guard."""
     n = state.m.shape[-1]
     period = state.dx * n
-    m = state.m
-    k1 = rhs(m, period, b, frame_speed)
-    k2 = rhs(m + 0.5 * dt * k1, period, b, frame_speed)
-    k3 = rhs(m + 0.5 * dt * k2, period, b, frame_speed)
-    k4 = rhs(m + dt * k3, period, b, frame_speed)
-    m_new = m + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    mh = np.fft.rfft(state.m)
+    k1, u = _rhs_hat(mh, n, period, b, frame_speed)
+    k2, _ = _rhs_hat(mh + (0.5 * dt) * k1, n, period, b, frame_speed)
+    k3, _ = _rhs_hat(mh + (0.5 * dt) * k2, n, period, b, frame_speed)
+    k4, _ = _rhs_hat(mh + dt * k3, n, period, b, frame_speed)
+    m_new = np.fft.irfft(mh + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), n=n)
     if float(np.min(m_new)) <= 0.0:
         raise PositivityLost(f"min m = {float(np.min(m_new))!r} at t = {state.t + dt!r}")
-    if float(np.max(np.abs(m_new))) > _BLOWUP_GUARD:
+    if float(np.max(m_new)) > _BLOWUP_GUARD:  # m > 0 here, so this is sup|m|
         raise BlowUp(f"sup |m| exceeded {_BLOWUP_GUARD} at t = {state.t + dt!r}")
-    return EvolutionState(t=state.t + dt, m=m_new,
-                          u=reconstruct_velocity(m_new, period), dx=state.dx)
+    cfl = float(np.max(np.abs(u - frame_speed))) * dt / state.dx
+    return EvolutionState(t=state.t + dt, m=m_new, dx=state.dx, cfl=cfl)
 
 
 def h1_shift_distance(m: np.ndarray, ref: np.ndarray, period: float,
@@ -127,41 +145,52 @@ def orbital_distance(m: np.ndarray, ref: np.ndarray,
     m - ref(. - x0) over the shift x0.
 
     The H^1 cross-correlation is evaluated at all grid shifts by one
-    inverse FFT, then the best bracket is refined by golden-section
-    search on the continuous correlation to 1e-10 in x0.
+    inverse rfft.  Its maximum is then refined by Newton iteration on the
+    trigonometric polynomial, with closed-form first and second
+    derivatives; every iterate stays inside the bracket (j0 +- 1) dx
+    around the grid maximum j0 (bisection when a Newton step would leave
+    it), until the step is at most 1e-13 T.
     """
     n = m.shape[-1]
-    k = fourier.wavenumbers(n, period)
-    w = 1.0 + k**2
-    mh = np.fft.fft(m) / n
-    gh = np.fft.fft(ref) / n
+    kr, _, _, helm = _rfft_tools(n, period)
+    mh = np.fft.rfft(m) / n
+    gh = np.fft.rfft(ref) / n
+    cross = mh * np.conj(gh)
+    j0 = int(np.argmax(np.fft.irfft(helm * cross, n=n)))
+    # half-spectrum weights: modes strictly between 0 and n/2 also stand
+    # for their conjugates
+    w = 2.0 * helm
+    w[0] = helm[0]
+    if n % 2 == 0:
+        w[-1] = helm[-1]
     norms = period * float(np.sum(w * (np.abs(mh) ** 2 + np.abs(gh) ** 2)))
-    coef = w * mh * np.conj(gh)
+    coef = w * cross
+    kcoef = kr * coef
+    k2coef = kr * kcoef
 
-    corr_grid = period * np.real(np.fft.ifft(coef)) * n
-    j0 = int(np.argmax(corr_grid))
     dx = period / n
-
-    def corr(s: float) -> float:
-        return period * float(np.real(np.sum(coef * np.exp(1j * k * s))))
-
     lo, hi = (j0 - 1) * dx, (j0 + 1) * dx
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = corr(x1), corr(x2)
-    while hi - lo > 1e-10:
-        if f1 < f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = corr(x2)
+    s = j0 * dx
+    for _ in range(_NEWTON_MAXITER):
+        phase = np.exp(1j * kr * s)
+        d1 = -float(np.imag(kcoef @ phase))
+        if d1 == 0.0:
+            break
+        if d1 > 0.0:
+            lo = s
         else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = corr(x1)
-    s_best = 0.5 * (lo + hi)
-    rho_sq = norms - 2.0 * corr(s_best)
-    return float(np.sqrt(max(rho_sq, 0.0))), float(s_best % period)
+            hi = s
+        d2 = -float(np.real(k2coef @ phase))
+        s_new = s - d1 / d2 if d2 < 0.0 else 0.5 * (lo + hi)
+        if not lo < s_new < hi:
+            s_new = 0.5 * (lo + hi)
+        done = abs(s_new - s) <= 1e-13 * period
+        s = s_new
+        if done:
+            break
+    corr = period * float(np.real(coef @ np.exp(1j * kr * s)))
+    rho_sq = norms - 2.0 * corr
+    return float(np.sqrt(max(rho_sq, 0.0))), float(s % period)
 
 
 def make_perturbation(mu: np.ndarray, period: float, b: float, eps: float,
@@ -217,7 +246,7 @@ def run_experiment(profile: WaveProfile, eps: float,
 
     n = N
     mu = fourier.resample(profile.mu, n) if n != profile.N else profile.mu.copy()
-    _, _, mask = _rfft_tools(n, period)
+    mask = _rfft_tools(n, period)[2]
     mu = np.fft.irfft(np.fft.rfft(mu) * mask, n=n)
 
     if eps > 0.0:
@@ -234,20 +263,23 @@ def run_experiment(profile: WaveProfile, eps: float,
     dt = horizon / n_steps
     stride = max(n_steps // max(n_samples, 1), 1)
 
-    E0 = fourier.grid_integral(m0, period)
-    dmu0 = fourier.spectral_derivative(m0, period, 1)
-    F1_0 = fourier.grid_integral(m0 ** (1.0 / b), period)
-    F2_0 = fourier.grid_integral((dmu0**2 / (b**2 * m0**2) + 1.0) * m0 ** (-1.0 / b), period)
+    def _invariants(mm: np.ndarray) -> tuple[float, float, float]:
+        """E, F1 and F2 of the density mm."""
+        dmm = fourier.spectral_derivative(mm, period, 1)
+        return (fourier.grid_integral(mm, period),
+                fourier.grid_integral(mm ** (1.0 / b), period),
+                fourier.grid_integral((dmm**2 / (b**2 * mm**2) + 1.0)
+                                      * mm ** (-1.0 / b), period))
+
+    E0, F1_0, F2_0 = _invariants(m0)
 
     times, dE, dF1, dF2, rho_series = [], [], [], [], []
 
     def record(state: EvolutionState) -> None:
         mm = state.m
         times.append(state.t)
-        dE.append(abs(fourier.grid_integral(mm, period) - E0) / abs(E0))
-        dmm = fourier.spectral_derivative(mm, period, 1)
-        f1 = fourier.grid_integral(mm ** (1.0 / b), period)
-        f2 = fourier.grid_integral((dmm**2 / (b**2 * mm**2) + 1.0) * mm ** (-1.0 / b), period)
+        e, f1, f2 = _invariants(mm)
+        dE.append(abs(e - E0) / abs(E0))
         dF1.append(abs(f1 - F1_0) / abs(F1_0))
         dF2.append(abs(f2 - F2_0) / abs(F2_0))
         # the orbit contains all translates, so the same reference serves
@@ -255,13 +287,14 @@ def run_experiment(profile: WaveProfile, eps: float,
         ref_dist, _ = orbital_distance(mm, mu, period)
         rho_series.append(ref_dist)
 
-    state = EvolutionState(t=0.0, m=m0, u=reconstruct_velocity(m0, period),
-                           dx=period / n)
+    state = EvolutionState(t=0.0, m=m0, dx=period / n)
     record(state)
     outcome = "completed"
+    cfl_max = 0.0
     try:
         for i in range(1, n_steps + 1):
             state = step(state, dt, b, frame_speed)
+            cfl_max = max(cfl_max, state.cfl)
             if i % stride == 0 or i == n_steps:
                 record(state)
     except PositivityLost:
@@ -278,5 +311,5 @@ def run_experiment(profile: WaveProfile, eps: float,
         outcome=outcome,
         config={"N": n, "dt": dt, "dt_safety": dt_safety, "horizon_periods":
                 horizon_periods, "frame": frame, "mode": mode, "seed": seed,
-                "n_steps": n_steps, "b": b, "a": params.a, "E": params.E,
-                "c": params.c})
+                "n_steps": n_steps, "cfl_max": cfl_max, "b": b, "a": params.a,
+                "E": params.E, "c": params.c})

@@ -89,16 +89,6 @@ def resample(v: np.ndarray, n_new: int) -> np.ndarray:
     return np.asarray(_fourier_resample(v, n_new), dtype=float)
 
 
-def dealias_mask(n: int) -> np.ndarray:
-    """Boolean mask keeping modes |k| <= n/3 (the 2/3 rule)."""
-    modes = np.fft.fftfreq(n, d=1.0 / n)
-    return np.abs(modes) <= n / 3.0
-
-
-def apply_mask(v: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    return np.real(np.fft.ifft(np.fft.fft(v) * mask))
-
-
 def circular_shift(v: np.ndarray, shift: float, period: float) -> np.ndarray:
     """Evaluate v(x - shift) on the grid by a spectral phase shift."""
     n = v.shape[-1]

@@ -31,7 +31,6 @@ momentum density mu = a/(c-phi)^b with
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -516,9 +515,3 @@ def write_profile_csv(profile: WaveProfile, path) -> None:
             writer.writerow([f"{v:.17g}" for v in
                              (profile.x[j], profile.phi[j], profile.dphi[j],
                               profile.d2phi[j], profile.mu[j], profile.dmu[j])])
-
-
-def write_profile_json(profile: WaveProfile, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(profile_header(profile), fh, indent=2)
-        fh.write("\n")

@@ -1,5 +1,6 @@
 import json
 
+from bchwaves import CoefficientInconsistency, cli
 from bchwaves.cli import main
 
 REF = ["--b", "2", "--a", "0.1", "--E", "0.09", "--c", "1"]
@@ -64,6 +65,32 @@ def test_spectrum_unconverged_exit_code(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+def _raise_coefficient_inconsistency(*args, **kwargs):
+    raise CoefficientInconsistency("coefficient check failed")
+
+
+def test_spectrum_coefficient_inconsistency_exit_code(tmp_path, capsys,
+                                                      monkeypatch):
+    monkeypatch.setattr(cli, "assemble_operator",
+                        _raise_coefficient_inconsistency)
+    rc = main(["spectrum", *REF, "--N", "256", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "numerical error" in capsys.readouterr().err
+
+
+def test_sweep_coefficient_inconsistency_row(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "assemble_operator",
+                        _raise_coefficient_inconsistency)
+    out = tmp_path / "s"
+    rc = main(["sweep", "--b", "2", "--c", "1", "--a-range", "0.1:0.1:1",
+               "--E-range", "0.09:0.09:1", "--N", "256", "--modes", "64",
+               "--jobs", "1", "--out", str(out)])
+    assert rc == 0
+    lines = (out / "sweep.csv").read_text().strip().splitlines()
+    assert len(lines) == 2
+    assert ",CoefficientInconsistency: coefficient check failed," in lines[1]
+
+
 def test_evolve_command(tmp_path):
     rc = main(["evolve", *REF, "--N", "128", "--eps", "1e-3",
                "--horizon-periods", "0.5", "--out", str(tmp_path)])
@@ -75,6 +102,7 @@ def test_evolve_command(tmp_path):
     assert summary["outcome"] == "completed"
     assert summary["eps"] == 1e-3
     assert summary["ratio"] > 0
+    assert summary["run_config"]["cfl_max"] > 0
 
 
 def test_sweep_and_determinism(tmp_path):

@@ -9,6 +9,66 @@ from bchwaves.evolution import EvolutionState, h1_shift_distance, rhs
 from bchwaves.invariants import delta_F1, delta_F2
 
 
+def _golden_section_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+    """Minimizer of a unimodal f on [lo, hi] to within tol."""
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
+    f1, f2 = f(x1), f(x2)
+    while hi - lo > tol:
+        if f1 > f2:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + invphi * (hi - lo)
+            f2 = f(x2)
+        else:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - invphi * (hi - lo)
+            f1 = f(x1)
+    return 0.5 * (lo + hi)
+
+
+def _orbital_distance_golden(m, ref, period):
+    """Oracle route for orbital_distance: the full-spectrum H^1
+    cross-correlation on the grid, its maximum refined by golden-section
+    search on the continuous correlation to 1e-10 in the shift."""
+    n = m.shape[-1]
+    k = fourier.wavenumbers(n, period)
+    w = 1.0 + k**2
+    mh = np.fft.fft(m) / n
+    gh = np.fft.fft(ref) / n
+    norms = period * float(np.sum(w * (np.abs(mh) ** 2 + np.abs(gh) ** 2)))
+    coef = w * mh * np.conj(gh)
+    j0 = int(np.argmax(np.real(np.fft.ifft(coef))))
+    dx = period / n
+
+    def corr(s):
+        return period * float(np.real(np.sum(coef * np.exp(1j * k * s))))
+
+    s_best = _golden_section_min(lambda s: -corr(s), (j0 - 1) * dx,
+                                 (j0 + 1) * dx)
+    rho_sq = norms - 2.0 * corr(s_best)
+    return float(np.sqrt(max(rho_sq, 0.0))), s_best % period
+
+
+def _rhs_six_transforms(m, period, b, frame_speed):
+    """Oracle route for rhs: the three inverse transforms and the two
+    dealiased products done separately."""
+    n = m.shape[-1]
+    kr = 2.0 * np.pi * np.arange(n // 2 + 1) / period
+    deriv = 1j * kr
+    if n % 2 == 0:
+        deriv[-1] = 0.0
+    mask = np.arange(n // 2 + 1) <= n / 3.0
+    mh = np.fft.rfft(m)
+    uh = mh / (1.0 + kr**2)
+    mxh = deriv * mh
+    u = np.fft.irfft(uh, n=n)
+    m_x = np.fft.irfft(mxh, n=n)
+    u_x = np.fft.irfft(deriv * uh, n=n)
+    advh = np.fft.rfft(u * m_x) * mask
+    strainh = np.fft.rfft(m * u_x) * mask
+    return np.fft.irfft(frame_speed * mxh - advh - b * strainh, n=n)
+
+
 def test_reconstruct_constant():
     m = np.full(256, 1.7)
     assert np.max(np.abs(reconstruct_velocity(m, 5.0) - 1.7)) < 1e-14
@@ -33,7 +93,7 @@ def test_constant_state_stationary():
     T = 5.0
     m = np.full(128, 0.8)
     assert np.max(np.abs(rhs(m, T, 2.0, 0.7))) < 1e-15
-    state = EvolutionState(t=0.0, m=m, u=reconstruct_velocity(m, T), dx=T / 128)
+    state = EvolutionState(t=0.0, m=m, dx=T / 128)
     out = step(state, 0.01, 2.0, 0.7)
     assert np.max(np.abs(out.m - m)) < 1e-14
 
@@ -48,8 +108,7 @@ def test_rk4_order(ref_profile):
     m0 = mu + v
 
     def advance(dt, t_end):
-        state = EvolutionState(t=0.0, m=m0.copy(),
-                               u=reconstruct_velocity(m0, T), dx=T / n)
+        state = EvolutionState(t=0.0, m=m0.copy(), dx=T / n)
         steps = int(round(t_end / dt))
         for _ in range(steps):
             state = step(state, dt, params.b, params.c)
@@ -112,20 +171,10 @@ def test_orbital_distance_brute_force_oracle(ref_profile):
     shifts = np.arange(4 * n) * (T / (4 * n))
     dists = np.array([h1_shift_distance(m, mu, T, s) for s in shifts])
     j = int(np.argmin(dists))
-    lo, hi = shifts[j] - T / (4 * n), shifts[j] + T / (4 * n)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1, x2 = hi - invphi * (hi - lo), lo + invphi * (hi - lo)
-    f1, f2 = h1_shift_distance(m, mu, T, x1), h1_shift_distance(m, mu, T, x2)
-    while hi - lo > 1e-10:
-        if f1 > f2:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = h1_shift_distance(m, mu, T, x2)
-        else:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = h1_shift_distance(m, mu, T, x1)
-    rho_brute = h1_shift_distance(m, mu, T, 0.5 * (lo + hi))
+    s_best = _golden_section_min(lambda s: h1_shift_distance(m, mu, T, s),
+                                 shifts[j] - T / (4 * n),
+                                 shifts[j] + T / (4 * n))
+    rho_brute = h1_shift_distance(m, mu, T, s_best)
     assert abs(rho - rho_brute) < 1e-6
 
 
@@ -143,8 +192,7 @@ def test_frame_equivalence(ref_profile):
     mu = fourier.resample(ref_profile.mu, n)
     from bchwaves.evolution import _rfft_tools
     mu = np.fft.irfft(np.fft.rfft(mu) * _rfft_tools(n, T)[2], n=n)
-    state = EvolutionState(t=0.0, m=mu.copy(),
-                           u=reconstruct_velocity(mu, T), dx=T / n)
+    state = EvolutionState(t=0.0, m=mu.copy(), dx=T / n)
     t_end = 0.37 * T / params.c
     dt = cfl_dt(mu, T, 0.0, safety=0.4)
     steps = int(np.ceil(t_end / dt))
@@ -180,7 +228,7 @@ def test_violent_step_aborts(ref_profile):
     n = 128
     T = ref_profile.T
     mu = fourier.resample(ref_profile.mu, n)
-    state = EvolutionState(t=0.0, m=mu, u=reconstruct_velocity(mu, T), dx=T / n)
+    state = EvolutionState(t=0.0, m=mu, dx=T / n)
     with pytest.raises((PositivityLost, BlowUp)):
         s = state
         for _ in range(50):
@@ -192,3 +240,43 @@ def test_constrained_run_smoke(ref_profile):
                           mode="constrained", n_samples=10, seed=3)
     assert diag.outcome == "completed"
     assert diag.max_rho < 10 * 5e-4
+
+
+@pytest.mark.parametrize("n", [512, 511])
+def test_fused_rhs_matches_six_transforms(ref_profile, n):
+    T, b, c = ref_profile.T, ref_profile.params.b, ref_profile.params.c
+    mu = fourier.resample(ref_profile.mu, n)
+    m = mu + make_perturbation(mu, T, b, 1e-2, seed=6)
+    expected = _rhs_six_transforms(m, T, b, c)
+    err = np.max(np.abs(rhs(m, T, b, c) - expected))
+    assert err <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_orbital_distance_matches_golden_section(ref_profile, seed):
+    T = ref_profile.T
+    mu = ref_profile.mu
+    v = make_perturbation(mu, T, 2.0, 1e-3, seed=seed)
+    m = fourier.circular_shift(mu + v, 0.3 * T, T)
+    rho, x0 = orbital_distance(m, mu, T)
+    rho_gold, x0_gold = _orbital_distance_golden(m, mu, T)
+    assert abs(rho - rho_gold) <= 1e-9
+    assert x0 == pytest.approx(x0_gold, abs=1e-6)
+
+
+def test_cfl_max_recorded(ref_profile):
+    """The worst CFL number over the run is reported and is at least the
+    one of the initial data at the step actually taken."""
+    T, b, c = ref_profile.T, ref_profile.params.b, ref_profile.params.c
+    n = 256
+    diag = run_experiment(ref_profile, eps=1e-3, horizon_periods=0.5, N=n,
+                          n_samples=4, seed=5)
+    assert diag.outcome == "completed"
+    mu = fourier.resample(ref_profile.mu, n)
+    from bchwaves.evolution import _rfft_tools
+    mu = np.fft.irfft(np.fft.rfft(mu) * _rfft_tools(n, T)[2], n=n)
+    m0 = mu + make_perturbation(mu, T, b, 1e-3, seed=5)
+    cfl0 = (float(np.max(np.abs(reconstruct_velocity(m0, T) - c)))
+            * diag.config["dt"] / (T / n))
+    assert diag.config["cfl_max"] >= cfl0 * (1.0 - 1e-12)
+    assert cfl0 <= diag.config["dt_safety"] * (1.0 + 1e-12)
