@@ -124,8 +124,11 @@ def step(state: EvolutionState, dt: float, b: float,
     k3, _ = _rhs_hat(mh + (0.5 * dt) * k2, n, period, b, frame_speed)
     k4, _ = _rhs_hat(mh + dt * k3, n, period, b, frame_speed)
     m_new = np.fft.irfft(mh + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), n=n)
-    if float(np.min(m_new)) <= 0.0:
-        raise PositivityLost(f"min m = {float(np.min(m_new))!r} at t = {state.t + dt!r}")
+    m_min = float(np.min(m_new))
+    if not m_min > 0.0:  # a NaN anywhere makes m_min NaN, which fails this too
+        if np.isnan(m_min):
+            raise BlowUp(f"m is not a number at t = {state.t + dt!r}")
+        raise PositivityLost(f"min m = {m_min!r} at t = {state.t + dt!r}")
     if float(np.max(m_new)) > _BLOWUP_GUARD:  # m > 0 here, so this is sup|m|
         raise BlowUp(f"sup |m| exceeded {_BLOWUP_GUARD} at t = {state.t + dt!r}")
     cfl = float(np.max(np.abs(u - frame_speed))) * dt / state.dx
@@ -149,7 +152,8 @@ def orbital_distance(m: np.ndarray, ref: np.ndarray,
     trigonometric polynomial, with closed-form first and second
     derivatives; every iterate stays inside the bracket (j0 +- 1) dx
     around the grid maximum j0 (bisection when a Newton step would leave
-    it), until the step is at most 1e-13 T.
+    it), until the step is at most 1e-13 T.  The distance at that shift
+    is summed directly over the half spectrum of m - ref(. - x0).
     """
     n = m.shape[-1]
     kr, _, _, helm = _rfft_tools(n, period)
@@ -157,13 +161,7 @@ def orbital_distance(m: np.ndarray, ref: np.ndarray,
     gh = np.fft.rfft(ref) / n
     cross = mh * np.conj(gh)
     j0 = int(np.argmax(np.fft.irfft(helm * cross, n=n)))
-    # half-spectrum weights: modes strictly between 0 and n/2 also stand
-    # for their conjugates
-    w = 2.0 * helm
-    w[0] = helm[0]
-    if n % 2 == 0:
-        w[-1] = helm[-1]
-    norms = period * float(np.sum(w * (np.abs(mh) ** 2 + np.abs(gh) ** 2)))
+    w = fourier.h1_weights(n, period)
     coef = w * cross
     kcoef = kr * coef
     k2coef = kr * kcoef
@@ -188,9 +186,10 @@ def orbital_distance(m: np.ndarray, ref: np.ndarray,
         s = s_new
         if done:
             break
-    corr = period * float(np.real(coef @ np.exp(1j * kr * s)))
-    rho_sq = norms - 2.0 * corr
-    return float(np.sqrt(max(rho_sq, 0.0))), float(s % period)
+    # the distance itself, not |m|^2 + |ref|^2 - 2 corr, which cancels
+    # to a ~1e-8 floor in rho when m is a shift of ref
+    rho_sq = period * float(np.sum(w * np.abs(mh - gh * np.exp(-1j * kr * s)) ** 2))
+    return float(np.sqrt(rho_sq)), float(s % period)
 
 
 def make_perturbation(mu: np.ndarray, period: float, b: float, eps: float,
@@ -254,8 +253,8 @@ def run_experiment(profile: WaveProfile, eps: float,
         m0 = mu + v
     else:
         m0 = mu.copy()
-    if float(np.min(m0)) <= 0.0:
-        raise PositivityLost("initial data leaves the positive cone")
+    if not float(np.min(m0)) > 0.0:  # also refuses NaN data
+        raise PositivityLost("initial data leaves the positive cone or holds NaN")
 
     horizon = horizon_periods * period / abs(c)
     dt0 = cfl_dt(m0, period, frame_speed, safety=dt_safety)

@@ -41,12 +41,22 @@ def l2_norm(v: np.ndarray, period: float) -> float:
     return float(np.sqrt(max(l2_inner(v, v, period), 0.0)))
 
 
-def h1_norm_sq(v: np.ndarray, period: float) -> float:
-    """Squared H^1 norm, ||v||^2 + ||v'||^2, via Parseval."""
+def h1_weights(n: int, period: float) -> np.ndarray:
+    """Parseval weights 1 + k^2 of the H^1 norm on the rfft half spectrum;
+    modes strictly between 0 and n/2 also stand for their conjugates."""
+    kr = 2.0 * np.pi * np.arange(n // 2 + 1) / period
+    w = 2.0 * (1.0 + kr**2)
+    w[0] = 1.0
+    if n % 2 == 0:
+        w[-1] = 1.0 + kr[-1] ** 2
+    return w
+
+
+def h1_norm_sq(v: np.ndarray, period: float) -> float | np.ndarray:
+    """Squared H^1 norm, ||v||^2 + ||v'||^2, via Parseval; over the last
+    axis, so a (count, n) block gives count norms."""
     n = v.shape[-1]
-    vh = np.fft.fft(v) / n
-    k = wavenumbers(n, period)
-    return period * float(np.sum((1.0 + k**2) * np.abs(vh) ** 2))
+    return period / n**2 * (np.abs(np.fft.rfft(v)) ** 2 @ h1_weights(n, period))
 
 
 def h1_norm(v: np.ndarray, period: float) -> float:

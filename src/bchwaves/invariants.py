@@ -411,10 +411,15 @@ def classify_stability(params: WaveParameters, N: int = 512,
 
 @dataclass(frozen=True)
 class FamilyDerivatives:
-    """Pointwise parameter derivatives of mu(x; a, E, c) on the base grid,
-    each perturbed profile evaluated at the same physical x through its
-    own periodic extension (Richardson over steps h and h/2).  These are
-    quasi-periodic: mu_p(x + T) - mu_p(x) = -T_p mu_x(x)."""
+    """Pointwise parameter derivatives of mu(x; a, E, c) at the base grid
+    points x, with T_a, T_E, T_c the period derivatives.
+
+    Grid index j of every synthesized profile samples the phase s = j/N,
+    so Richardson differences (steps h and h/2) of the raw samples give
+    the derivative at fixed phase, and the derivative at fixed x follows
+    in closed form: mu_p = d_p mu|_s - (T_p / T) x mu_x, with the base
+    profile's analytic mu_x.  These are quasi-periodic:
+    mu_p(x + T) - mu_p(x) = -T_p mu_x(x)."""
 
     profile: WaveProfile
     mu_a: np.ndarray
@@ -434,26 +439,16 @@ def family_derivatives(params: WaveParameters, N: int = 512,
     # scalar observables
     base = synthesize_profile(params, N) if profile is None else profile
     steps = fd_steps_for(params, rel_step)
-    x = base.x
 
-    def mu_T_at(p: WaveParameters) -> tuple[np.ndarray, float]:
+    def mu_and_T(p: WaveParameters) -> np.ndarray:
         prof = synthesize_profile(p, N)
-        return fourier.trig_interpolate(prof.mu, prof.T, x), prof.T
+        return np.append(prof.mu, prof.T)
 
-    mu_grads, T_grads = [], []
-    for i in range(3):
-        h = steps[i]
-        mp, Tp = mu_T_at(_perturbed(params, i, h))
-        mm, Tm = mu_T_at(_perturbed(params, i, -h))
-        mp2, Tp2 = mu_T_at(_perturbed(params, i, h / 2))
-        mm2, Tm2 = mu_T_at(_perturbed(params, i, -h / 2))
-        d_h = (mp - mm) / (2.0 * h)
-        d_h2 = (mp2 - mm2) / h
-        mu_grads.append((4.0 * d_h2 - d_h) / 3.0)
-        dT_h = (Tp - Tm) / (2.0 * h)
-        dT_h2 = (Tp2 - Tm2) / h
-        T_grads.append((4.0 * dT_h2 - dT_h) / 3.0)
-
+    grad, _ = _richardson_gradient(mu_and_T, params, steps)
+    T_grads = grad[-1]
+    mu_grads = [grad[:-1, i] - (T_grads[i] / base.T) * base.x * base.dmu
+                for i in range(3)]
     return FamilyDerivatives(
         profile=base, mu_a=mu_grads[0], mu_E=mu_grads[1], mu_c=mu_grads[2],
-        T_a=T_grads[0], T_E=T_grads[1], T_c=T_grads[2], fd_steps=steps)
+        T_a=float(T_grads[0]), T_E=float(T_grads[1]), T_c=float(T_grads[2]),
+        fd_steps=steps)

@@ -49,6 +49,8 @@ from .potential import (PotentialScan, WaveParameters, _cpow, critical_points,
 
 # refuse synthesis when E is this close to the boundary of the well
 _E_MARGIN_FLOOR = 1e-12
+# intervals of the Chebyshev-Lobatto table behind the inversion's first guess
+_INVERSION_TABLE = 2048
 
 
 class TurningPointData(NamedTuple):
@@ -322,15 +324,6 @@ class _HalfPeriodMap(NamedTuple):
     coeff_antideriv: np.ndarray  # antiderivative in t, zeroed at t = -1
     half_period: float
 
-    def xi(self, theta):
-        t = 4.0 * np.asarray(theta) / np.pi - 1.0
-        return 0.25 * np.pi * (_cheb.chebval(t, self.coeff_antideriv)
-                               - _cheb.chebval(-1.0, self.coeff_antideriv))
-
-    def dxi(self, theta):
-        t = 4.0 * np.asarray(theta) / np.pi - 1.0
-        return _cheb.chebval(t, self.coeff_integrand)
-
 
 def _build_half_period_map(params: WaveParameters, tp: TurningPointData,
                            period_ref: float, period_tol: float,
@@ -362,15 +355,38 @@ def _build_half_period_map(params: WaveParameters, tp: TurningPointData,
 
 
 def _invert_half_period(map_: _HalfPeriodMap, x_targets: np.ndarray) -> np.ndarray:
-    """Solve xi(theta) = map_.half_period - x for each target x."""
+    """Solve xi(theta) = map_.half_period - x for each target x.
+
+    The initial guess interpolates a table of xi at Chebyshev-Lobatto
+    points, built by one DCT-I of the zero-padded antiderivative series.
+    Newton evaluates xi and its derivative together from a two-column
+    series and stops once no iterate moves by more than 1e-15.
+    """
+    A = map_.coeff_antideriv
+    A_left = float(_cheb.chebval(-1.0, A))
     targets = map_.half_period - x_targets
-    theta_dense = np.linspace(0.0, 0.5 * np.pi, 2049)
-    xi_dense = map_.xi(theta_dense)
-    theta = np.interp(targets, xi_dense, theta_dense)
+
+    m = max(_INVERSION_TABLE, A.size - 1)
+    padded = np.zeros(m + 1)
+    padded[:A.size] = A
+    padded[1:-1] *= 0.5  # DCT-I doubles the interior terms
+    xi_table = 0.25 * np.pi * (dct(padded, type=1) - A_left)
+    theta_table = 0.25 * np.pi * (np.cos(np.pi * np.arange(m + 1) / m) + 1.0)
+    theta = np.interp(targets, xi_table[::-1], theta_table[::-1])
+
+    both = np.zeros((A.size, 2))
+    both[:, 0] = A
+    both[:map_.coeff_integrand.size, 1] = map_.coeff_integrand
     for _ in range(6):
-        res = map_.xi(theta) - targets
-        theta = np.clip(theta - res / map_.dxi(theta), 0.0, 0.5 * np.pi)
-    res = np.abs(map_.xi(theta) - targets)
+        xi_raw, dxi = _cheb.chebval(4.0 * theta / np.pi - 1.0, both)
+        res = 0.25 * np.pi * (xi_raw - A_left) - targets
+        new = np.clip(theta - res / dxi, 0.0, 0.5 * np.pi)
+        done = float(np.max(np.abs(new - theta))) <= 1e-15
+        theta = new
+        if done:
+            break
+    res = np.abs(0.25 * np.pi * (_cheb.chebval(4.0 * theta / np.pi - 1.0, A)
+                                 - A_left) - targets)
     if float(np.max(res)) > 1e-11 * max(map_.half_period, 1.0):
         raise ConvergenceFailure("inversion of the half-period map failed")
     return theta

@@ -51,6 +51,8 @@ from .invariants import (FamilyDerivatives, InvariantSet, Multipliers,
 from .profile import WaveProfile
 
 SECOND_VARIATION_SCALE = -0.5
+# rows per block of probe directions; bounds the probe's working memory
+_PROBE_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -280,8 +282,8 @@ def proof_identities(profile: WaveProfile,
     tangent_basis = _orthonormalize((dF1, dF2), T)
     denom = fourier.l2_norm(L_psi, T)
     worst = 0.0
-    for _ in range(n_tangent_trials):
-        m = _project_out(_random_smooth(profile.N, rng), tangent_basis, T)
+    for m in _project_out(_random_smooth(profile.N, rng, n_tangent_trials),
+                          tangent_basis, T):
         val = abs(fourier.l2_inner(L_psi, m, T))
         worst = max(worst, val / max(denom * fourier.l2_norm(m, T), 1e-300))
 
@@ -292,17 +294,19 @@ def proof_identities(profile: WaveProfile,
         convention_scale=kappa)
 
 
-def _random_smooth(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Random real periodic field with polynomially decaying spectrum."""
+def _random_smooth(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """count random real periodic fields, shape (count, n), with
+    polynomially decaying spectrum, each scaled to unit sup norm.  Row i
+    holds the values that the i-th of count single-field draws would give:
+    real parts, imaginary parts, then the mean."""
     kmax = n // 3
-    c = np.zeros(n // 2 + 1, dtype=complex)
+    z = rng.standard_normal((count, 2 * kmax - 1))
     k = np.arange(1, kmax)
-    c[1:kmax] = ((rng.standard_normal(kmax - 1)
-                  + 1j * rng.standard_normal(kmax - 1))
-                 / (1.0 + k) ** 2)
-    c[0] = rng.standard_normal()
+    c = np.zeros((count, n // 2 + 1), dtype=complex)
+    c[:, 1:kmax] = (z[:, :kmax - 1] + 1j * z[:, kmax - 1:-1]) / (1.0 + k) ** 2
+    c[:, 0] = z[:, -1]
     v = np.fft.irfft(c, n=n)
-    return v / np.max(np.abs(v))
+    return v / np.max(np.abs(v), axis=-1, keepdims=True)
 
 
 def _orthonormalize(vectors, T: float) -> list[np.ndarray]:
@@ -321,8 +325,10 @@ def _orthonormalize(vectors, T: float) -> list[np.ndarray]:
 
 
 def _project_out(m: np.ndarray, orthonormal, T: float) -> np.ndarray:
+    """Remove the components along an orthonormal set from m, one field
+    or a (count, n) block of fields."""
     for u in orthonormal:
-        m = m - fourier.l2_inner(m, u, T) * u
+        m = m - (T * np.mean(m * u, axis=-1, keepdims=True)) * u
     return m
 
 
@@ -338,34 +344,42 @@ def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
     certifies it at probe resolution.  The trial set always includes the
     spectral ground state and the constant direction, so an unconstrained
     probe (project=False) reliably finds the negative direction.
+
+    The directions are processed in blocks of _PROBE_BLOCK rows: each
+    block is drawn at once, projected, mapped through the operator and
+    its quotients <L m, m> / ||m||_{H^1}^2 formed together.  The first
+    block leads with the ground state and the constant direction.
     """
     params = profile.params
-    b, T = params.b, profile.T
+    b, T, n = params.b, profile.T, profile.N
     dF1 = delta_F1(profile.mu, b)
     dF2 = delta_F2(profile.mu, profile.dmu, profile.d2mu, b)
     basis = _orthonormalize((dF1, dF2, profile.dmu), T)
 
-    M = min(profile.N // 4, 128)
-    evals, evecs = np.linalg.eigh(hill_matrix(coeffs, M))
-    ground = modes_to_grid(evecs[:, 0], coeffs)
+    M = min(n // 4, 128)
+    _, evecs = np.linalg.eigh(hill_matrix(coeffs, M))
+    fixed = np.stack([modes_to_grid(evecs[:, 0], coeffs), np.ones(n)])
 
     rng = np.random.default_rng(seed)
-    candidates = [ground, np.ones(profile.N)]
-    candidates += [_random_smooth(profile.N, rng) for _ in range(max(trials - 2, 0))]
-
+    n_total = len(fixed) + max(trials - len(fixed), 0)
     min_q = np.inf
     n_negative = 0
     evaluated = 0
-    for m in candidates:
+    for start in range(0, n_total, _PROBE_BLOCK):
+        stop = min(start + _PROBE_BLOCK, n_total)
+        block = _random_smooth(n, rng, stop - max(start, len(fixed)))
+        if start == 0:
+            block = np.concatenate([fixed, block])
         if project:
-            m = _project_out(m, basis, T)
-        h1 = fourier.h1_norm_sq(m, T)
-        if h1 <= 1e-20:
+            block = _project_out(block, basis, T)
+        h1 = fourier.h1_norm_sq(block, T)
+        keep = h1 > 1e-20
+        block, h1 = block[keep], h1[keep]
+        evaluated += block.shape[0]
+        if not block.shape[0]:
             continue
-        evaluated += 1
-        q = fourier.l2_inner(apply_operator(coeffs, m), m, T) / h1
-        min_q = min(min_q, q)
-        if q < 0.0:
-            n_negative += 1
+        q = T * np.mean(apply_operator(coeffs, block) * block, axis=-1) / h1
+        min_q = min(min_q, float(np.min(q)))
+        n_negative += int(np.sum(q < 0.0))
     return ProbeReport(min_quotient=float(min_q), n_negative=n_negative,
                        trials=evaluated, projected=project)

@@ -169,6 +169,7 @@ def test_criterion_8_coercivity(ref_params, ref_profile, ref_coeffs):
            f"unconstrained finds negative ({free.min_quotient:.4f})")
 
 
+@pytest.mark.slow
 def test_criterion_9_evolution(ref_params, ref_profile):
     """Orbital stability under time evolution at a certified-stable point:
     the response ratio is uniform across the perturbation ladder, the

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -122,6 +124,7 @@ def test_rk4_order(ref_profile):
     assert 10.0 < err1 / err2 < 22.0
 
 
+@pytest.mark.slow
 def test_exact_wave_stationary(ref_profile):
     diag = run_experiment(ref_profile, eps=0.0, horizon_periods=10.0, N=512,
                           n_samples=20)
@@ -135,10 +138,11 @@ def test_exact_wave_stationary(ref_profile):
 def test_orbital_distance_exact_shift(ref_profile):
     T = ref_profile.T
     mu = ref_profile.mu
-    shifted = fourier.circular_shift(mu, 0.3 * T, T)
-    rho, x0 = orbital_distance(shifted, mu, T)
-    assert rho < 1e-10
-    assert x0 == pytest.approx(0.3 * T, abs=1e-6)
+    for frac in (0.1, 0.3, 0.77):
+        shifted = fourier.circular_shift(mu, frac * T, T)
+        rho, x0 = orbital_distance(shifted, mu, T)
+        assert rho < 1e-10
+        assert x0 == pytest.approx(frac * T, abs=1e-6)
 
 
 def test_orbital_distance_bounded_by_eps(ref_profile):
@@ -233,6 +237,23 @@ def test_violent_step_aborts(ref_profile):
         s = state
         for _ in range(50):
             s = step(s, 100.0, 2.0, 1.0)  # grossly unstable step size
+
+
+def test_step_rejects_nan_state():
+    m = np.full(64, 0.8)
+    m[17] = np.nan
+    state = EvolutionState(t=0.0, m=m, dx=5.0 / 64)
+    with pytest.raises(BlowUp):
+        step(state, 0.01, 2.0, 0.7)
+
+
+def test_run_experiment_rejects_nan_profile(ref_profile):
+    mu = ref_profile.mu.copy()
+    mu[5] = np.nan
+    bad = dataclasses.replace(ref_profile, mu=mu)
+    with pytest.raises(PositivityLost):
+        run_experiment(bad, eps=0.0, horizon_periods=0.1, N=ref_profile.N,
+                       n_samples=2)
 
 
 def test_constrained_run_smoke(ref_profile):

@@ -10,8 +10,8 @@ from bchwaves import (FDUnreliable, MarginTooSmall, WaveParameters,
 from bchwaves import fourier
 from bchwaves.invariants import (CLASS_DEGENERATE, CLASS_PRODUCT_FAIL,
                                  CLASS_STABLE, CLASS_TWO_NEGATIVE,
-                                 _richardson_gradient, classify_from_signs,
-                                 delta_F1, fd_steps_for)
+                                 _perturbed, _richardson_gradient,
+                                 classify_from_signs, delta_F1, fd_steps_for)
 
 
 def test_multiplier_values(ref_params):
@@ -183,3 +183,35 @@ def test_family_derivatives_quasi_periodicity(ref_params, ref_profile):
     left = fourier.trig_interpolate(v, prof.T, np.array([1e-6]))
     right = fourier.trig_interpolate(v, prof.T, np.array([prof.T - 1e-6]))
     assert abs(left[0] - right[0]) < 1e-4 * max(1.0, np.max(np.abs(v)))
+
+
+def _family_derivatives_interpolated(params, N, base, rel_step=1e-4):
+    """Oracle route for family_derivatives: each perturbed profile is
+    evaluated at the base grid points through the trigonometric
+    interpolant of its own samples, then Richardson-differenced; returns
+    (mu_a, mu_E, mu_c), (T_a, T_E, T_c)."""
+    steps = fd_steps_for(params, rel_step)
+
+    def mu_T_at(p):
+        prof = synthesize_profile(p, N)
+        return fourier.trig_interpolate(prof.mu, prof.T, base.x), prof.T
+
+    mu_grads, T_grads = [], []
+    for i in range(3):
+        h = steps[i]
+        mp, Tp = mu_T_at(_perturbed(params, i, h))
+        mm, Tm = mu_T_at(_perturbed(params, i, -h))
+        mp2, Tp2 = mu_T_at(_perturbed(params, i, h / 2))
+        mm2, Tm2 = mu_T_at(_perturbed(params, i, -h / 2))
+        mu_grads.append((4.0 * ((mp2 - mm2) / h) - (mp - mm) / (2.0 * h)) / 3.0)
+        T_grads.append((4.0 * ((Tp2 - Tm2) / h) - (Tp - Tm) / (2.0 * h)) / 3.0)
+    return mu_grads, T_grads
+
+
+def test_family_derivatives_match_interpolation_route(ref_params, ref_profile):
+    fam = family_derivatives(ref_params, 512, profile=ref_profile)
+    mu_grads, T_grads = _family_derivatives_interpolated(ref_params, 512,
+                                                         ref_profile)
+    for got, want in zip((fam.mu_a, fam.mu_E, fam.mu_c), mu_grads):
+        assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
+    assert (fam.T_a, fam.T_E, fam.T_c) == tuple(T_grads)

@@ -7,7 +7,10 @@ from bchwaves import (NotInExistenceSet, WaveParameters, critical_points,
                       equilibrium_profile, eval_potential, period,
                       period_by_shooting, profile_residuals,
                       synthesize_profile, turning_points)
-from bchwaves.profile import profile_header, write_profile_csv
+from bchwaves.potential import a_max
+from bchwaves.profile import (_build_half_period_map, _invert_half_period,
+                              _wave_integral_impl, profile_header,
+                              turning_point_data, write_profile_csv)
 
 
 def bisect(f, lo, hi, tol=1e-14):
@@ -174,3 +177,26 @@ def test_serialization(tmp_path, ref_profile):
     assert header["T"] == ref_profile.T
     assert set(header["residuals"]) == {"energy_relation", "first_integral",
                                         "mu_relation", "profile_ode"}
+
+
+def _well_point(b, a_frac, e_frac, c=1.0):
+    a = a_frac * a_max(b, c)
+    scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=c))
+    return WaveParameters(b=b, a=a, E=scan.V_phi2 + e_frac * (scan.V_phi1 - scan.V_phi2),
+                          c=c)
+
+
+@pytest.mark.parametrize("which", ["reference", "b=1.5"])
+def test_half_period_inversion_residual(ref_params, which):
+    params = ref_params if which == "reference" else _well_point(1.5, 0.3, 0.5)
+    tp = turning_point_data(params)
+    T_gauss, change = _wave_integral_impl(params, None, tp, 1e-11, 64, 16384)
+    hp_map = _build_half_period_map(params, tp, T_gauss, change)
+    half = hp_map.half_period
+    x = np.arange(257) * (half / 256)
+    theta = _invert_half_period(hp_map, x)
+    A = hp_map.coeff_antideriv
+    xi = 0.25 * np.pi * (np.polynomial.chebyshev.chebval(4.0 * theta / np.pi - 1.0, A)
+                         - np.polynomial.chebyshev.chebval(-1.0, A))
+    assert np.max(np.abs(xi - (half - x))) <= 1e-13 * half
+    assert np.all(np.diff(theta) < 0.0)

@@ -7,7 +7,38 @@ from bchwaves import (DiscretizationNotConverged, apply_operator,
                       multipliers, periodic_spectrum, proof_identities,
                       synthesize_profile)
 from bchwaves import fourier
-from bchwaves.spectral import SECOND_VARIATION_SCALE, _random_smooth
+from bchwaves.invariants import delta_F1, delta_F2
+from bchwaves.spectral import (SECOND_VARIATION_SCALE, _orthonormalize,
+                               _random_smooth, modes_to_grid)
+
+
+def _coercivity_probe_loop(coeffs, profile, trials, seed, project):
+    """Oracle route for coercivity_probe: one direction at a time, each
+    drawn separately from the same stream, with the full-spectrum H^1
+    norm; returns (min_quotient, n_negative, trials)."""
+    b, T, n = profile.params.b, profile.T, profile.N
+    basis = _orthonormalize((delta_F1(profile.mu, b),
+                             delta_F2(profile.mu, profile.dmu, profile.d2mu, b),
+                             profile.dmu), T)
+    M = min(n // 4, 128)
+    _, evecs = np.linalg.eigh(hill_matrix(coeffs, M))
+    rng = np.random.default_rng(seed)
+    candidates = [modes_to_grid(evecs[:, 0], coeffs), np.ones(n)]
+    candidates += [_random_smooth(n, rng, 1)[0] for _ in range(max(trials - 2, 0))]
+    min_q, n_negative, evaluated = np.inf, 0, 0
+    for m in candidates:
+        if project:
+            for u in basis:
+                m = m - fourier.l2_inner(m, u, T) * u
+        h1 = T * float(np.sum((1.0 + fourier.wavenumbers(n, T) ** 2)
+                              * np.abs(np.fft.fft(m) / n) ** 2))
+        if h1 <= 1e-20:
+            continue
+        evaluated += 1
+        q = fourier.l2_inner(apply_operator(coeffs, m), m, T) / h1
+        min_q = min(min_q, q)
+        n_negative += int(q < 0.0)
+    return min_q, n_negative, evaluated
 
 
 def discrete_action_gradient(m, T, b, w1, w2):
@@ -29,8 +60,7 @@ def test_operator_matches_discrete_hessian(ref_params, ref_profile, ref_coeffs):
     m = multipliers(ref_params)
     T, b = ref_profile.T, ref_params.b
     rng = np.random.default_rng(3)
-    for _ in range(3):
-        v = _random_smooth(ref_profile.N, rng)
+    for v in _random_smooth(ref_profile.N, rng, 3):
         eps = 1e-6
         hv = (discrete_action_gradient(ref_profile.mu + eps * v, T, b, m.omega1, m.omega2)
               - discrete_action_gradient(ref_profile.mu - eps * v, T, b, m.omega1, m.omega2)
@@ -133,3 +163,34 @@ def test_kernel_direction_quotient(ref_profile, ref_coeffs):
                           ref_profile.dmu, ref_profile.T)
          / fourier.h1_norm_sq(ref_profile.dmu, ref_profile.T))
     assert abs(q) <= spec.tau
+
+
+@pytest.mark.parametrize("project", [True, False])
+@pytest.mark.parametrize("trials", [1, 2, 300, 1000])
+def test_block_probe_matches_loop(ref_profile, ref_coeffs, trials, project):
+    probe = coercivity_probe(ref_coeffs, ref_profile, trials=trials, seed=4,
+                             project=project)
+    min_q, n_negative, evaluated = _coercivity_probe_loop(
+        ref_coeffs, ref_profile, trials, 4, project)
+    assert probe.trials == evaluated
+    assert probe.n_negative == n_negative
+    assert abs(probe.min_quotient - min_q) <= 1e-9 * abs(min_q)
+
+
+def test_random_smooth_block_is_the_single_draw_stream():
+    block = _random_smooth(128, np.random.default_rng(9), 5)
+    rng = np.random.default_rng(9)
+    singles = np.concatenate([_random_smooth(128, rng, 1) for _ in range(5)])
+    assert block.shape == (5, 128)
+    assert np.array_equal(block, singles)
+    assert np.allclose(np.max(np.abs(block), axis=-1), 1.0)
+
+
+def test_h1_norm_sq_block_matches_full_spectrum(ref_profile):
+    T = ref_profile.T
+    for n in (128, 127):
+        block = _random_smooth(n, np.random.default_rng(2), 3)
+        full = [T * float(np.sum((1.0 + fourier.wavenumbers(n, T) ** 2)
+                                 * np.abs(np.fft.fft(v) / n) ** 2)) for v in block]
+        assert np.allclose(fourier.h1_norm_sq(block, T), full, rtol=1e-13, atol=0)
+        assert fourier.h1_norm_sq(block[0], T) == pytest.approx(full[0], rel=1e-13)
