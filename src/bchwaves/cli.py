@@ -9,8 +9,10 @@ repeated runs diff byte-identically.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -61,9 +63,12 @@ def _jsonable(obj):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    """Write via a temporary file renamed into place: never half-written."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "w", encoding="utf-8") as fh:
         json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    os.replace(tmp, path)
 
 
 def _config_echo(args: argparse.Namespace) -> dict:
@@ -116,8 +121,7 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params_from(args)
     prof = synthesize_profile(params, args.N)
     coeffs = assemble_operator(prof)
-    M = args.modes if args.modes else min(prof.N // 4, 128)
-    spec = periodic_spectrum(coeffs, M=M)
+    spec = periodic_spectrum(coeffs, M=args.modes)
     ids = proof_identities(prof, coeffs=coeffs)
     out = _outdir(args)
     payload = {
@@ -233,7 +237,7 @@ def _sweep_row(point: dict, N: int, modes: int, rel_step: float = 1e-5) -> dict:
             return row
         jac = parameter_jacobians(params, rel_step=rel_step)
         prof = synthesize_profile(params, N)
-        F1, F2 = conserved_quantities(prof)
+        F1, F2 = conserved_quantities(prof, jac.invariants)
         mults = multipliers(params)
         spec = periodic_spectrum(assemble_operator(prof, mults),
                                  M=min(modes, N // 4))
@@ -243,9 +247,7 @@ def _sweep_row(point: dict, N: int, modes: int, rel_step: float = 1e-5) -> dict:
                     "J3": jac.J3, "theta": jac.theta, "n_neg": spec.n_neg,
                     "n_zero": spec.n_zero,
                     "classification": jac.classification})
-    except _DOMAIN_ERRORS as exc:
-        row["status"] = f"{type(exc).__name__}: {exc}"
-    except _NUMERICAL_ERRORS as exc:
+    except _DOMAIN_ERRORS + _NUMERICAL_ERRORS as exc:
         row["status"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -259,9 +261,11 @@ def _row_to_csv(row: dict) -> list[str]:
 
 
 def _sweep_config_hash(args: argparse.Namespace) -> str:
-    keys = ("b", "a", "E", "c", "b_range", "a_range", "E_range",
-            "E_frac_range", "c_range", "N", "modes")
-    payload = json.dumps({k: getattr(args, k) for k in keys}, sort_keys=True)
+    """Hash of every setting that shapes the rows, and of the version."""
+    config = {k: v for k, v in _config_echo(args).items()
+              if k not in ("out", "jobs")}
+    config["version"] = __version__
+    payload = json.dumps(config, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -276,46 +280,37 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if manifest_path.exists() and csv_path.exists():
         with open(manifest_path, encoding="utf-8") as fh:
             manifest = json.load(fh)
-        if manifest.get("config_hash") == cfg_hash:
+        # a run can stop after writing a row but before counting it, so the
+        # CSV is cut back to the header and the rows counted
+        size = manifest.get("csv_bytes", 0)
+        if (manifest.get("config_hash") == cfg_hash
+                and 0 < size <= csv_path.stat().st_size):
             done = int(manifest.get("rows_done", 0))
-        else:
-            done = 0
+            os.truncate(csv_path, size)
     pending = points[done:]
+    # _sweep_row is looked up when the sweep runs, so a wrapper installed
+    # on the module (e.g. a timing harness) sees every row
+    row_of = functools.partial(_sweep_row, N=args.N, modes=args.modes or 64,
+                               rel_step=args.fd_step)
+    jobs = args.jobs or os.cpu_count() or 1
 
-    mode = "a" if done > 0 else "w"
-    with open(csv_path, mode, newline="", encoding="utf-8") as fh:
+    with open(csv_path, "a" if done else "w", newline="",
+              encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        if done == 0:
+        if not done:
             writer.writerow(_SWEEP_COLUMNS)
             fh.flush()
-
-        def flush_row(row: dict) -> None:
-            nonlocal done
-            writer.writerow(_row_to_csv(row))
-            fh.flush()
-            done += 1
-            _write_json(manifest_path,
-                        {"config_hash": cfg_hash, "rows_done": done,
-                         "rows_total": len(points)})
-
-        jobs = args.jobs or os.cpu_count() or 1
-        if jobs <= 1 or len(pending) <= 1:
-            for point in pending:
-                flush_row(_sweep_row(point, args.N, args.modes or 64,
-                                     args.fd_step))
-        else:
-            buffered: dict[int, dict] = {}
-            next_index = done
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [(p["index"], pool.submit(_sweep_row, p, args.N,
-                                                    args.modes or 64,
-                                                    args.fd_step))
-                           for p in pending]
-                for idx, fut in futures:
-                    buffered[idx] = fut.result()
-                    while next_index in buffered:
-                        flush_row(buffered.pop(next_index))
-                        next_index += 1
+        with (ProcessPoolExecutor(max_workers=jobs)
+              if jobs > 1 and len(pending) > 1
+              else contextlib.nullcontext()) as pool:
+            rows = pool.map(row_of, pending) if pool else map(row_of, pending)
+            for row in rows:
+                writer.writerow(_row_to_csv(row))
+                fh.flush()
+                done += 1
+                _write_json(manifest_path,
+                            {"config_hash": cfg_hash, "rows_done": done,
+                             "rows_total": len(points), "csv_bytes": fh.tell()})
     print(f"sweep: {done}/{len(points)} rows -> {csv_path}")
     return 0
 
@@ -344,11 +339,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      default="raw")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--config", type=str, default=None,
-                     help="JSON file with defaults (flags override)")
+                     help="JSON file of option defaults (flags override; "
+                          "unknown keys are refused)")
     sub.add_argument("--jobs", type=int, default=None)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
+    """The parser; defaults (from --config) override every subcommand's."""
     parser = argparse.ArgumentParser(
         prog="bchwaves",
         description="Periodic traveling waves of the b-family Camassa-Holm "
@@ -384,21 +381,25 @@ def build_parser() -> argparse.ArgumentParser:
                     help="energies as fractions of the well (V(phi2), V(phi1))")
     sw.add_argument("--c-range", dest="c_range", type=str, default=None)
     sw.set_defaults(func=cmd_sweep)
+    for sub in (sp, sc, ss, se, sw):
+        sub.set_defaults(**(defaults or {}))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             config = json.load(fh)
-        for key, value in config.items():
-            flag = "--" + key.replace("_", "-")
-            if flag in argv or not hasattr(args, key):
-                continue  # explicit flags override the file
-            setattr(args, key, value)
+        known = set(vars(args)) - {"func", "config", "command"}
+        unknown = sorted(set(config) - known)
+        if unknown:
+            print(f"config error: {args.command} has no option "
+                  f"{', '.join(unknown)} (in {args.config})", file=sys.stderr)
+            return 2
+        # parse again with the file as defaults: flags beat the file
+        args = build_parser(config).parse_args(argv)
     try:
         return args.func(args)
     except _DOMAIN_ERRORS as exc:

@@ -16,13 +16,12 @@ admissible state space) is monitored every step.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
 from . import fourier
 from .errors import BlowUp, PositivityLost
-from .invariants import delta_F1, delta_F2
+from .invariants import delta_F1, delta_F2, invariant_densities
 from .profile import WaveProfile
 
 _BLOWUP_GUARD = 1e6
@@ -61,23 +60,7 @@ class RunDiagnostics:
 def reconstruct_velocity(m: np.ndarray, period: float) -> np.ndarray:
     """u = (1 - d^2/dx^2)^(-1) m via the Fourier symbol 1/(1 + k^2)."""
     n = m.shape[-1]
-    kr = 2.0 * np.pi * np.arange(n // 2 + 1) / period
-    return np.fft.irfft(np.fft.rfft(m) / (1.0 + kr**2), n=n)
-
-
-@lru_cache(maxsize=16)
-def _rfft_tools(n: int, period: float):
-    """Half-spectrum wavenumbers, the derivative symbol ik (Nyquist zeroed
-    on even grids), the 2/3-rule mask and the Helmholtz symbol 1 + k^2."""
-    kr = 2.0 * np.pi * np.arange(n // 2 + 1) / period
-    deriv = 1j * kr
-    if n % 2 == 0:
-        deriv[-1] = 0.0
-    mask = np.arange(n // 2 + 1) <= n / 3.0
-    helm = 1.0 + kr**2
-    for a in (kr, deriv, mask, helm):
-        a.flags.writeable = False
-    return kr, deriv, mask, helm
+    return np.fft.irfft(np.fft.rfft(m) / fourier.rfft_tools(n, period)[3], n=n)
 
 
 def _rhs_hat(mh: np.ndarray, n: int, period: float, b: float,
@@ -85,7 +68,7 @@ def _rhs_hat(mh: np.ndarray, n: int, period: float, b: float,
     """Right-hand side in rfft space, from the rfft coefficients mh of m,
     and the velocity u on the grid.  One stacked inverse transform gives
     m, u, m_x and u_x; the product u m_x + b m u_x is dealiased as one."""
-    _, deriv, mask, helm = _rfft_tools(n, period)
+    _, deriv, mask, helm = fourier.rfft_tools(n, period)
     stack = np.empty((4, mh.shape[-1]), dtype=complex)
     stack[0] = mh
     np.divide(mh, helm, out=stack[1])
@@ -156,7 +139,7 @@ def orbital_distance(m: np.ndarray, ref: np.ndarray,
     is summed directly over the half spectrum of m - ref(. - x0).
     """
     n = m.shape[-1]
-    kr, _, _, helm = _rfft_tools(n, period)
+    kr, _, _, helm = fourier.rfft_tools(n, period)
     mh = np.fft.rfft(m) / n
     gh = np.fft.rfft(ref) / n
     cross = mh * np.conj(gh)
@@ -201,24 +184,14 @@ def make_perturbation(mu: np.ndarray, period: float, b: float, eps: float,
     before normalizing; mode="raw" leaves it generic.
     """
     n = mu.shape[-1]
-    rng = np.random.default_rng(seed)
-    kmax = max(n // 8, 4)
-    c = np.zeros(n // 2 + 1, dtype=complex)
-    kk = np.arange(1, kmax)
-    c[1:kmax] = ((rng.standard_normal(kmax - 1) + 1j * rng.standard_normal(kmax - 1))
-                 / (1.0 + kk) ** 2)
-    v = np.fft.irfft(c, n=n)
+    v = fourier.random_smooth(n, np.random.default_rng(seed), 1, max(n // 8, 4))[0]
+    v -= np.mean(v)
     if mode == "constrained":
         dmu = fourier.spectral_derivative(mu, period, 1)
         d2mu = fourier.spectral_derivative(mu, period, 2)
-        g1 = delta_F1(mu, b)
-        g2 = delta_F2(mu, dmu, d2mu, b)
-        # orthonormalize the pair, then project
-        u1 = g1 / fourier.l2_norm(g1, period)
-        u2 = g2 - fourier.l2_inner(g2, u1, period) * u1
-        u2 /= fourier.l2_norm(u2, period)
-        for u in (u1, u2):
-            v = v - fourier.l2_inner(v, u, period) * u
+        basis = fourier.orthonormalize(
+            (delta_F1(mu, b), delta_F2(mu, dmu, d2mu, b)), period)
+        v = fourier.project_out(v, basis, period)
     elif mode != "raw":
         raise ValueError(f"unknown perturbation mode {mode!r}")
     return v * (eps / fourier.h1_norm(v, period))
@@ -245,7 +218,7 @@ def run_experiment(profile: WaveProfile, eps: float,
 
     n = N
     mu = fourier.resample(profile.mu, n) if n != profile.N else profile.mu.copy()
-    mask = _rfft_tools(n, period)[2]
+    mask = fourier.rfft_tools(n, period)[2]
     mu = np.fft.irfft(np.fft.rfft(mu) * mask, n=n)
 
     if eps > 0.0:
@@ -264,11 +237,11 @@ def run_experiment(profile: WaveProfile, eps: float,
 
     def _invariants(mm: np.ndarray) -> tuple[float, float, float]:
         """E, F1 and F2 of the density mm."""
-        dmm = fourier.spectral_derivative(mm, period, 1)
+        dens1, dens2 = invariant_densities(
+            mm, fourier.spectral_derivative(mm, period, 1), b)
         return (fourier.grid_integral(mm, period),
-                fourier.grid_integral(mm ** (1.0 / b), period),
-                fourier.grid_integral((dmm**2 / (b**2 * mm**2) + 1.0)
-                                      * mm ** (-1.0 / b), period))
+                fourier.grid_integral(dens1, period),
+                fourier.grid_integral(dens2, period))
 
     E0, F1_0, F2_0 = _invariants(m0)
 

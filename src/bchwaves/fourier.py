@@ -7,6 +7,8 @@ is spectrally accurate for smooth periodic data.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 
@@ -15,18 +17,31 @@ def wavenumbers(n: int, period: float) -> np.ndarray:
     return 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
 
 
+@lru_cache(maxsize=16)
+def rfft_tools(n: int, period: float):
+    """Read-only half-spectrum wavenumbers, the derivative symbol ik (Nyquist
+    zeroed on even grids), the 2/3-rule mask and the Helmholtz symbol 1 + k^2."""
+    kr = 2.0 * np.pi * np.arange(n // 2 + 1) / period
+    deriv = 1j * kr
+    if n % 2 == 0:
+        deriv[-1] = 0.0
+    mask = np.arange(n // 2 + 1) <= n / 3.0
+    helm = 1.0 + kr**2
+    for a in (kr, deriv, mask, helm):
+        a.flags.writeable = False
+    return kr, deriv, mask, helm
+
+
 def spectral_derivative(v: np.ndarray, period: float, order: int = 1) -> np.ndarray:
-    """Differentiate a real periodic grid function by FFT.
+    """Differentiate a real periodic grid function by rfft, over the last axis.
 
     For odd derivative orders on an even grid the Nyquist mode is zeroed
     (the standard antisymmetric convention).
     """
     n = v.shape[-1]
-    k = wavenumbers(n, period)
-    sym = (1j * k) ** order
-    if order % 2 == 1 and n % 2 == 0:
-        sym[n // 2] = 0.0
-    return np.real(np.fft.ifft(sym * np.fft.fft(v)))
+    kr, deriv, _, _ = rfft_tools(n, period)
+    sym = (deriv if order % 2 == 1 else 1j * kr) ** order
+    return np.fft.irfft(sym * np.fft.rfft(v), n=n)
 
 
 def grid_integral(v: np.ndarray, period: float) -> float:
@@ -44,11 +59,11 @@ def l2_norm(v: np.ndarray, period: float) -> float:
 def h1_weights(n: int, period: float) -> np.ndarray:
     """Parseval weights 1 + k^2 of the H^1 norm on the rfft half spectrum;
     modes strictly between 0 and n/2 also stand for their conjugates."""
-    kr = 2.0 * np.pi * np.arange(n // 2 + 1) / period
-    w = 2.0 * (1.0 + kr**2)
+    helm = rfft_tools(n, period)[3]
+    w = 2.0 * helm
     w[0] = 1.0
     if n % 2 == 0:
-        w[-1] = 1.0 + kr[-1] ** 2
+        w[-1] = helm[-1]
     return w
 
 
@@ -102,5 +117,43 @@ def resample(v: np.ndarray, n_new: int) -> np.ndarray:
 def circular_shift(v: np.ndarray, shift: float, period: float) -> np.ndarray:
     """Evaluate v(x - shift) on the grid by a spectral phase shift."""
     n = v.shape[-1]
-    k = wavenumbers(n, period)
-    return np.real(np.fft.ifft(np.fft.fft(v) * np.exp(-1j * k * shift)))
+    kr = rfft_tools(n, period)[0]
+    return np.fft.irfft(np.fft.rfft(v) * np.exp(-1j * kr * shift), n=n)
+
+
+def random_smooth(n: int, rng: np.random.Generator, count: int,
+                  kmax: int) -> np.ndarray:
+    """count random real periodic fields, shape (count, n), with spectrum
+    decaying like 1/(1 + k)^2 on modes 1..kmax-1, each scaled to unit sup
+    norm.  Row i holds the values that the i-th of count single-field
+    draws would give: real parts, imaginary parts, then the mean."""
+    z = rng.standard_normal((count, 2 * kmax - 1))
+    k = np.arange(1, kmax)
+    c = np.zeros((count, n // 2 + 1), dtype=complex)
+    c[:, 1:kmax] = (z[:, :kmax - 1] + 1j * z[:, kmax - 1:-1]) / (1.0 + k) ** 2
+    c[:, 0] = z[:, -1]
+    v = np.fft.irfft(c, n=n)
+    return v / np.max(np.abs(v), axis=-1, keepdims=True)
+
+
+def orthonormalize(vectors, period: float) -> list[np.ndarray]:
+    """L2-orthonormal basis spanning the given vectors (modified
+    Gram-Schmidt); required before projecting, since e.g. dF1/dm and
+    dF2/dm are far from orthogonal."""
+    basis: list[np.ndarray] = []
+    for v in vectors:
+        w = v.astype(float).copy()
+        for u in basis:
+            w -= l2_inner(w, u, period) * u
+        nrm = l2_norm(w, period)
+        if nrm > 1e-14:
+            basis.append(w / nrm)
+    return basis
+
+
+def project_out(m: np.ndarray, orthonormal, period: float) -> np.ndarray:
+    """Remove the components along an orthonormal set from m, one field
+    or a (count, n) block of fields."""
+    for u in orthonormal:
+        m = m - (period * np.mean(m * u, axis=-1, keepdims=True)) * u
+    return m

@@ -146,6 +146,12 @@ def delta_F2(mu: np.ndarray, dmu: np.ndarray, d2mu: np.ndarray, b: float) -> np.
     return (1.0 / b) * mu ** (-1.0 / b - 1.0) * bracket
 
 
+def invariant_densities(m: np.ndarray, dm: np.ndarray,
+                        b: float) -> tuple[np.ndarray, np.ndarray]:
+    """Integrands of F1 and F2 at the density m with derivative dm."""
+    return m ** (1.0 / b), (dm**2 / (b**2 * m**2) + 1.0) * m ** (-1.0 / b)
+
+
 def euler_lagrange_residual(profile: WaveProfile,
                             omega1: float | None = None,
                             omega2: float | None = None) -> float:
@@ -171,18 +177,21 @@ def _quadrature_F1F2(params: WaveParameters, tp=None) -> tuple[float, float]:
     return F1, F2
 
 
-def conserved_quantities(profile: WaveProfile) -> tuple[float, float]:
+def conserved_quantities(profile: WaveProfile,
+                         inv: InvariantSet | None = None) -> tuple[float, float]:
     """Restricted invariants F1, F2 by two routes: the periodic trapezoid
     rule on the grid, and the turning-point quadrature in phi.  The routes
-    must agree; the quadrature values are returned."""
+    must agree; the quadrature values are returned.  inv, the invariants
+    of the profile's parameters when the caller holds them, supplies the
+    quadrature values instead of computing them again."""
     p = profile.params
-    b, T = p.b, profile.T
-    F1_grid = fourier.grid_integral(profile.mu ** (1.0 / b), T)
-    dens2 = (profile.dmu**2 / (b**2 * profile.mu**2) + 1.0) * profile.mu ** (-1.0 / b)
+    T = profile.T
+    dens1, dens2 = invariant_densities(profile.mu, profile.dmu, p.b)
+    F1_grid = fourier.grid_integral(dens1, T)
     F2_grid = fourier.grid_integral(dens2, T)
     if profile.phi_max == profile.phi_min:  # constant state: grid route is exact
         return F1_grid, F2_grid
-    F1_quad, F2_quad = _quadrature_F1F2(p)
+    F1_quad, F2_quad = _quadrature_F1F2(p) if inv is None else (inv.F1, inv.F2)
     for name, g, q in (("F1", F1_grid, F1_quad), ("F2", F2_grid, F2_quad)):
         if abs(g - q) > 1e-5 * abs(q):
             raise RouteMismatch(
@@ -257,10 +266,6 @@ def restricted_invariants(params: WaveParameters,
         fd_steps=steps)
 
 
-def _det3(m: np.ndarray) -> float:
-    return float(np.linalg.det(m))
-
-
 def _det3_error(m: np.ndarray, e: np.ndarray) -> float:
     """First-order error bound: sum of |cofactor| * entry error."""
     total = 0.0
@@ -295,15 +300,19 @@ def classify_from_signs(J1: float, e1: float, J2: float, e2: float,
     return CLASS_STABLE if prod > 0.0 else CLASS_PRODUCT_FAIL
 
 
-def _crest_quantities(params: WaveParameters) -> tuple[float, float, float, float]:
-    """(phi_+, phi''(0), mu_+, mu_xx(0)) at the crest."""
+def _crest_quantities(params: WaveParameters
+                      ) -> tuple[float, float, float, float, float]:
+    """(phi_+, phi''(0), mu_+, mu_xx(0)) at the crest, and the closed form
+    of {mu_+, omega1}_{E,c}."""
     a, b, c = params.a, params.b, params.c
     tp = turning_point_data(params)
     phip = tp.phi_max
     phipp0 = phip - a / _cpow(c - phip, b)
     mup = a / _cpow(c - phip, b)
     muxx0 = b * phipp0 * mup / (c - phip)
-    return phip, phipp0, mup, muxx0
+    J_mu_w1 = (a ** (1.0 - 1.0 / b) * (b - 1.0) * b
+               * (-(c - phip) / phipp0) / _cpow(c - phip, b + 1.0))
+    return phip, phipp0, mup, muxx0, J_mu_w1
 
 
 def parameter_jacobians(params: WaveParameters,
@@ -325,13 +334,10 @@ def parameter_jacobians(params: WaveParameters,
 
     m3 = np.stack([inv.grad_T, inv.grad_F1, inv.grad_F2])
     e3m = np.stack([inv.err_grad_T, inv.err_grad_F1, inv.err_grad_F2])
-    J3 = _det3(m3)
+    J3 = float(np.linalg.det(m3))
     e3 = _det3_error(m3, e3m)
 
-    phip, phipp0, mup, muxx0 = _crest_quantities(params)
-    a, b, c = params.a, params.b, params.c
-    J_mu_w1 = (a ** (1.0 - 1.0 / b) * (b - 1.0) * b
-               * (-(c - phip) / phipp0) / _cpow(c - phip, b + 1.0))
+    muxx0, J_mu_w1 = _crest_quantities(params)[3:]
     theta = -muxx0 * J1 / J_mu_w1
 
     classification = classify_from_signs(J1, e1, J2, e2, J3, e3)
@@ -356,16 +362,15 @@ def crest_identities(params: WaveParameters,
     steps = fd_steps_for(params, rel_step)
 
     def crest(p: WaveParameters) -> np.ndarray:
-        tp = turning_point_data(p)
-        mup = p.a / _cpow(p.c - tp.phi_max, p.b)
-        return np.array([tp.phi_max, mup])
+        phip, _, mup, _, _ = _crest_quantities(p)
+        return np.array([phip, mup])
 
     grad, _ = _richardson_gradient(crest, params, steps)
     phip_E, phip_c = grad[0, 1], grad[0, 2]
     mup_E, mup_c = grad[1, 1], grad[1, 2]
 
-    phip, phipp0, mup, muxx0 = _crest_quantities(params)
-    a, b, c = params.a, params.b, params.c
+    phip, phipp0, mup, muxx0, J_closed = _crest_quantities(params)
+    c = params.c
     mults = multipliers(params)
     w1_E, w1_c = mults.grad_omega1[1], mults.grad_omega1[2]
 
@@ -374,8 +379,6 @@ def crest_identities(params: WaveParameters,
     combo = c * phip_E - phip_c + 1.0
     pred_combo = -(c - phip) / phipp0
     J_fd = mup_E * w1_c - mup_c * w1_E
-    J_closed = (a ** (1.0 - 1.0 / b) * (b - 1.0) * b
-                * pred_combo / _cpow(c - phip, b + 1.0))
 
     rel = lambda got, want: abs(got - want) / max(abs(want), 1e-300)
     return CrestIdentityReport(
@@ -398,7 +401,7 @@ def classify_stability(params: WaveParameters, N: int = 512,
     el = euler_lagrange_residual(profile)
     jac = parameter_jacobians(params, rel_step=rel_step)
     crest = crest_identities(params, rel_step=rel_step)
-    F1, F2 = conserved_quantities(profile)
+    F1, F2 = conserved_quantities(profile, jac.invariants)
     return StabilityReport(
         params=params, classification=jac.classification,
         jacobians=jac, crest=crest, el_residual=el,

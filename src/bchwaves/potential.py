@@ -143,13 +143,10 @@ def existence_check(params: WaveParameters) -> ExistenceResult:
     inspect the well geometry even for rejected energies.  Boundary
     values are excluded (open region).
     """
-    b, a, c = params.b, params.a, params.c
-    if not (c > 0.0):
-        return ExistenceResult(False, f"c must be positive, got {c}", None)
-    amax = a_max(b, c)
-    if not (0.0 < a < amax):
-        return ExistenceResult(False, f"a outside (0, {amax!r}): got {a!r}", None)
-    scan = critical_points(params)
+    try:
+        scan = critical_points(params)
+    except NotInExistenceSet as exc:
+        return ExistenceResult(False, exc.reason, None)
     if not (scan.V_phi2 < params.E < scan.V_phi1):
         return ExistenceResult(
             False,

@@ -190,6 +190,11 @@ def kernel_residual(coeffs: OperatorCoefficients) -> float:
     return float(np.max(np.abs(apply_operator(coeffs, mux)))) / denom
 
 
+def _default_modes(n: int) -> int:
+    """Hill mode count used when none is given, for an n-point grid."""
+    return min(n // 4, 128)
+
+
 def periodic_spectrum(coeffs: OperatorCoefficients, M: int | None = None) -> SpectralReport:
     """Sorted periodic eigenvalues and the inertia counts.
 
@@ -198,9 +203,10 @@ def periodic_spectrum(coeffs: OperatorCoefficients, M: int | None = None) -> Spe
     achieved kernel residual so that a genuinely degenerate pair is
     reported as such rather than silently split.
     """
-    n = coeffs.p.shape[0]
     if M is None:
-        M = min(n // 4, 128)
+        M = _default_modes(coeffs.p.shape[0])
+    if M < 1:
+        raise ValueError(f"Hill mode count must be positive, got {M}")
     evals = np.linalg.eigvalsh(hill_matrix(coeffs, M))
     evals_half = np.linalg.eigvalsh(hill_matrix(coeffs, M // 2))
     scale = operator_scale(coeffs)
@@ -279,11 +285,12 @@ def proof_identities(profile: WaveProfile,
 
     # <L psi, m> vanishes for m in the tangent space {dF1, dF2}^perp
     rng = np.random.default_rng(seed)
-    tangent_basis = _orthonormalize((dF1, dF2), T)
+    tangent_basis = fourier.orthonormalize((dF1, dF2), T)
     denom = fourier.l2_norm(L_psi, T)
     worst = 0.0
-    for m in _project_out(_random_smooth(profile.N, rng, n_tangent_trials),
-                          tangent_basis, T):
+    trials = fourier.random_smooth(profile.N, rng, n_tangent_trials,
+                                   profile.N // 3)
+    for m in fourier.project_out(trials, tangent_basis, T):
         val = abs(fourier.l2_inner(L_psi, m, T))
         worst = max(worst, val / max(denom * fourier.l2_norm(m, T), 1e-300))
 
@@ -292,44 +299,6 @@ def proof_identities(profile: WaveProfile,
         psi_identity_residual=psi_res, psi_quadform=quadform,
         psi_quadform_predicted=predicted, tangent_orthogonality=worst,
         convention_scale=kappa)
-
-
-def _random_smooth(n: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """count random real periodic fields, shape (count, n), with
-    polynomially decaying spectrum, each scaled to unit sup norm.  Row i
-    holds the values that the i-th of count single-field draws would give:
-    real parts, imaginary parts, then the mean."""
-    kmax = n // 3
-    z = rng.standard_normal((count, 2 * kmax - 1))
-    k = np.arange(1, kmax)
-    c = np.zeros((count, n // 2 + 1), dtype=complex)
-    c[:, 1:kmax] = (z[:, :kmax - 1] + 1j * z[:, kmax - 1:-1]) / (1.0 + k) ** 2
-    c[:, 0] = z[:, -1]
-    v = np.fft.irfft(c, n=n)
-    return v / np.max(np.abs(v), axis=-1, keepdims=True)
-
-
-def _orthonormalize(vectors, T: float) -> list[np.ndarray]:
-    """L2-orthonormal basis spanning the given vectors (modified
-    Gram-Schmidt); required before projecting, since e.g. dF1/dm and
-    dF2/dm are far from orthogonal."""
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        w = v.astype(float).copy()
-        for u in basis:
-            w -= fourier.l2_inner(w, u, T) * u
-        nrm = fourier.l2_norm(w, T)
-        if nrm > 1e-14:
-            basis.append(w / nrm)
-    return basis
-
-
-def _project_out(m: np.ndarray, orthonormal, T: float) -> np.ndarray:
-    """Remove the components along an orthonormal set from m, one field
-    or a (count, n) block of fields."""
-    for u in orthonormal:
-        m = m - (T * np.mean(m * u, axis=-1, keepdims=True)) * u
-    return m
 
 
 def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
@@ -354,10 +323,9 @@ def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
     b, T, n = params.b, profile.T, profile.N
     dF1 = delta_F1(profile.mu, b)
     dF2 = delta_F2(profile.mu, profile.dmu, profile.d2mu, b)
-    basis = _orthonormalize((dF1, dF2, profile.dmu), T)
+    basis = fourier.orthonormalize((dF1, dF2, profile.dmu), T)
 
-    M = min(n // 4, 128)
-    _, evecs = np.linalg.eigh(hill_matrix(coeffs, M))
+    _, evecs = np.linalg.eigh(hill_matrix(coeffs, _default_modes(n)))
     fixed = np.stack([modes_to_grid(evecs[:, 0], coeffs), np.ones(n)])
 
     rng = np.random.default_rng(seed)
@@ -367,11 +335,12 @@ def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
     evaluated = 0
     for start in range(0, n_total, _PROBE_BLOCK):
         stop = min(start + _PROBE_BLOCK, n_total)
-        block = _random_smooth(n, rng, stop - max(start, len(fixed)))
+        block = fourier.random_smooth(n, rng, stop - max(start, len(fixed)),
+                                      n // 3)
         if start == 0:
             block = np.concatenate([fixed, block])
         if project:
-            block = _project_out(block, basis, T)
+            block = fourier.project_out(block, basis, T)
         h1 = fourier.h1_norm_sq(block, T)
         keep = h1 > 1e-20
         block, h1 = block[keep], h1[keep]

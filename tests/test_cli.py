@@ -65,6 +65,13 @@ def test_spectrum_unconverged_exit_code(tmp_path, capsys):
     assert "numerical error" in capsys.readouterr().err
 
 
+def test_spectrum_rejects_nonpositive_modes(tmp_path, capsys):
+    rc = main(["spectrum", *REF, "--N", "256", "--modes", "0",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "mode count" in capsys.readouterr().err
+
+
 def _raise_coefficient_inconsistency(*args, **kwargs):
     raise CoefficientInconsistency("coefficient check failed")
 
@@ -133,24 +140,49 @@ def test_sweep_skips_outside_points(tmp_path):
     assert "NotInExistenceSet" in lines[2]  # a = 0.2 exceeds a_max
 
 
-def test_sweep_resume(tmp_path):
-    args = ["sweep", "--b", "2", "--c", "1", "--a-range", "0.06:0.12:2",
-            "--E-frac-range", "0.3:0.6:2", "--N", "256", "--modes", "64",
-            "--jobs", "1"]
-    full = tmp_path / "full"
-    assert main([*args, "--out", str(full)]) == 0
-    reference = (full / "sweep.csv").read_text()
+_RESUME_ARGS = ["sweep", "--b", "2", "--c", "1", "--a-range", "0.06:0.12:2",
+                "--E-frac-range", "0.3:0.6:2", "--N", "256", "--modes", "64",
+                "--jobs", "1"]
 
-    part = tmp_path / "part"
-    assert main([*args, "--out", str(part)]) == 0
-    # simulate an interruption after two rows, then resume
-    lines = (part / "sweep.csv").read_text().splitlines(keepends=True)
-    (part / "sweep.csv").write_text("".join(lines[:3]))
-    manifest = json.loads((part / "sweep.manifest.json").read_text())
-    manifest["rows_done"] = 2
-    (part / "sweep.manifest.json").write_text(json.dumps(manifest))
-    assert main([*args, "--out", str(part)]) == 0
-    assert (part / "sweep.csv").read_text() == reference
+
+def _interrupt(out, csv_rows, rows_done):
+    """Leave a finished sweep as if stopped with csv_rows rows written and
+    rows_done of them counted in the manifest."""
+    lines = (out / "sweep.csv").read_bytes().splitlines(keepends=True)
+    (out / "sweep.csv").write_bytes(b"".join(lines[:csv_rows + 1]))
+    manifest = json.loads((out / "sweep.manifest.json").read_text())
+    manifest["rows_done"] = rows_done
+    manifest["csv_bytes"] = len(b"".join(lines[:rows_done + 1]))
+    (out / "sweep.manifest.json").write_text(json.dumps(manifest))
+
+
+def test_sweep_resume(tmp_path):
+    full = tmp_path / "full"
+    assert main([*_RESUME_ARGS, "--out", str(full)]) == 0
+    reference = (full / "sweep.csv").read_bytes()
+
+    # stopped after two counted rows, and with one more row written than
+    # counted: the uncounted row is dropped, not repeated
+    for csv_rows in (2, 3):
+        part = tmp_path / f"part{csv_rows}"
+        assert main([*_RESUME_ARGS, "--out", str(part)]) == 0
+        _interrupt(part, csv_rows, rows_done=2)
+        assert main([*_RESUME_ARGS, "--out", str(part)]) == 0
+        assert (part / "sweep.csv").read_bytes() == reference
+
+
+def test_sweep_resume_needs_same_config(tmp_path):
+    out = tmp_path / "s"
+    assert main([*_RESUME_ARGS, "--out", str(out)]) == 0
+    _interrupt(out, 2, rows_done=2)
+    (out / "sweep.csv").write_bytes(
+        (out / "sweep.csv").read_bytes().replace(b",ok,", b",stale,"))
+    args = [*_RESUME_ARGS, "--fd-step", "2e-5"]
+    assert main([*args, "--out", str(out)]) == 0
+    fresh = tmp_path / "fresh"
+    assert main([*args, "--out", str(fresh)]) == 0
+    assert (out / "sweep.csv").read_bytes() == (fresh / "sweep.csv").read_bytes()
+    assert b"stale" not in (out / "sweep.csv").read_bytes()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -162,6 +194,28 @@ def test_config_file_with_flag_override(tmp_path):
     assert rc == 0
     header = json.loads((tmp_path / "profile.json").read_text())
     assert header["N"] == 256  # flag wins over config file
+
+
+def test_config_file_equals_form_override(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"N": 128}))
+    rc = main(["profile", *REF, "--config", str(cfg), "--N=256",
+               "--out", str(tmp_path)])
+    assert rc == 0
+    assert json.loads((tmp_path / "profile.json").read_text())["N"] == 256
+
+
+def test_config_file_unknown_key(tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"N": 128, "bogus_key": 1}))
+    rc = main(["profile", *REF, "--config", str(cfg), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "bogus_key" in capsys.readouterr().err
+    assert not (tmp_path / "profile.json").exists()
+    # an option of another subcommand is unknown here too
+    cfg.write_text(json.dumps({"b_range": "2:3:2"}))
+    assert main(["profile", *REF, "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
 
 
 def test_parallel_sweep_matches_serial(tmp_path):

@@ -194,8 +194,7 @@ def test_frame_equivalence(ref_profile):
     # explicit shift comparison
     n = 256
     mu = fourier.resample(ref_profile.mu, n)
-    from bchwaves.evolution import _rfft_tools
-    mu = np.fft.irfft(np.fft.rfft(mu) * _rfft_tools(n, T)[2], n=n)
+    mu = np.fft.irfft(np.fft.rfft(mu) * fourier.rfft_tools(n, T)[2], n=n)
     state = EvolutionState(t=0.0, m=mu.copy(), dx=T / n)
     t_end = 0.37 * T / params.c
     dt = cfl_dt(mu, T, 0.0, safety=0.4)
@@ -205,6 +204,38 @@ def test_frame_equivalence(ref_profile):
         state = step(state, dt, params.b, 0.0)
     expected = fourier.circular_shift(mu, params.c * t_end, T)
     assert np.max(np.abs(state.m - expected)) < 1e-5
+
+
+def _make_perturbation_inline(mu, period, b, eps, mode, seed):
+    """Oracle route for make_perturbation: its own band-limited draw (real
+    parts, then imaginary parts) and an explicit two-vector Gram-Schmidt."""
+    n = mu.shape[-1]
+    rng = np.random.default_rng(seed)
+    kmax = max(n // 8, 4)
+    c = np.zeros(n // 2 + 1, dtype=complex)
+    kk = np.arange(1, kmax)
+    c[1:kmax] = ((rng.standard_normal(kmax - 1)
+                  + 1j * rng.standard_normal(kmax - 1)) / (1.0 + kk) ** 2)
+    v = np.fft.irfft(c, n=n)
+    if mode == "constrained":
+        dmu = fourier.spectral_derivative(mu, period, 1)
+        d2mu = fourier.spectral_derivative(mu, period, 2)
+        g1, g2 = delta_F1(mu, b), delta_F2(mu, dmu, d2mu, b)
+        u1 = g1 / fourier.l2_norm(g1, period)
+        u2 = g2 - fourier.l2_inner(g2, u1, period) * u1
+        u2 /= fourier.l2_norm(u2, period)
+        for u in (u1, u2):
+            v = v - fourier.l2_inner(v, u, period) * u
+    return v * (eps / fourier.h1_norm(v, period))
+
+
+@pytest.mark.parametrize("mode", ["raw", "constrained"])
+def test_perturbation_matches_inline_route(ref_profile, mode):
+    T, b = ref_profile.T, ref_profile.params.b
+    for seed in (4, 11):
+        got = make_perturbation(ref_profile.mu, T, b, 1e-3, mode=mode, seed=seed)
+        want = _make_perturbation_inline(ref_profile.mu, T, b, 1e-3, mode, seed)
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
 
 
 def test_perturbation_modes(ref_profile):
@@ -294,8 +325,7 @@ def test_cfl_max_recorded(ref_profile):
                           n_samples=4, seed=5)
     assert diag.outcome == "completed"
     mu = fourier.resample(ref_profile.mu, n)
-    from bchwaves.evolution import _rfft_tools
-    mu = np.fft.irfft(np.fft.rfft(mu) * _rfft_tools(n, T)[2], n=n)
+    mu = np.fft.irfft(np.fft.rfft(mu) * fourier.rfft_tools(n, T)[2], n=n)
     m0 = mu + make_perturbation(mu, T, b, 1e-3, seed=5)
     cfl0 = (float(np.max(np.abs(reconstruct_velocity(m0, T) - c)))
             * diag.config["dt"] / (T / n))

@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from bchwaves import (FDUnreliable, MarginTooSmall, WaveParameters,
-                      crest_identities, classify_stability,
+from bchwaves import (FDUnreliable, MarginTooSmall, RouteMismatch,
+                      WaveParameters, crest_identities, classify_stability,
                       conserved_quantities, critical_points,
                       euler_lagrange_residual, family_derivatives,
                       multipliers, parameter_jacobians, restricted_invariants,
@@ -66,6 +68,12 @@ def test_conserved_quantities(ref_profile):
     F2_grid = fourier.grid_integral(dens, T)
     assert abs(F1 - F1_grid) < 1e-7 * F1
     assert abs(F2 - F2_grid) < 1e-7 * F2
+    # the caller's invariants stand in for the quadrature route, and are
+    # still checked against the grid
+    inv = restricted_invariants(ref_profile.params)
+    assert conserved_quantities(ref_profile, inv) == (F1, F2)
+    with pytest.raises(RouteMismatch):
+        conserved_quantities(ref_profile, dataclasses.replace(inv, F2=1.001 * F2))
 
 
 def test_conserved_quantities_small_amplitude(ref_scan):

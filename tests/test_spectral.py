@@ -8,8 +8,7 @@ from bchwaves import (DiscretizationNotConverged, apply_operator,
                       synthesize_profile)
 from bchwaves import fourier
 from bchwaves.invariants import delta_F1, delta_F2
-from bchwaves.spectral import (SECOND_VARIATION_SCALE, _orthonormalize,
-                               _random_smooth, modes_to_grid)
+from bchwaves.spectral import SECOND_VARIATION_SCALE, modes_to_grid
 
 
 def _coercivity_probe_loop(coeffs, profile, trials, seed, project):
@@ -17,14 +16,16 @@ def _coercivity_probe_loop(coeffs, profile, trials, seed, project):
     drawn separately from the same stream, with the full-spectrum H^1
     norm; returns (min_quotient, n_negative, trials)."""
     b, T, n = profile.params.b, profile.T, profile.N
-    basis = _orthonormalize((delta_F1(profile.mu, b),
-                             delta_F2(profile.mu, profile.dmu, profile.d2mu, b),
-                             profile.dmu), T)
+    basis = fourier.orthonormalize((delta_F1(profile.mu, b),
+                                    delta_F2(profile.mu, profile.dmu,
+                                             profile.d2mu, b),
+                                    profile.dmu), T)
     M = min(n // 4, 128)
     _, evecs = np.linalg.eigh(hill_matrix(coeffs, M))
     rng = np.random.default_rng(seed)
     candidates = [modes_to_grid(evecs[:, 0], coeffs), np.ones(n)]
-    candidates += [_random_smooth(n, rng, 1)[0] for _ in range(max(trials - 2, 0))]
+    candidates += [fourier.random_smooth(n, rng, 1, n // 3)[0]
+                   for _ in range(max(trials - 2, 0))]
     min_q, n_negative, evaluated = np.inf, 0, 0
     for m in candidates:
         if project:
@@ -60,7 +61,7 @@ def test_operator_matches_discrete_hessian(ref_params, ref_profile, ref_coeffs):
     m = multipliers(ref_params)
     T, b = ref_profile.T, ref_params.b
     rng = np.random.default_rng(3)
-    for v in _random_smooth(ref_profile.N, rng, 3):
+    for v in fourier.random_smooth(ref_profile.N, rng, 3, ref_profile.N // 3):
         eps = 1e-6
         hv = (discrete_action_gradient(ref_profile.mu + eps * v, T, b, m.omega1, m.omega2)
               - discrete_action_gradient(ref_profile.mu - eps * v, T, b, m.omega1, m.omega2)
@@ -178,9 +179,10 @@ def test_block_probe_matches_loop(ref_profile, ref_coeffs, trials, project):
 
 
 def test_random_smooth_block_is_the_single_draw_stream():
-    block = _random_smooth(128, np.random.default_rng(9), 5)
+    block = fourier.random_smooth(128, np.random.default_rng(9), 5, 42)
     rng = np.random.default_rng(9)
-    singles = np.concatenate([_random_smooth(128, rng, 1) for _ in range(5)])
+    singles = np.concatenate([fourier.random_smooth(128, rng, 1, 42)
+                              for _ in range(5)])
     assert block.shape == (5, 128)
     assert np.array_equal(block, singles)
     assert np.allclose(np.max(np.abs(block), axis=-1), 1.0)
@@ -189,7 +191,7 @@ def test_random_smooth_block_is_the_single_draw_stream():
 def test_h1_norm_sq_block_matches_full_spectrum(ref_profile):
     T = ref_profile.T
     for n in (128, 127):
-        block = _random_smooth(n, np.random.default_rng(2), 3)
+        block = fourier.random_smooth(n, np.random.default_rng(2), 3, n // 3)
         full = [T * float(np.sum((1.0 + fourier.wavenumbers(n, T) ** 2)
                                  * np.abs(np.fft.fft(v) / n) ** 2)) for v in block]
         assert np.allclose(fourier.h1_norm_sq(block, T), full, rtol=1e-13, atol=0)
