@@ -25,8 +25,8 @@ import numpy as np
 from . import __version__
 from .errors import (BchWavesError, CoefficientInconsistency,
                      ConvergenceFailure, DiscretizationNotConverged,
-                     FDUnreliable, MarginTooSmall, NotInExistenceSet,
-                     PositivityLost, QuadratureFailure, RouteMismatch)
+                     FDUnreliable, NotInExistenceSet, PositivityLost,
+                     QuadratureFailure, RouteMismatch)
 from .evolution import run_experiment
 from .invariants import (CLASS_OUT_OF_SCOPE, classify_stability,
                          conserved_quantities, multipliers,
@@ -35,7 +35,7 @@ from .potential import WaveParameters, critical_points, existence_check
 from .profile import profile_header, synthesize_profile, write_profile_csv
 from .spectral import assemble_operator, periodic_spectrum, proof_identities
 
-_DOMAIN_ERRORS = (NotInExistenceSet, MarginTooSmall, ValueError)
+_DOMAIN_ERRORS = (NotInExistenceSet, ValueError)
 _NUMERICAL_ERRORS = (QuadratureFailure, ConvergenceFailure, RouteMismatch,
                      FDUnreliable, DiscretizationNotConverged, PositivityLost,
                      CoefficientInconsistency)
@@ -104,7 +104,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     params = _params_from(args)
-    report = classify_stability(params, N=args.N, rel_step=args.fd_step)
+    report = classify_stability(params, N=args.N)
     out = _outdir(args)
     payload = _jsonable(report)
     payload["config"] = _config_echo(args)
@@ -212,7 +212,7 @@ def _sweep_grid(args: argparse.Namespace) -> list[dict]:
     return points
 
 
-def _sweep_row(point: dict, N: int, modes: int, rel_step: float = 1e-5) -> dict:
+def _sweep_row(point: dict, N: int, modes: int) -> dict:
     row = {k: "" for k in _SWEEP_COLUMNS}
     row["index"] = point["index"]
     row["b"], row["a"], row["c"] = point["b"], point["a"], point["c"]
@@ -235,7 +235,7 @@ def _sweep_row(point: dict, N: int, modes: int, rel_step: float = 1e-5) -> dict:
         if not check.ok:
             row["status"] = f"NotInExistenceSet: {check.reason}"
             return row
-        jac = parameter_jacobians(params, rel_step=rel_step)
+        jac = parameter_jacobians(params)
         prof = synthesize_profile(params, N)
         F1, F2 = conserved_quantities(prof, jac.invariants)
         mults = multipliers(params)
@@ -290,8 +290,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     pending = points[done:]
     # _sweep_row is looked up when the sweep runs, so a wrapper installed
     # on the module (e.g. a timing harness) sees every row
-    row_of = functools.partial(_sweep_row, N=args.N, modes=args.modes or 64,
-                               rel_step=args.fd_step)
+    row_of = functools.partial(_sweep_row, N=args.N, modes=args.modes or 64)
     jobs = args.jobs or os.cpu_count() or 1
 
     with open(csv_path, "a" if done else "w", newline="",
@@ -327,8 +326,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--N", type=int, default=512, help="grid size (power of two)")
     sub.add_argument("--modes", type=int, default=None, help="Hill mode count")
     sub.add_argument("--dt-safety", dest="dt_safety", type=float, default=0.5)
-    sub.add_argument("--fd-step", dest="fd_step", type=float, default=1e-5,
-                     help="relative finite-difference step scale")
     sub.add_argument("--out", type=str, default=".")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--frame", choices=("traveling", "lab"), default="traveling")

@@ -1,7 +1,7 @@
 """Exception hierarchy for the bchwaves package.
 
 Domain rejections (outside the admissible parameter region) and numerical
-failures (quadrature, finite differences, eigensolves, time stepping) are
+failures (quadrature, derivative error bounds, eigensolves, time stepping) are
 kept distinct so the CLI can map them to different exit codes.
 """
 
@@ -20,11 +20,6 @@ class NotInExistenceSet(BchWavesError):
         self.reason = reason
 
 
-class MarginTooSmall(BchWavesError):
-    """Parameters sit too close to the admissible-set boundary for reliable
-    finite differencing."""
-
-
 class QuadratureFailure(BchWavesError):
     """Desingularized period integrand is not finite/positive, or the
     adaptive Gauss rule failed to converge."""
@@ -39,7 +34,7 @@ class RouteMismatch(BchWavesError):
 
 
 class FDUnreliable(BchWavesError):
-    """Richardson error estimate too large to trust a sign/classification."""
+    """Derivative error bound too large to trust a sign/classification."""
 
 
 class CoefficientInconsistency(BchWavesError):

@@ -12,8 +12,9 @@ E - omega1 F1 - omega2 F2 are
 
     omega1 = (b-1) (2E + c^2) / (2 a^(1/b)),    omega2 = a^(1/b) (b-1) / 2.
 
-Parameter gradients of (T, F1, F2) are central differences with Richardson
-extrapolation over two step ladders; omega gradients are closed forms.
+Parameter gradients of (T, F1, F2) are complex-step derivatives of their
+Gauss sums, bounded by the change over the last node doubling; omega
+gradients are closed forms.
 Stability classification uses the sign data
 
     {T, omega1}_{E,c} > 0   (one negative direction of the second
@@ -30,21 +31,27 @@ leaves stability unresolved (no instability claim).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from . import fourier
-from .errors import FDUnreliable, MarginTooSmall, RouteMismatch
+from .errors import FDUnreliable, RouteMismatch
 from .potential import WaveParameters, _cpow
-from .profile import (ProfileResiduals, WaveProfile, profile_residuals,
-                      synthesize_profile, turning_point_data, wave_integral)
+from .profile import (_COMPLEX_STEP, _REL_TOL, ProfileResiduals, WaveProfile,
+                      _complex_steps, _complex_turning_points,
+                      _fixed_phase_derivatives, _wave_integrals,
+                      profile_residuals, synthesize_profile,
+                      turning_point_data, wave_integral)
 
 CLASS_STABLE = "StableCriteriaMet"
 CLASS_DEGENERATE = "TrichotomyCase_ii"
 CLASS_TWO_NEGATIVE = "TwoNegativeDirections"
 CLASS_PRODUCT_FAIL = "ProductSignFail"
 CLASS_OUT_OF_SCOPE = "OutOfScope"
+# Gauss nodes at which the gradient doubling gives up: well-conditioned
+# points converge by 128, while next to the well bottom the amplitude's
+# E-derivative amplifies the rounding of E - V and no level converges
+_GRADIENT_NODES_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -70,7 +77,6 @@ class InvariantSet:
     err_grad_F2: np.ndarray
     grad_omega1: np.ndarray
     grad_omega2: np.ndarray
-    fd_steps: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -85,15 +91,14 @@ class JacobianReport:
     mu_xx0: float
     J_mu_plus_omega1: float
     classification: str
-    fd_steps: np.ndarray
     invariants: InvariantSet
 
 
 @dataclass(frozen=True)
 class CrestIdentityReport:
-    """Finite-difference verification of the closed-form derivative
-    identities for the crest value phi_+ = phi(0) and the crest momentum
-    mu_+ = mu(0)."""
+    """Complex-step verification of the closed-form derivative identities
+    for the crest value phi_+ = phi(0) and the crest momentum mu_+ = mu(0)
+    (the _fd fields hold the differentiated route)."""
 
     resid_phiE: float
     resid_phic: float
@@ -166,14 +171,18 @@ def euler_lagrange_residual(profile: WaveProfile,
     return float(np.max(np.abs(resid)))
 
 
-def _quadrature_F1F2(params: WaveParameters, tp=None) -> tuple[float, float]:
+def _F1F2_integrands(params) -> tuple:
+    """The F1 and F2 densities as functions of (phi, E - V(phi)), for
+    wave_integral; analytic in (a, c), so complex steps pass through."""
     a, b, c = params.a, params.b, params.c
     a1b = a ** (1.0 / b)
-    F1 = wave_integral(params, integrand=lambda phi, P: a1b / (c - phi), tp=tp)
-    F2 = wave_integral(
-        params,
-        integrand=lambda phi, P: (2.0 * P / (c - phi) + (c - phi)) / a1b,
-        tp=tp)
+    return (lambda phi, P: a1b / (c - phi),
+            lambda phi, P: (2.0 * P / (c - phi) + (c - phi)) / a1b)
+
+
+def _quadrature_F1F2(params: WaveParameters, tp=None) -> tuple[float, float]:
+    F1, F2 = (wave_integral(params, integrand=f, tp=tp)
+              for f in _F1F2_integrands(params))
     return F1, F2
 
 
@@ -199,71 +208,28 @@ def conserved_quantities(profile: WaveProfile,
     return F1_quad, F2_quad
 
 
-# ---------------------------------------------------------------------------
-# finite-difference machinery
-# ---------------------------------------------------------------------------
+def restricted_invariants(params: WaveParameters) -> InvariantSet:
+    """T, F1, F2, the multipliers, and all parameter gradients.
 
-def fd_steps_for(params: WaveParameters, rel_step: float = 1e-5) -> np.ndarray:
-    """Per-parameter central-difference steps: rel_step times the natural
-    scale of each parameter, capped by margin/20 so all stencil points stay
-    inside the admissible region."""
-    tp = turning_point_data(params)
-    scan = tp.scan
-    margin = scan.margin
-    scale_E = scan.V_phi1 - scan.V_phi2
-    if margin < 1e-5 * scale_E:
-        raise MarginTooSmall(
-            f"margin {margin!r} too small for reliable finite differences")
-    return np.array([
-        min(rel_step * params.a, margin / 20.0),
-        min(rel_step * scale_E, margin / 20.0),
-        min(rel_step * params.c, margin / 20.0),
-    ])
-
-
-def _perturbed(params: WaveParameters, index: int, delta: float) -> WaveParameters:
-    vals = [params.a, params.E, params.c]
-    vals[index] += delta
-    return WaveParameters(b=params.b, a=vals[0], E=vals[1], c=vals[2])
-
-
-def _richardson_gradient(f: Callable[[WaveParameters], np.ndarray],
-                         params: WaveParameters,
-                         steps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Central differences at steps h and h/2, Richardson-combined.
-
-    Returns (gradient, error_estimate) with shape (len(f), 3)."""
-    grads, errs = [], []
-    for i in range(3):
-        h = steps[i]
-        d_h = (f(_perturbed(params, i, h)) - f(_perturbed(params, i, -h))) / (2.0 * h)
-        d_h2 = (f(_perturbed(params, i, h / 2)) - f(_perturbed(params, i, -h / 2))) / h
-        grads.append((4.0 * d_h2 - d_h) / 3.0)
-        errs.append(np.abs(d_h2 - d_h) / 3.0)
-    return np.stack(grads, axis=-1), np.stack(errs, axis=-1)
-
-
-def _observables(params: WaveParameters) -> np.ndarray:
-    tp = turning_point_data(params)
-    T = wave_integral(params, tp=tp)
-    F1, F2 = _quadrature_F1F2(params, tp=tp)
-    return np.array([T, F1, F2])
-
-
-def restricted_invariants(params: WaveParameters,
-                          rel_step: float = 1e-5) -> InvariantSet:
-    """T, F1, F2, the multipliers, and all parameter gradients."""
-    steps = fd_steps_for(params, rel_step)
-    base = _observables(params)
-    grad, err = _richardson_gradient(_observables, params, steps)
+    The gradients are complex-step derivatives of the Gauss sums of T, F1
+    and F2, doubled until values and gradients have both converged.  Each
+    entry's error bound is the larger of its change over the last doubling
+    and 10 rel_tol times the entry."""
+    pc = _complex_steps(params)
+    tpc = _complex_turning_points(pc, turning_point_data(params))
+    value, previous, _ = _wave_integrals(pc, (None, *_F1F2_integrands(pc)), tpc,
+                                         n_max=_GRADIENT_NODES_MAX)
+    grad = value.imag / _COMPLEX_STEP
+    err = np.maximum(np.abs(value.imag - previous.imag) / _COMPLEX_STEP,
+                     10.0 * _REL_TOL * np.abs(grad))
     mults = multipliers(params)
     return InvariantSet(
-        T=float(base[0]), F1=float(base[1]), F2=float(base[2]),
+        T=float(value[0, 0].real), F1=float(value[1, 0].real),
+        F2=float(value[2, 0].real),
         omega1=mults.omega1, omega2=mults.omega2,
         grad_T=grad[0], grad_F1=grad[1], grad_F2=grad[2],
         err_grad_T=err[0], err_grad_F1=err[1], err_grad_F2=err[2],
-        grad_omega1=mults.grad_omega1, grad_omega2=mults.grad_omega2,
-        fd_steps=steps)
+        grad_omega1=mults.grad_omega1, grad_omega2=mults.grad_omega2)
 
 
 def _det3_error(m: np.ndarray, e: np.ndarray) -> float:
@@ -300,12 +266,10 @@ def classify_from_signs(J1: float, e1: float, J2: float, e2: float,
     return CLASS_STABLE if prod > 0.0 else CLASS_PRODUCT_FAIL
 
 
-def _crest_quantities(params: WaveParameters
-                      ) -> tuple[float, float, float, float, float]:
+def _crest_quantities(params: WaveParameters, tp) -> tuple:
     """(phi_+, phi''(0), mu_+, mu_xx(0)) at the crest, and the closed form
-    of {mu_+, omega1}_{E,c}."""
+    of {mu_+, omega1}_{E,c}; complex steps pass through."""
     a, b, c = params.a, params.b, params.c
-    tp = turning_point_data(params)
     phip = tp.phi_max
     phipp0 = phip - a / _cpow(c - phip, b)
     mup = a / _cpow(c - phip, b)
@@ -316,11 +280,10 @@ def _crest_quantities(params: WaveParameters
 
 
 def parameter_jacobians(params: WaveParameters,
-                        invariants: InvariantSet | None = None,
-                        rel_step: float = 1e-5) -> JacobianReport:
+                        invariants: InvariantSet | None = None) -> JacobianReport:
     """Assemble the three stability determinants, their error estimates,
     the monodromy coefficient theta, and the classification."""
-    inv = restricted_invariants(params, rel_step) if invariants is None else invariants
+    inv = restricted_invariants(params) if invariants is None else invariants
     w1_E, w1_c = inv.grad_omega1[1], inv.grad_omega1[2]
 
     J1 = inv.grad_T[1] * w1_c - inv.grad_T[2] * w1_E
@@ -337,7 +300,7 @@ def parameter_jacobians(params: WaveParameters,
     J3 = float(np.linalg.det(m3))
     e3 = _det3_error(m3, e3m)
 
-    muxx0, J_mu_w1 = _crest_quantities(params)[3:]
+    muxx0, J_mu_w1 = _crest_quantities(params, turning_point_data(params))[3:]
     theta = -muxx0 * J1 / J_mu_w1
 
     classification = classify_from_signs(J1, e1, J2, e2, J3, e3)
@@ -345,31 +308,25 @@ def parameter_jacobians(params: WaveParameters,
         J_T_omega1=J1, J_T_F1=J2, J3=J3,
         err_J_T_omega1=e1, err_J_T_F1=e2, err_J3=e3,
         theta=theta, mu_xx0=muxx0, J_mu_plus_omega1=J_mu_w1,
-        classification=classification, fd_steps=inv.fd_steps,
-        invariants=inv)
+        classification=classification, invariants=inv)
 
 
-def crest_identities(params: WaveParameters,
-                        rel_step: float = 1e-5) -> CrestIdentityReport:
-    """Check the closed-form crest-derivative identities against finite
-    differences of the synthesized family:
+def crest_identities(params: WaveParameters) -> CrestIdentityReport:
+    """Check the closed-form crest-derivative identities against complex-step
+    derivatives of the crest values:
 
         d(phi_+)/dE = -1/phi''(0),
         d(phi_+)/dc = -mu_+/phi''(0),
         c d(phi_+)/dE - d(phi_+)/dc + 1 = -(c - phi_+)/phi''(0) > 0,
         {mu_+, omega1}_{E,c} > 0.
     """
-    steps = fd_steps_for(params, rel_step)
+    tp = turning_point_data(params)
+    pc = _complex_steps(params)
+    phip_s, _, mup_s, _, _ = _crest_quantities(pc, _complex_turning_points(pc, tp))
+    phip_E, phip_c = phip_s[1:, 0].imag / _COMPLEX_STEP
+    mup_E, mup_c = mup_s[1:, 0].imag / _COMPLEX_STEP
 
-    def crest(p: WaveParameters) -> np.ndarray:
-        phip, _, mup, _, _ = _crest_quantities(p)
-        return np.array([phip, mup])
-
-    grad, _ = _richardson_gradient(crest, params, steps)
-    phip_E, phip_c = grad[0, 1], grad[0, 2]
-    mup_E, mup_c = grad[1, 1], grad[1, 2]
-
-    phip, phipp0, mup, muxx0, J_closed = _crest_quantities(params)
+    phip, phipp0, mup, muxx0, J_closed = _crest_quantities(params, tp)
     c = params.c
     mults = multipliers(params)
     w1_E, w1_c = mults.grad_omega1[1], mults.grad_omega1[2]
@@ -392,15 +349,14 @@ def crest_identities(params: WaveParameters,
         J_mu_plus_omega1_closed=J_closed)
 
 
-def classify_stability(params: WaveParameters, N: int = 512,
-                       rel_step: float = 1e-5) -> StabilityReport:
+def classify_stability(params: WaveParameters, N: int = 512) -> StabilityReport:
     """Full classification bundle: profile synthesis and its residuals,
     stationarity residual, invariants and Jacobians, crest-derivative identities."""
     profile = synthesize_profile(params, N)
     res = profile_residuals(profile)
     el = euler_lagrange_residual(profile)
-    jac = parameter_jacobians(params, rel_step=rel_step)
-    crest = crest_identities(params, rel_step=rel_step)
+    jac = parameter_jacobians(params)
+    crest = crest_identities(params)
     F1, F2 = conserved_quantities(profile, jac.invariants)
     return StabilityReport(
         params=params, classification=jac.classification,
@@ -417,12 +373,11 @@ class FamilyDerivatives:
     """Pointwise parameter derivatives of mu(x; a, E, c) at the base grid
     points x, with T_a, T_E, T_c the period derivatives.
 
-    Grid index j of every synthesized profile samples the phase s = j/N,
-    so Richardson differences (steps h and h/2) of the raw samples give
-    the derivative at fixed phase, and the derivative at fixed x follows
-    in closed form: mu_p = d_p mu|_s - (T_p / T) x mu_x, with the base
-    profile's analytic mu_x.  These are quasi-periodic:
-    mu_p(x + T) - mu_p(x) = -T_p mu_x(x)."""
+    Grid index j of every synthesized profile samples the phase s = j/N;
+    the derivatives at fixed phase come by complex step through the
+    half-period map, and the derivative at fixed x follows in closed form:
+    mu_p = d_p mu|_s - (T_p / T) x mu_x, with the base profile's analytic
+    mu_x.  These are quasi-periodic: mu_p(x + T) - mu_p(x) = -T_p mu_x(x)."""
 
     profile: WaveProfile
     mu_a: np.ndarray
@@ -431,27 +386,13 @@ class FamilyDerivatives:
     T_a: float
     T_E: float
     T_c: float
-    fd_steps: np.ndarray
 
 
 def family_derivatives(params: WaveParameters, N: int = 512,
-                       profile: WaveProfile | None = None,
-                       rel_step: float = 1e-4) -> FamilyDerivatives:
-    # pointwise profile values carry ~1e-12 synthesis noise, so the optimal
-    # central-difference step is larger here than for the quadrature-based
-    # scalar observables
+                       profile: WaveProfile | None = None) -> FamilyDerivatives:
     base = synthesize_profile(params, N) if profile is None else profile
-    steps = fd_steps_for(params, rel_step)
-
-    def mu_and_T(p: WaveParameters) -> np.ndarray:
-        prof = synthesize_profile(p, N)
-        return np.append(prof.mu, prof.T)
-
-    grad, _ = _richardson_gradient(mu_and_T, params, steps)
-    T_grads = grad[-1]
-    mu_grads = [grad[:-1, i] - (T_grads[i] / base.T) * base.x * base.dmu
-                for i in range(3)]
+    mu_s, T_p = _fixed_phase_derivatives(base)
+    mu_grads = mu_s - (T_p[:, None] / base.T) * base.x * base.dmu
     return FamilyDerivatives(
         profile=base, mu_a=mu_grads[0], mu_E=mu_grads[1], mu_c=mu_grads[2],
-        T_a=float(T_grads[0]), T_E=float(T_grads[1]), T_c=float(T_grads[2]),
-        fd_steps=steps)
+        T_a=float(T_p[0]), T_E=float(T_p[1]), T_c=float(T_p[2]))

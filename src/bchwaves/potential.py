@@ -74,8 +74,15 @@ def a_max(b: float, c: float) -> float:
 
 
 def _cpow(base, expo):
-    """(base)**expo for base > 0 via exp/log, valid for real expo."""
+    """(base)**expo for base > 0 via exp/log, valid for real expo (and for
+    a base with a tiny imaginary part, as under a complex step)."""
     return np.exp(expo * np.log(base))
+
+
+def _potential(phi, params):
+    """V(phi; a, c) without checks or casts: analytic in phi, a and c, so
+    it also takes the complex parameters of a complex step."""
+    return -0.5 * phi**2 + params.a / ((params.b - 1.0) * _cpow(params.c - phi, params.b - 1.0))
 
 
 def eval_potential(phi, params: WaveParameters):
@@ -83,7 +90,7 @@ def eval_potential(phi, params: WaveParameters):
     phi = np.asarray(phi, dtype=float)
     if np.any(phi >= params.c):
         raise ValueError("potential is only defined for phi < c")
-    val = -0.5 * phi**2 + params.a / ((params.b - 1.0) * _cpow(params.c - phi, params.b - 1.0))
+    val = _potential(phi, params)
     return float(val) if val.ndim == 0 else val
 
 

@@ -17,6 +17,14 @@ W extends smoothly to the endpoints, where it equals -V'(phi_min)/A and
 anchored form (exact factor differences, expm1/log1p for the power term)
 to avoid catastrophic cancellation.
 
+Every step from (a, E, c) to these integrals and to x(theta) is analytic,
+so parameter derivatives are taken by complex step: one evaluation at
+a + ih, E + ih or c + ih with h = 1e-30 gives the derivative as the
+imaginary part over h, with no subtractive cancellation (Squire & Trapp,
+SIAM Rev. 40, 1998; Martins, Sturdza & Alonso, ACM TOMS 29, 2003).  The
+three steps travel together as one _Params column, since WaveParameters
+is real.
+
 Profile synthesis builds the half-period map x(theta) as a Chebyshev
 antiderivative of the desingularized integrand and inverts it by Newton
 iteration in theta, where the map has a strictly positive derivative.
@@ -41,16 +49,22 @@ from numpy.polynomial import chebyshev as _cheb
 from scipy.fft import dct
 from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
+from scipy.special import roots_legendre
 
 from . import fourier
 from .errors import ConvergenceFailure, NotInExistenceSet, QuadratureFailure
-from .potential import (PotentialScan, WaveParameters, _cpow, critical_points,
-                        eval_potential, require_existence)
+from .potential import (PotentialScan, WaveParameters, _cpow, _potential,
+                        critical_points, eval_potential, require_existence)
 
 # refuse synthesis when E is this close to the boundary of the well
 _E_MARGIN_FLOOR = 1e-12
 # intervals of the Chebyshev-Lobatto table behind the inversion's first guess
 _INVERSION_TABLE = 2048
+# imaginary parameter step of the complex-step derivatives; any h far below
+# the double-precision resolution of the parameters gives the same result
+_COMPLEX_STEP = 1e-30
+# relative change between Gauss levels at which the node doubling stops
+_REL_TOL = 1e-11
 
 
 class TurningPointData(NamedTuple):
@@ -83,6 +97,11 @@ class WaveProfile:
     d2mu: np.ndarray
     phi_min: float
     phi_max: float
+    # how synthesis placed the samples: theta[j] solves x(theta) = j T / N
+    # for j = 0..N/2 on a half-period map fitted at map_nodes + 1
+    # Chebyshev-Lobatto points (None for a state not built by synthesis)
+    theta: np.ndarray | None = None
+    map_nodes: int | None = None
 
 
 @dataclass(frozen=True)
@@ -105,11 +124,29 @@ class ProfileResiduals:
         }
 
 
+class _Params(NamedTuple):
+    """Wave parameters whose a, E, c may be complex arrays: the carrier of
+    a complex step, which the real WaveParameters cannot hold."""
+
+    b: float
+    a: np.ndarray
+    E: np.ndarray
+    c: np.ndarray
+
+
+def _complex_steps(params: WaveParameters) -> _Params:
+    """The three complex steps a + ih, E + ih and c + ih as one column of
+    shape (3, 1), which broadcasts against a row of sample points."""
+    step = 1j * _COMPLEX_STEP * np.eye(3)[:, :, None]
+    return _Params(b=params.b, a=params.a + step[0], E=params.E + step[1],
+                   c=params.c + step[2])
+
+
 def _dV(phi, params: WaveParameters):
     return -phi + params.a / _cpow(params.c - phi, params.b)
 
 
-def _V_derivs(phi: float, params: WaveParameters) -> tuple[float, float, float, float]:
+def _V_derivs(phi, params: WaveParameters) -> tuple:
     """(V', V'', V''', V'''') at phi, closed forms."""
     a, b, c = params.a, params.b, params.c
     u = c - phi
@@ -117,7 +154,18 @@ def _V_derivs(phi: float, params: WaveParameters) -> tuple[float, float, float, 
     d2 = -1.0 + a * b * _cpow(u, -b - 1.0)
     d3 = a * b * (b + 1.0) * _cpow(u, -b - 2.0)
     d4 = a * b * (b + 1.0) * (b + 2.0) * _cpow(u, -b - 3.0)
-    return float(d1), float(d2), float(d3), float(d4)
+    return d1, d2, d3, d4
+
+
+def _log1p(z):
+    """log1p that keeps the real part accurate under a complex step.
+
+    numpy's complex log1p takes the real part as log|1 + z|, which loses
+    the small-argument accuracy the anchored E - V relies on; with Im z
+    of order h, log1p(z) = log1p(Re z) + i Im z / (1 + Re z) + O(h^2)."""
+    if np.iscomplexobj(z):
+        return np.log1p(z.real) + 1j * (z.imag / (1.0 + z.real))
+    return np.log1p(z)
 
 
 def turning_point_data(params: WaveParameters) -> TurningPointData:
@@ -143,13 +191,39 @@ def turning_point_data(params: WaveParameters) -> TurningPointData:
     )
 
 
+def _complex_turning_points(params: _Params, tp: TurningPointData) -> TurningPointData:
+    """Turning points under a complex step: Newton polish of the real
+    roots tp for the complex parameters, whose imaginary parts then carry
+    the roots' parameter derivatives."""
+
+    def P(phi):
+        return params.E - _potential(phi, params)
+
+    lo, hi = tp.phi_min + 0j, tp.phi_max + 0j
+    for _ in range(2):
+        lo = lo + P(lo) / _dV(lo, params)
+        hi = hi + P(hi) / _dV(hi, params)
+    return TurningPointData(phi_min=lo, phi_max=hi, amplitude=hi - lo,
+                            p_res_min=P(lo), p_res_max=P(hi), scan=tp.scan)
+
+
 def turning_points(params: WaveParameters) -> tuple[float, float]:
     """The orbit's turning points: the roots of E - V bracketing phi2."""
     tp = turning_point_data(params)
     return tp.phi_min, tp.phi_max
 
 
-_TAYLOR_ZONE = 1e-3  # fraction of the amplitude near each turning point
+# fraction of the amplitude near each turning point where the Taylor form
+# takes over: its truncation error grows as the fourth power of the zone
+# (1.4e-10 relative in T at 1e-3), while the anchored form's rounding grows
+# as the zone shrinks (worse again at 1e-5)
+_TAYLOR_ZONE = 1e-4
+
+
+def _samples_shape(tp: TurningPointData, theta: np.ndarray) -> tuple:
+    """Shape and dtype of per-sample values: one row per complex step."""
+    A = tp.amplitude
+    return np.broadcast_shapes(np.shape(A), theta.shape), np.result_type(A, theta)
 
 
 def _stable_P(theta: np.ndarray, params: WaveParameters, tp: TurningPointData) -> np.ndarray:
@@ -157,39 +231,42 @@ def _stable_P(theta: np.ndarray, params: WaveParameters, tp: TurningPointData) -
 
     Mid-orbit the difference is anchored at the nearer turning point with
     expm1/log1p handling the (c - phi)^(1-b) increment.  Within a small
-    relative distance of a turning point even the anchored form sits at
-    the double-precision noise floor, so a fourth-order Taylor expansion
-    of V about the (machine-accurate) root takes over there.
+    relative distance of a turning point the anchored form loses digits
+    to rounding, so a fourth-order Taylor expansion of V about the
+    (machine-accurate) root takes over there.
+
+    Under a complex step (params from _complex_steps, tp from
+    _complex_turning_points) the result has one row per step.
     """
     a, b, c = params.a, params.b, params.c
     A = tp.amplitude
     s2 = np.sin(theta) ** 2
     c2 = np.cos(theta) ** 2
-    out = np.empty_like(s2)
+    out = np.empty(*_samples_shape(tp, s2))
 
     left = (s2 <= 0.5) & (s2 > _TAYLOR_ZONE)
     d = A * s2[left]  # phi - phi_min, exact in theta
     u0 = c - tp.phi_min
-    pow_inc = _cpow(u0, 1.0 - b) * np.expm1((1.0 - b) * np.log1p(-d / u0))
-    out[left] = tp.p_res_min + d * (d + 2.0 * tp.phi_min) / 2.0 - (a / (b - 1.0)) * pow_inc
+    pow_inc = _cpow(u0, 1.0 - b) * np.expm1((1.0 - b) * _log1p(-d / u0))
+    out[..., left] = tp.p_res_min + d * (d + 2.0 * tp.phi_min) / 2.0 - (a / (b - 1.0)) * pow_inc
 
     right = (s2 > 0.5) & (c2 > _TAYLOR_ZONE)
     dp = A * c2[right]  # phi_max - phi
     u1 = c - tp.phi_max
-    pow_inc = _cpow(u1, 1.0 - b) * np.expm1((1.0 - b) * np.log1p(dp / u1))
-    out[right] = tp.p_res_max - dp * (2.0 * tp.phi_max - dp) / 2.0 - (a / (b - 1.0)) * pow_inc
+    pow_inc = _cpow(u1, 1.0 - b) * np.expm1((1.0 - b) * _log1p(dp / u1))
+    out[..., right] = tp.p_res_max - dp * (2.0 * tp.phi_max - dp) / 2.0 - (a / (b - 1.0)) * pow_inc
 
     tl = s2 <= _TAYLOR_ZONE
     if np.any(tl):
         d = A * s2[tl]
         v1, v2, v3, v4 = _V_derivs(tp.phi_min, params)
-        out[tl] = d * (-v1 - d * (v2 / 2.0 + d * (v3 / 6.0 + d * v4 / 24.0)))
+        out[..., tl] = d * (-v1 - d * (v2 / 2.0 + d * (v3 / 6.0 + d * v4 / 24.0)))
 
     tr = c2 <= _TAYLOR_ZONE
     if np.any(tr):
         dp = A * c2[tr]
         v1, v2, v3, v4 = _V_derivs(tp.phi_max, params)
-        out[tr] = dp * (v1 - dp * (v2 / 2.0 - dp * (v3 / 6.0 - dp * v4 / 24.0)))
+        out[..., tr] = dp * (v1 - dp * (v2 / 2.0 - dp * (v3 / 6.0 - dp * v4 / 24.0)))
     return out
 
 
@@ -197,71 +274,86 @@ def _W(theta: np.ndarray, params: WaveParameters, tp: TurningPointData) -> np.nd
     """Desingularized integrand core W(theta), positive on [0, pi/2]."""
     theta = np.asarray(theta, dtype=float)
     A = tp.amplitude
-    w = np.empty_like(theta)
+    w = np.empty(*_samples_shape(tp, theta))
     interior = (theta > 0.0) & (theta < 0.5 * np.pi)
     th = theta[interior]
-    w[interior] = _stable_P(th, params, tp) / (A**2 * np.sin(th) ** 2 * np.cos(th) ** 2)
-    w[theta <= 0.0] = -_dV(tp.phi_min, params) / A
-    w[theta >= 0.5 * np.pi] = _dV(tp.phi_max, params) / A
+    w[..., interior] = _stable_P(th, params, tp) / (A**2 * np.sin(th) ** 2 * np.cos(th) ** 2)
+    w[..., theta <= 0.0] = -_dV(tp.phi_min, params) / A
+    w[..., theta >= 0.5 * np.pi] = _dV(tp.phi_max, params) / A
     return w
 
 
 @lru_cache(maxsize=16)
 def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    xi, w = np.polynomial.legendre.leggauss(n)
+    xi, w = roots_legendre(n)
     return 0.25 * np.pi * (xi + 1.0), 0.25 * np.pi * w
 
 
-def _wave_integral_impl(params: WaveParameters,
-                        integrand: Callable[[np.ndarray, np.ndarray], np.ndarray] | None,
-                        tp: TurningPointData | None,
-                        rel_tol: float,
-                        n_start: int,
-                        n_max: int) -> tuple[float, float]:
+def _gauss_sums(n: int, params: WaveParameters, tp: TurningPointData,
+                integrands: tuple) -> np.ndarray:
+    """2 sqrt(2) times the n-node Gauss-Legendre sums of f(phi, P) W^(-1/2)
+    over theta in [0, pi/2], one row per f in integrands (None: f = 1),
+    with one entry per complex step (a single entry for real parameters)."""
+    theta, wts = _gauss_nodes(n)
+    A = tp.amplitude
+    P = _stable_P(theta, params, tp)
+    W = P / (A**2 * np.sin(theta) ** 2 * np.cos(theta) ** 2)
+    if not np.all(np.isfinite(W)) or np.any(W.real <= 0.0):
+        raise QuadratureFailure("desingularized integrand is not finite and positive")
+    vals = 1.0 / np.sqrt(W)
+    phi = tp.phi_min + A * np.sin(theta) ** 2
+    sums = [np.sum(wts * (vals if f is None else vals * f(phi, P)), axis=-1)
+            for f in integrands]
+    return 2.0 * math.sqrt(2.0) * np.reshape(sums, (len(integrands), -1))
+
+
+def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
+    """Largest entry change against the largest entry of its row, for the
+    real and the imaginary parts apart."""
+    worst = 0.0
+    for part in (np.real, np.imag):
+        scale = np.max(np.abs(part(new)), axis=-1, keepdims=True)
+        change = np.abs(part(new) - part(old)) / np.maximum(scale, 1e-300)
+        worst = max(worst, float(np.max(change)))
+    return worst
+
+
+def _wave_integrals(params: WaveParameters, integrands: tuple,
+                    tp: TurningPointData | None = None,
+                    rel_tol: float = _REL_TOL, n_start: int = 64,
+                    n_max: int = 16384) -> tuple[np.ndarray, np.ndarray, float]:
     """Evaluate 2 sqrt(2) * Integral[ f(phi, P) * W^(-1/2), {theta, 0, pi/2} ]
-    by Gauss-Legendre with node doubling until the relative change drops
-    below rel_tol.
+    for each f in integrands by Gauss-Legendre with node doubling until
+    the relative change drops below rel_tol.
 
-    With f = 1 this is the period; restricted conserved quantities use
-    their own densities f(phi, E - V(phi)).
+    f = None (f = 1) gives the period; restricted conserved quantities use
+    their own densities f(phi, E - V(phi)).  Under a complex step the
+    real parts (the integrals) and the imaginary parts (h times their
+    derivatives) must both converge, each against its own row's largest
+    entry, so that a near-zero entry cannot stall the doubling.
 
-    Node doubling stops at the convergence plateau: beyond it, nodes
-    crowd into an O(1e-8)-wide endpoint layer where the anchored
-    evaluation of E - V carries an irreducible double-precision offset,
-    and further refinement degrades the estimate.
+    Returns the accepted level, the level before it, and the relative
+    change between them.  Should the change grow again after falling
+    below 1e-9, rounding has set the floor and the previous level is
+    kept; past n_max the best level is kept if its change is below 1e-7.
     """
     if tp is None:
         tp = turning_point_data(params)
-    phi_min, A = tp.phi_min, tp.amplitude
-
-    def evaluate(n: int) -> float:
-        theta, wts = _gauss_nodes(n)
-        P = _stable_P(theta, params, tp)
-        W = P / (A**2 * np.sin(theta) ** 2 * np.cos(theta) ** 2)
-        if not np.all(np.isfinite(W)) or np.any(W <= 0.0):
-            raise QuadratureFailure("desingularized integrand is not finite and positive")
-        vals = 1.0 / np.sqrt(W)
-        if integrand is not None:
-            phi = phi_min + A * np.sin(theta) ** 2
-            vals = vals * integrand(phi, P)
-        return 2.0 * math.sqrt(2.0) * float(np.sum(wts * vals))
-
     n = n_start
-    values = [evaluate(n)]
+    levels = [_gauss_sums(n, params, tp, integrands)]
     changes: list[float] = []
     while n < n_max:
         n *= 2
-        values.append(evaluate(n))
-        change = abs(values[-1] - values[-2]) / max(abs(values[-1]), 1e-300)
+        levels.append(_gauss_sums(n, params, tp, integrands))
+        change = _relative_change(levels[-1], levels[-2])
         changes.append(change)
         if change <= rel_tol:
-            return values[-1], change
+            return levels[-1], levels[-2], change
         if len(changes) >= 2 and change > changes[-2] and changes[-2] <= 1e-9:
-            # refinement now degrades the estimate; the previous value is best
-            return values[-2], changes[-2]
+            return levels[-2], levels[-3], changes[-2]
     best = int(np.argmin(changes))
     if changes[best] <= 1e-7:
-        return values[best + 1], changes[best]
+        return levels[best + 1], levels[best], changes[best]
     raise QuadratureFailure(
         f"Gauss-Legendre stalled at relative change {min(changes):.3e} by n={n_max}")
 
@@ -269,11 +361,11 @@ def _wave_integral_impl(params: WaveParameters,
 def wave_integral(params: WaveParameters,
                   integrand: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
                   tp: TurningPointData | None = None,
-                  rel_tol: float = 1e-11,
+                  rel_tol: float = _REL_TOL,
                   n_start: int = 64,
                   n_max: int = 16384) -> float:
-    value, _ = _wave_integral_impl(params, integrand, tp, rel_tol, n_start, n_max)
-    return value
+    value, _, _ = _wave_integrals(params, (integrand,), tp, rel_tol, n_start, n_max)
+    return float(value[0, 0])
 
 
 def period(params: WaveParameters) -> float:
@@ -308,12 +400,19 @@ def period_by_shooting(params: WaveParameters, rtol: float = 1e-12,
 # ---------------------------------------------------------------------------
 
 def _cheb_fit(values: np.ndarray) -> np.ndarray:
-    """Chebyshev coefficients interpolating values at t_j = cos(pi j / n)."""
-    n = values.shape[0] - 1
+    """Chebyshev coefficients interpolating values at t_j = cos(pi j / n),
+    along the last axis."""
+    n = values.shape[-1] - 1
     a = dct(values, type=1) / n
-    a[0] *= 0.5
-    a[-1] *= 0.5
+    a[..., 0] *= 0.5
+    a[..., -1] *= 0.5
     return a
+
+
+def _lobatto_theta(n: int) -> np.ndarray:
+    """theta at the n + 1 Chebyshev-Lobatto points t_j = cos(pi j / n) of
+    t = 4 theta / pi - 1."""
+    return 0.25 * np.pi * (np.cos(np.pi * np.arange(n + 1) / n) + 1.0)
 
 
 class _HalfPeriodMap(NamedTuple):
@@ -331,16 +430,15 @@ def _build_half_period_map(params: WaveParameters, tp: TurningPointData,
     """Chebyshev fit of the desingularized integrand, accepted when its
     integral reproduces the independently computed period.
 
-    Coefficient tails bottom out well above machine precision (endpoint
-    noise of the anchored E - V), so agreement of the integrated map with
-    the Gauss period is the convergence criterion, not tail decay.
+    Coefficient tails bottom out above machine precision, at the rounding
+    of the anchored E - V and at the small jump where its Taylor form takes
+    over, so agreement of the integrated map with the Gauss period is the
+    convergence criterion, not tail decay.
     """
     tol = max(1e-10, 3.0 * period_tol) * period_ref
     n = n_start
     while True:
-        t = np.cos(np.pi * np.arange(n + 1) / n)  # Lobatto points, t[0] = 1
-        theta = 0.25 * np.pi * (t + 1.0)
-        G = math.sqrt(2.0) / np.sqrt(_W(theta, params, tp))
+        G = math.sqrt(2.0) / np.sqrt(_W(_lobatto_theta(n), params, tp))
         a = _cheb_fit(G)
         A = _cheb.chebint(a, lbnd=-1.0)
         half = 0.25 * np.pi * float(_cheb.chebval(1.0, A) - _cheb.chebval(-1.0, A))
@@ -371,7 +469,7 @@ def _invert_half_period(map_: _HalfPeriodMap, x_targets: np.ndarray) -> np.ndarr
     padded[:A.size] = A
     padded[1:-1] *= 0.5  # DCT-I doubles the interior terms
     xi_table = 0.25 * np.pi * (dct(padded, type=1) - A_left)
-    theta_table = 0.25 * np.pi * (np.cos(np.pi * np.arange(m + 1) / m) + 1.0)
+    theta_table = _lobatto_theta(m)
     theta = np.interp(targets, xi_table[::-1], theta_table[::-1])
 
     both = np.zeros((A.size, 2))
@@ -404,8 +502,8 @@ def synthesize_profile(params: WaveParameters, N: int = 512) -> WaveProfile:
 
     a, b, c = params.a, params.b, params.c
     A = tp.amplitude
-    T_gauss, T_change = _wave_integral_impl(params, None, tp, 1e-11, 64, 16384)
-    hp_map = _build_half_period_map(params, tp, period_ref=T_gauss,
+    T_gauss, _, T_change = _wave_integrals(params, (None,), tp)
+    hp_map = _build_half_period_map(params, tp, period_ref=float(T_gauss[0, 0]),
                                     period_tol=T_change)
     T = 2.0 * hp_map.half_period
 
@@ -414,6 +512,7 @@ def synthesize_profile(params: WaveParameters, N: int = 512) -> WaveProfile:
     theta = _invert_half_period(hp_map, x_half)
     theta[0] = 0.5 * np.pi  # x = 0 is the maximum
     theta[half] = 0.0       # x = T/2 is the minimum
+    theta.setflags(write=False)
 
     phi_half = tp.phi_min + A * np.sin(theta) ** 2
     phi_half[0] = tp.phi_max
@@ -453,7 +552,44 @@ def synthesize_profile(params: WaveParameters, N: int = 512) -> WaveProfile:
         arr.setflags(write=False)
     return WaveProfile(params=params, T=T, N=N, x=x, phi=phi, dphi=dphi,
                        d2phi=d2phi, mu=mu, dmu=dmu, d2mu=d2mu,
-                       phi_min=tp.phi_min, phi_max=tp.phi_max)
+                       phi_min=tp.phi_min, phi_max=tp.phi_max, theta=theta,
+                       map_nodes=hp_map.coeff_integrand.size - 1)
+
+
+def _fixed_phase_derivatives(profile: WaveProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Derivatives in (a, E, c) of the synthesized mu at fixed phase
+    s = j / N, shape (3, N), and of the period, shape (3,), by complex step.
+
+    One complex-parameter half-period map per parameter is fitted on the
+    synthesis' Lobatto nodes.  Differentiating xi(theta; p) = T(p) (1/2 - s)
+    at fixed s gives
+
+        theta_p = (T_p (1/2 - s) - xi_p(theta)) / xi_theta(theta)
+
+    at the synthesis' own theta samples, with no second inversion; mu then
+    follows in closed form from phi = phi_min + A sin^2(theta).  The even
+    symmetry of every member of the family mirrors the half to the grid.
+    """
+    if profile.theta is None:
+        raise ValueError("derivatives need the samples of a synthesized profile")
+    params, theta = profile.params, profile.theta
+    tp = turning_point_data(params)
+    pc = _complex_steps(params)
+    tpc = _complex_turning_points(pc, tp)
+    h = _COMPLEX_STEP
+
+    G_c = math.sqrt(2.0) / np.sqrt(_W(_lobatto_theta(profile.map_nodes), pc, tpc))
+    A_p = _cheb.chebint(_cheb_fit(G_c.imag / h), lbnd=-1.0, axis=-1).T
+    A_left = _cheb.chebval(-1.0, A_p)
+    xi_p = 0.25 * np.pi * (_cheb.chebval(4.0 * theta / np.pi - 1.0, A_p) - A_left[:, None])
+    T_p = 0.5 * np.pi * (_cheb.chebval(1.0, A_p) - A_left)
+    s = np.arange(theta.size) / profile.N
+    G = math.sqrt(2.0) / np.sqrt(_W(theta, params, tp))
+    theta_p = (T_p[:, None] * (0.5 - s) - xi_p) / G
+
+    phi_c = tpc.phi_min + tpc.amplitude * np.sin(theta + 1j * h * theta_p) ** 2
+    mu_p = (pc.a / _cpow(pc.c - phi_c, params.b)).imag / h
+    return np.concatenate([mu_p, mu_p[:, -2:0:-1]], axis=1), T_p
 
 
 def equilibrium_profile(b: float, a: float, c: float, N: int = 256,

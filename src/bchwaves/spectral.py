@@ -32,7 +32,9 @@ elements of -d(p d)/dx + symmetric_r in the basis exp(2 pi i k x / T) are
 
     H[j, k] = kt_j kt_k phat[j - k] + rhat[j - k],   kt = 2 pi k / T,
 
-a Hermitian matrix over modes -M..M.  (A collocation product of grid
+over modes -M..M.  The profile is even by construction, so phat and rhat
+are real and H is real symmetric (its imaginary part sits at rounding,
+~4e-17 relative), which real LAPACK solves.  (A collocation product of grid
 differentiation matrices is avoided deliberately: with even N its
 annihilated Nyquist mode produces a spurious eigenvalue at mean(r).)
 """
@@ -42,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from . import fourier
 from .errors import CoefficientInconsistency, DiscretizationNotConverged
@@ -148,17 +151,18 @@ def apply_operator(coeffs: OperatorCoefficients, v: np.ndarray) -> np.ndarray:
 
 
 def hill_matrix(coeffs: OperatorCoefficients, M: int) -> np.ndarray:
-    """Hermitian Fourier-mode matrix of the operator over modes -M..M."""
+    """Real symmetric Fourier-mode matrix of the operator over modes -M..M
+    (the coefficients are even, so their Fourier coefficients are real)."""
     n = coeffs.p.shape[0]
     if 2 * M + 1 > n:
         raise ValueError("mode count exceeds the coefficient grid")
-    phat = np.fft.fft(coeffs.p) / n
-    rhat = np.fft.fft(coeffs.symmetric_r) / n
+    phat = np.fft.fft(coeffs.p).real / n
+    rhat = np.fft.fft(coeffs.symmetric_r).real / n
     modes = np.arange(-M, M + 1)
     kt = 2.0 * np.pi * modes / coeffs.T
     idx = (modes[:, None] - modes[None, :]) % n
     H = kt[:, None] * kt[None, :] * phat[idx] + rhat[idx]
-    return 0.5 * (H + H.conj().T)
+    return 0.5 * (H + H.T)
 
 
 def modes_to_grid(vec: np.ndarray, coeffs: OperatorCoefficients) -> np.ndarray:
@@ -325,8 +329,9 @@ def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
     dF2 = delta_F2(profile.mu, profile.dmu, profile.d2mu, b)
     basis = fourier.orthonormalize((dF1, dF2, profile.dmu), T)
 
-    _, evecs = np.linalg.eigh(hill_matrix(coeffs, _default_modes(n)))
-    fixed = np.stack([modes_to_grid(evecs[:, 0], coeffs), np.ones(n)])
+    _, ground = scipy.linalg.eigh(hill_matrix(coeffs, _default_modes(n)),
+                                  subset_by_index=[0, 0])
+    fixed = np.stack([modes_to_grid(ground[:, 0], coeffs), np.ones(n)])
 
     rng = np.random.default_rng(seed)
     n_total = len(fixed) + max(trials - len(fixed), 0)

@@ -177,7 +177,7 @@ def test_sweep_resume_needs_same_config(tmp_path):
     _interrupt(out, 2, rows_done=2)
     (out / "sweep.csv").write_bytes(
         (out / "sweep.csv").read_bytes().replace(b",ok,", b",stale,"))
-    args = [*_RESUME_ARGS, "--fd-step", "2e-5"]
+    args = [*_RESUME_ARGS, "--N", "128"]
     assert main([*args, "--out", str(out)]) == 0
     fresh = tmp_path / "fresh"
     assert main([*args, "--out", str(fresh)]) == 0

@@ -9,7 +9,7 @@ from bchwaves import (NotInExistenceSet, WaveParameters, critical_points,
                       synthesize_profile, turning_points)
 from bchwaves.potential import a_max
 from bchwaves.profile import (_build_half_period_map, _invert_half_period,
-                              _wave_integral_impl, profile_header,
+                              _wave_integrals, profile_header,
                               turning_point_data, write_profile_csv)
 
 
@@ -64,6 +64,18 @@ def test_period_diverges_toward_saddle(ref_scan):
 def test_period_matches_shooting(ref_params):
     T = period(ref_params)
     assert abs(T - period_by_shooting(ref_params)) < 1e-6 * T
+
+
+def test_period_matches_shooting_near_peakon():
+    # c - phi_max = 1.4e-3: the Taylor form near the turning points must be
+    # accurate far below rel_tol for the Gauss doubling to stop at once
+    b, c = 1.5, 1.0
+    a = 0.02 * a_max(b, c)
+    scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=c))
+    p = WaveParameters(b=b, a=a, E=scan.V_phi2 + 0.3 * (scan.V_phi1 - scan.V_phi2),
+                       c=c)
+    T = period(p)
+    assert abs(T - period_by_shooting(p, rtol=1e-13)) <= 1e-11 * T
 
 
 def test_period_matches_shooting_b3():
@@ -190,8 +202,8 @@ def _well_point(b, a_frac, e_frac, c=1.0):
 def test_half_period_inversion_residual(ref_params, which):
     params = ref_params if which == "reference" else _well_point(1.5, 0.3, 0.5)
     tp = turning_point_data(params)
-    T_gauss, change = _wave_integral_impl(params, None, tp, 1e-11, 64, 16384)
-    hp_map = _build_half_period_map(params, tp, T_gauss, change)
+    T_gauss, _, change = _wave_integrals(params, (None,), tp)
+    hp_map = _build_half_period_map(params, tp, float(T_gauss[0, 0]), change)
     half = hp_map.half_period
     x = np.arange(257) * (half / 256)
     theta = _invert_half_period(hp_map, x)
