@@ -26,8 +26,15 @@ three steps travel together as one _Params column, since WaveParameters
 is real.
 
 Profile synthesis builds the half-period map x(theta) as a Chebyshev
-antiderivative of the desingularized integrand and inverts it by Newton
-iteration in theta, where the map has a strictly positive derivative.
+antiderivative of the desingularized integrand and inverts it in theta,
+where the map has a strictly positive derivative.  Values of a Chebyshev
+series at Chebyshev-Lobatto points come from one DCT-I, and its values at
+t = +-1 are plain and alternating coefficient sums (T_k(+-1) = (+-1)^k;
+Trefethen, Approximation Theory and Approximation Practice, SIAM 2013,
+ch. 3).  So the map, its derivative and its second derivative are
+tabulated at Lobatto points, and each grid sample is found by Newton
+iteration on the quintic Hermite interpolant of the table interval that
+holds it; one evaluation of the exact series then checks the residual.
 Grid derivatives are analytic: phi'' = phi - a/(c-phi)^b from the profile
 equation, phi' = -sqrt(2 (E - V)) on the decreasing half, and the
 momentum density mu = a/(c-phi)^b with
@@ -45,6 +52,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import chebyshev as _cheb
 from scipy.fft import dct
 from scipy.integrate import solve_ivp
@@ -58,7 +66,8 @@ from .potential import (PotentialScan, WaveParameters, _cpow, _potential,
 
 # refuse synthesis when E is this close to the boundary of the well
 _E_MARGIN_FLOOR = 1e-12
-# intervals of the Chebyshev-Lobatto table behind the inversion's first guess
+# least number of intervals of the Chebyshev-Lobatto table on which the
+# half-period map is inverted (more when the map's degree is higher)
 _INVERSION_TABLE = 2048
 # imaginary parameter step of the complex-step derivatives; any h far below
 # the double-precision resolution of the parameters gives the same result
@@ -168,6 +177,9 @@ def _log1p(z):
     return np.log1p(z)
 
 
+# one entry: the stages of one point share its roots, and no reuse
+# crosses points
+@lru_cache(maxsize=1)
 def turning_point_data(params: WaveParameters) -> TurningPointData:
     scan = require_existence(params)
     E, c = params.E, params.c
@@ -441,7 +453,8 @@ def _build_half_period_map(params: WaveParameters, tp: TurningPointData,
         G = math.sqrt(2.0) / np.sqrt(_W(_lobatto_theta(n), params, tp))
         a = _cheb_fit(G)
         A = _cheb.chebint(a, lbnd=-1.0)
-        half = 0.25 * np.pi * float(_cheb.chebval(1.0, A) - _cheb.chebval(-1.0, A))
+        right, left = _cheb_ends(A)
+        half = 0.25 * np.pi * float(right - left)
         if abs(2.0 * half - period_ref) <= tol:
             break
         if n >= n_max:
@@ -452,42 +465,76 @@ def _build_half_period_map(params: WaveParameters, tp: TurningPointData,
     return _HalfPeriodMap(coeff_integrand=a, coeff_antideriv=A, half_period=half)
 
 
+def _cheb_ends(coeffs: np.ndarray) -> tuple:
+    """Values at t = 1 and t = -1 of Chebyshev series along the first
+    axis, from T_k(1) = 1 and T_k(-1) = (-1)^k."""
+    return coeffs.sum(axis=0), coeffs[0::2].sum(axis=0) - coeffs[1::2].sum(axis=0)
+
+
+def _lobatto_values(coeffs: np.ndarray, m: int) -> np.ndarray:
+    """A Chebyshev series at the m + 1 Lobatto points t_j = cos(pi j / m),
+    m + 1 >= coeffs.size, by one DCT-I of the zero-padded series."""
+    padded = np.zeros(m + 1)
+    padded[:coeffs.size] = coeffs
+    padded[1:-1] *= 0.5  # DCT-I doubles the interior terms
+    return dct(padded, type=1)
+
+
 def _invert_half_period(map_: _HalfPeriodMap, x_targets: np.ndarray) -> np.ndarray:
     """Solve xi(theta) = map_.half_period - x for each target x.
 
-    The initial guess interpolates a table of xi at Chebyshev-Lobatto
-    points, built by one DCT-I of the zero-padded antiderivative series.
-    Newton evaluates xi and its derivative together from a two-column
-    series and stops once no iterate moves by more than 1e-15.
+    xi, xi' = G and xi'' are tabulated at Chebyshev-Lobatto points by
+    DCT-I; each target is located in its table interval, where Newton
+    iteration on the quintic Hermite interpolant of (xi, xi', xi'') at the
+    interval's ends stops once no iterate moves by more than 1e-15.  The
+    residual is then checked against the exact series.
     """
     A = map_.coeff_antideriv
-    A_left = float(_cheb.chebval(-1.0, A))
+    A_left = _cheb_ends(A)[1]
     targets = map_.half_period - x_targets
 
+    # tables in increasing theta (the Lobatto points run from t = 1 down)
     m = max(_INVERSION_TABLE, A.size - 1)
-    padded = np.zeros(m + 1)
-    padded[:A.size] = A
-    padded[1:-1] *= 0.5  # DCT-I doubles the interior terms
-    xi_table = 0.25 * np.pi * (dct(padded, type=1) - A_left)
-    theta_table = _lobatto_theta(m)
-    theta = np.interp(targets, xi_table[::-1], theta_table[::-1])
+    xi = (0.25 * np.pi * (_lobatto_values(A, m) - A_left))[::-1]
+    dxi = _lobatto_values(map_.coeff_integrand, m)[::-1]
+    d2xi = (4.0 / np.pi) * _lobatto_values(_cheb.chebder(map_.coeff_integrand), m)[::-1]
+    nodes = _lobatto_theta(m)[::-1]
 
-    both = np.zeros((A.size, 2))
-    both[:, 0] = A
-    both[:map_.coeff_integrand.size, 1] = map_.coeff_integrand
+    j = np.clip(np.searchsorted(xi, targets, side="right") - 1, 0, m - 1)
+    h = nodes[j + 1] - nodes[j]
+    # xi(nodes[j] + h s) ~ xi[j] + c1 s + ... + c5 s^5, matching xi, h xi'
+    # and h^2 xi'' at s = 0 and s = 1
+    c1, c2 = h * dxi[j], 0.5 * h**2 * d2xi[j]
+    d0 = xi[j + 1] - xi[j] - c1 - c2
+    d1 = h * dxi[j + 1] - c1 - 2.0 * c2
+    d2 = h**2 * d2xi[j + 1] - 2.0 * c2
+    c3 = 10.0 * d0 - 4.0 * d1 + 0.5 * d2
+    c4 = -15.0 * d0 + 7.0 * d1 - d2
+    c5 = 6.0 * d0 - 3.0 * d1 + 0.5 * d2
+    r = targets - xi[j]
+    s = np.clip(r / (xi[j + 1] - xi[j]), 0.0, 1.0)
     for _ in range(6):
-        xi_raw, dxi = _cheb.chebval(4.0 * theta / np.pi - 1.0, both)
-        res = 0.25 * np.pi * (xi_raw - A_left) - targets
-        new = np.clip(theta - res / dxi, 0.0, 0.5 * np.pi)
-        done = float(np.max(np.abs(new - theta))) <= 1e-15
-        theta = new
+        p = s * (c1 + s * (c2 + s * (c3 + s * (c4 + s * c5))))
+        dp = c1 + s * (2.0 * c2 + s * (3.0 * c3 + s * (4.0 * c4 + s * 5.0 * c5)))
+        new = np.clip(s - (p - r) / dp, 0.0, 1.0)
+        done = float(np.max(h * np.abs(new - s))) <= 1e-15
+        s = new
         if done:
             break
+    theta = nodes[j] + h * s
     res = np.abs(0.25 * np.pi * (_cheb.chebval(4.0 * theta / np.pi - 1.0, A)
                                  - A_left) - targets)
     if float(np.max(res)) > 1e-11 * max(map_.half_period, 1.0):
         raise ConvergenceFailure("inversion of the half-period map failed")
     return theta
+
+
+def _noise_cut(mag: np.ndarray) -> int:
+    """Start of the first window of 8 consecutive modes k >= 1, ending
+    before the last mode, that all lie below 1e-13 of the largest; the
+    size of mag when there is none."""
+    quiet = sliding_window_view(mag[1:-1] < 1e-13 * mag.max(), 8).all(axis=1)
+    return 1 + int(np.argmax(quiet)) if quiet.any() else mag.size
 
 
 def synthesize_profile(params: WaveParameters, N: int = 512) -> WaveProfile:
@@ -525,15 +572,7 @@ def synthesize_profile(params: WaveParameters, N: int = 512) -> WaveProfile:
     # so keep only the contiguous low-k band above the noise floor
     # (isolated high-k noise spikes must go too).
     ch = np.fft.rfft(phi)
-    mag = np.abs(ch)
-    cutoff = 1e-13 * mag.max()
-    win = 8
-    k_cut = mag.size
-    for k in range(1, mag.size - win):
-        if np.all(mag[k:k + win] < cutoff):
-            k_cut = k
-            break
-    ch[k_cut:] = 0.0
+    ch[_noise_cut(np.abs(ch)):] = 0.0
     phi = np.fft.irfft(ch, n=N)
 
     # derivatives: analytic in phi, with the energy relation fixing |phi'|
@@ -580,9 +619,9 @@ def _fixed_phase_derivatives(profile: WaveProfile) -> tuple[np.ndarray, np.ndarr
 
     G_c = math.sqrt(2.0) / np.sqrt(_W(_lobatto_theta(profile.map_nodes), pc, tpc))
     A_p = _cheb.chebint(_cheb_fit(G_c.imag / h), lbnd=-1.0, axis=-1).T
-    A_left = _cheb.chebval(-1.0, A_p)
+    A_right, A_left = _cheb_ends(A_p)
     xi_p = 0.25 * np.pi * (_cheb.chebval(4.0 * theta / np.pi - 1.0, A_p) - A_left[:, None])
-    T_p = 0.5 * np.pi * (_cheb.chebval(1.0, A_p) - A_left)
+    T_p = 0.5 * np.pi * (A_right - A_left)
     s = np.arange(theta.size) / profile.N
     G = math.sqrt(2.0) / np.sqrt(_W(theta, params, tp))
     theta_p = (T_p[:, None] * (0.5 - s) - xi_p) / G

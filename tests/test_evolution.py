@@ -3,12 +3,15 @@ import dataclasses
 import numpy as np
 import pytest
 
-from bchwaves import (BlowUp, PositivityLost, cfl_dt, make_perturbation,
-                      orbital_distance, reconstruct_velocity, run_experiment,
-                      step)
+from bchwaves import (BlowUp, PositivityLost, WaveParameters, cfl_dt,
+                      make_perturbation, orbital_distance,
+                      reconstruct_velocity, run_experiment, step,
+                      synthesize_profile)
 from bchwaves import fourier
 from bchwaves.evolution import EvolutionState, h1_shift_distance, rhs
 from bchwaves.invariants import delta_F1, delta_F2
+
+from conftest import sample_admissible
 
 
 def _golden_section_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -53,7 +56,7 @@ def _orbital_distance_golden(m, ref, period):
 
 def _rhs_six_transforms(m, period, b, frame_speed):
     """Oracle route for rhs: the three inverse transforms and the two
-    dealiased products done separately."""
+    dealiased products done separately, the frame term dealiased too."""
     n = m.shape[-1]
     kr = 2.0 * np.pi * np.arange(n // 2 + 1) / period
     deriv = 1j * kr
@@ -68,7 +71,7 @@ def _rhs_six_transforms(m, period, b, frame_speed):
     u_x = np.fft.irfft(deriv * uh, n=n)
     advh = np.fft.rfft(u * m_x) * mask
     strainh = np.fft.rfft(m * u_x) * mask
-    return np.fft.irfft(frame_speed * mxh - advh - b * strainh, n=n)
+    return np.fft.irfft(frame_speed * mxh * mask - advh - b * strainh, n=n)
 
 
 def test_reconstruct_constant():
@@ -331,3 +334,33 @@ def test_cfl_max_recorded(ref_profile):
             * diag.config["dt"] / (T / n))
     assert diag.config["cfl_max"] >= cfl0 * (1.0 - 1e-12)
     assert cfl0 <= diag.config["dt_safety"] * (1.0 + 1e-12)
+
+
+def test_rhs_dealiased_on_every_mode():
+    """The 2/3 mask covers the frame term c m_x as well as the products."""
+    n, T = 256, 7.0
+    rng = np.random.default_rng(3)
+    m = 1.0 + 0.05 * rng.standard_normal(n)  # every mode populated
+    out = np.abs(np.fft.rfft(rhs(m, T, 2.0, 1.3)))
+    assert np.max(out[np.arange(n // 2 + 1) > n / 3]) <= 1e-14 * np.max(out)
+
+
+@pytest.mark.parametrize("N", [256, 512])
+def test_exact_steep_wave_stays_positive(N):
+    """Left undealiased on the modes above N/3, the frame term put the
+    linearised step's spectral radius at 3.03 / dt here, past RK4's limit
+    2 sqrt(2), and the exact wave left the positive cone within a period."""
+    prof = synthesize_profile(WaveParameters(b=2.0, a=0.1722, E=0.0194, c=1.378), N)
+    diag = run_experiment(prof, eps=0.0, horizon_periods=1.0, N=N, n_samples=20)
+    assert diag.outcome == "completed"
+    assert diag.max_rho < 1e-8
+
+
+def test_exact_waves_complete_one_period():
+    """Every exact wave of the acceptance sample stays put for one period
+    (3 of these 10 lost positivity before the whole RHS was dealiased)."""
+    for params in sample_admissible(10, seed=2024):
+        diag = run_experiment(synthesize_profile(params, 256), eps=0.0,
+                              horizon_periods=1.0, N=256, n_samples=10)
+        assert diag.outcome == "completed", params
+        assert diag.max_rho < 1e-8, params

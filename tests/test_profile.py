@@ -1,16 +1,23 @@
 import dataclasses
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.polynomial import chebyshev
+from scipy.fft import dct
 
 from bchwaves import (NotInExistenceSet, WaveParameters, critical_points,
                       equilibrium_profile, eval_potential, period,
                       period_by_shooting, profile_residuals,
                       synthesize_profile, turning_points)
 from bchwaves.potential import a_max
-from bchwaves.profile import (_build_half_period_map, _invert_half_period,
+from bchwaves.profile import (_INVERSION_TABLE, _build_half_period_map,
+                              _invert_half_period, _lobatto_theta, _noise_cut,
                               _wave_integrals, profile_header,
                               turning_point_data, write_profile_csv)
+
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 
 
 def bisect(f, lo, hi, tol=1e-14):
@@ -212,3 +219,131 @@ def test_half_period_inversion_residual(ref_params, which):
                          - np.polynomial.chebyshev.chebval(-1.0, A))
     assert np.max(np.abs(xi - (half - x))) <= 1e-13 * half
     assert np.all(np.diff(theta) < 0.0)
+
+
+def _invert_by_chebval_newton(map_, x_targets):
+    """Oracle route for _invert_half_period: a linear interpolation of the
+    Lobatto table of xi as first guess, then Newton on the exact series,
+    evaluating xi and G by Clenshaw recurrence at every iterate."""
+    A = map_.coeff_antideriv
+    A_left = chebyshev.chebval(-1.0, A)
+    targets = map_.half_period - x_targets
+    m = max(_INVERSION_TABLE, A.size - 1)
+    padded = np.zeros(m + 1)
+    padded[:A.size] = A
+    padded[1:-1] *= 0.5
+    xi_table = 0.25 * np.pi * (dct(padded, type=1) - A_left)
+    theta = np.interp(targets, xi_table[::-1], _lobatto_theta(m)[::-1])
+    both = np.zeros((A.size, 2))
+    both[:, 0] = A
+    both[:map_.coeff_integrand.size, 1] = map_.coeff_integrand
+    for _ in range(6):
+        xi_raw, dxi = chebyshev.chebval(4.0 * theta / np.pi - 1.0, both)
+        res = 0.25 * np.pi * (xi_raw - A_left) - targets
+        new = np.clip(theta - res / dxi, 0.0, 0.5 * np.pi)
+        done = float(np.max(np.abs(new - theta))) <= 1e-15
+        theta = new
+        if done:
+            break
+    return theta
+
+
+# near-saddle E, near-peakon a, and b at both ends of the range
+INVERSION_GRID = [(b, a_frac, e_frac) for b in (1.05, 2.0, 6.0)
+                  for a_frac in (0.5, 0.995) for e_frac in (1e-3, 0.5, 0.9999)]
+
+
+def _check_inversion(hp_map):
+    x = np.arange(257) * (2.0 * hp_map.half_period / 512)
+    theta = _invert_half_period(hp_map, x)
+    assert np.max(np.abs(theta - _invert_by_chebval_newton(hp_map, x))) <= 1e-14
+
+
+@pytest.mark.parametrize("b,a_frac,e_frac", INVERSION_GRID)
+def test_inversion_matches_chebval_newton(b, a_frac, e_frac):
+    params = _well_point(b, a_frac, e_frac)
+    tp = turning_point_data(params)
+    T_gauss, _, change = _wave_integrals(params, (None,), tp)
+    _check_inversion(_build_half_period_map(params, tp, float(T_gauss[0, 0]), change))
+
+
+def test_inversion_matches_chebval_newton_past_table():
+    # synthesis accepts the map at level 4096 (degree 4097) here, after a
+    # Gauss doubling to 16384 nodes that takes ~10 s; build that level
+    # directly and check it loosely against the shooting period (at this
+    # small amplitude the map's period is 2.2e-8 relative off the mpmath one)
+    params = _well_point(6.0, 0.995, 1e-4)
+    hp_map = _build_half_period_map(params, turning_point_data(params),
+                                    period_by_shooting(params), 1e-7,
+                                    n_start=4096, n_max=4096)
+    assert hp_map.coeff_antideriv.size - 1 == 4097 > _INVERSION_TABLE
+    _check_inversion(hp_map)
+
+
+def _noise_cut_loop(mag):
+    """Oracle route for _noise_cut: the window scan one k at a time."""
+    cutoff = 1e-13 * mag.max()
+    for k in range(1, mag.size - 8):
+        if np.all(mag[k:k + 8] < cutoff):
+            return k
+    return mag.size
+
+
+def test_noise_cut_matches_loop():
+    with open(REFERENCE, encoding="utf-8") as fh:
+        panel = json.load(fh)["panel"]
+    cuts = []
+    for point in panel:
+        params = WaveParameters(point["b"], point["a"], point["E"], point["c"])
+        prof = synthesize_profile(params, 512)
+        # the unfiltered samples, rebuilt from the synthesis' own theta
+        half = prof.N // 2
+        phi_half = prof.phi_min + (prof.phi_max - prof.phi_min) * np.sin(prof.theta) ** 2
+        phi_half[0], phi_half[half] = prof.phi_max, prof.phi_min
+        ch = np.fft.rfft(np.concatenate([phi_half, phi_half[-2:0:-1]]))
+        k_cut = _noise_cut(np.abs(ch))
+        assert k_cut == _noise_cut_loop(np.abs(ch))
+        ch[k_cut:] = 0.0
+        assert np.array_equal(np.fft.irfft(ch, n=prof.N), prof.phi)
+        cuts.append(k_cut)
+    assert min(cuts) < 257  # the filter acts on the panel
+    # no quiet window; one only in the last 8 modes, which is not scanned;
+    # one in the last window that is
+    loud = np.ones(257)
+    tail = np.concatenate([np.ones(249), np.zeros(8)])
+    last = np.concatenate([np.ones(248), np.zeros(8), np.ones(1)])
+    for mag, want in ((loud, 257), (tail, 257), (last, 248)):
+        assert _noise_cut(mag) == _noise_cut_loop(mag) == want
+
+
+def test_turning_point_memo(ref_params):
+    fresh = turning_point_data.__wrapped__
+    assert turning_point_data(ref_params) == fresh(ref_params)
+    assert turning_point_data(ref_params) is turning_point_data(ref_params)
+    other = dataclasses.replace(ref_params, E=0.08)
+    assert turning_point_data(other) == fresh(other)
+    assert turning_point_data(other) != turning_point_data(ref_params)
+    assert turning_point_data(ref_params) == fresh(ref_params)
+
+
+def test_turning_points_once_per_point(ref_params):
+    """A sweep row and a full certificate each find the roots once."""
+    from bchwaves import (assemble_operator, classify_stability,
+                          coercivity_probe, periodic_spectrum, proof_identities)
+    from bchwaves.cli import _sweep_row
+
+    turning_point_data.cache_clear()
+    row = _sweep_row({"index": 0, "b": ref_params.b, "a": ref_params.a,
+                      "e_mode": "abs", "e_val": ref_params.E, "c": ref_params.c},
+                     N=512, modes=64)
+    assert row["status"] == "ok"
+    assert turning_point_data.cache_info().misses == 1
+
+    turning_point_data.cache_clear()
+    classify_stability(ref_params)
+    prof = synthesize_profile(ref_params, 512)
+    coeffs = assemble_operator(prof)
+    periodic_spectrum(coeffs, M=128)
+    proof_identities(prof, coeffs=coeffs)
+    coercivity_probe(coeffs, prof, trials=16)
+    assert turning_point_data.cache_info().misses == 1
