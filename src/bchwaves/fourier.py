@@ -121,18 +121,26 @@ def circular_shift(v: np.ndarray, shift: float, period: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(v) * np.exp(-1j * kr * shift), n=n)
 
 
+def random_smooth_coeffs(n: int, rng: np.random.Generator, count: int,
+                         kmax: int) -> np.ndarray:
+    """rfft half-spectrum coefficients, shape (count, n // 2 + 1), of count
+    random real periodic fields with spectrum decaying like 1/(1 + k)^2 on
+    modes 1..kmax-1.  Row i holds what the i-th of count single-field draws
+    would give: real parts, imaginary parts, then the mean."""
+    z = rng.standard_normal((count, 2 * kmax - 1))
+    decay = 1.0 / (1.0 + np.arange(1, kmax)) ** 2
+    c = np.zeros((count, n // 2 + 1), dtype=complex)
+    c.real[:, 1:kmax] = z[:, :kmax - 1] * decay
+    c.imag[:, 1:kmax] = z[:, kmax - 1:-1] * decay
+    c.real[:, 0] = z[:, -1]
+    return c
+
+
 def random_smooth(n: int, rng: np.random.Generator, count: int,
                   kmax: int) -> np.ndarray:
-    """count random real periodic fields, shape (count, n), with spectrum
-    decaying like 1/(1 + k)^2 on modes 1..kmax-1, each scaled to unit sup
-    norm.  Row i holds the values that the i-th of count single-field
-    draws would give: real parts, imaginary parts, then the mean."""
-    z = rng.standard_normal((count, 2 * kmax - 1))
-    k = np.arange(1, kmax)
-    c = np.zeros((count, n // 2 + 1), dtype=complex)
-    c[:, 1:kmax] = (z[:, :kmax - 1] + 1j * z[:, kmax - 1:-1]) / (1.0 + k) ** 2
-    c[:, 0] = z[:, -1]
-    v = np.fft.irfft(c, n=n)
+    """count random real periodic fields, shape (count, n): the inverse
+    transforms of random_smooth_coeffs, each scaled to unit sup norm."""
+    v = np.fft.irfft(random_smooth_coeffs(n, rng, count, kmax), n=n)
     return v / np.max(np.abs(v), axis=-1, keepdims=True)
 
 
@@ -151,9 +159,16 @@ def orthonormalize(vectors, period: float) -> list[np.ndarray]:
     return basis
 
 
+def projection_coefficients(m: np.ndarray, orthonormal,
+                            period: float) -> np.ndarray:
+    """L2 inner products of m (one field or a (count, n) block) with each
+    member of an orthonormal set, over the last axis."""
+    u = np.asarray(orthonormal)
+    return (period / m.shape[-1]) * (m @ u.T)
+
+
 def project_out(m: np.ndarray, orthonormal, period: float) -> np.ndarray:
     """Remove the components along an orthonormal set from m, one field
     or a (count, n) block of fields."""
-    for u in orthonormal:
-        m = m - (period * np.mean(m * u, axis=-1, keepdims=True)) * u
-    return m
+    u = np.asarray(orthonormal)
+    return m - projection_coefficients(m, u, period) @ u

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.optimize import brentq
@@ -118,28 +119,35 @@ def _newton_polish(f, df, x0: float, steps: int = 2) -> float:
     return x
 
 
-def critical_points(params: WaveParameters) -> PotentialScan:
-    """Locate phi1 (local max of V) and phi2 (local min) by bracketed
-    root finding on g, then report V values and the distance of (a, E)
-    to the boundary of the existence region."""
-    b, a, c = params.b, params.a, params.c
+@lru_cache(maxsize=1)
+def _critical_values(b: float, a: float, c: float) -> tuple:
+    """phi1, phi2, a_max, V(phi1), V(phi2) for one (b, a, c), by bracketed
+    root finding on g and a Newton polish.  They do not depend on E, so a
+    sweep row's repeated existence checks share one scan."""
     if not (c > 0.0):
         raise NotInExistenceSet(f"c must be positive, got {c}")
     amax = a_max(b, c)
     if not (0.0 < a < amax):
         raise NotInExistenceSet(f"a outside (0, {amax!r}): got {a!r}")
 
+    params = WaveParameters(b=b, a=a, E=0.0, c=c)
     g = lambda phi: eval_g(phi, params)
     lo, mid, hi = _BRACKET_EPS * c, c / (b + 1.0), c * (1.0 - _BRACKET_EPS)
     phi1 = brentq(g, lo, mid, xtol=1e-15, rtol=9e-16)
     phi2 = brentq(g, mid, hi, xtol=1e-15, rtol=9e-16)
     phi1 = _newton_polish(g, lambda p: _dg(p, params), phi1)
     phi2 = _newton_polish(g, lambda p: _dg(p, params), phi2)
+    return (float(phi1), float(phi2), amax, eval_potential(phi1, params),
+            eval_potential(phi2, params))
 
-    V1 = eval_potential(phi1, params)
-    V2 = eval_potential(phi2, params)
-    margin = min(a, amax - a, params.E - V2, V1 - params.E)
-    return PotentialScan(phi1=float(phi1), phi2=float(phi2), a_max=amax,
+
+def critical_points(params: WaveParameters) -> PotentialScan:
+    """Locate phi1 (local max of V) and phi2 (local min), report their V
+    values and the distance of (a, E) to the boundary of the existence
+    region."""
+    phi1, phi2, amax, V1, V2 = _critical_values(params.b, params.a, params.c)
+    margin = min(params.a, amax - params.a, params.E - V2, V1 - params.E)
+    return PotentialScan(phi1=phi1, phi2=phi2, a_max=amax,
                          V_phi1=V1, V_phi2=V2, margin=margin)
 
 

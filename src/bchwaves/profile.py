@@ -452,7 +452,7 @@ def _build_half_period_map(params: WaveParameters, tp: TurningPointData,
     while True:
         G = math.sqrt(2.0) / np.sqrt(_W(_lobatto_theta(n), params, tp))
         a = _cheb_fit(G)
-        A = _cheb.chebint(a, lbnd=-1.0)
+        A = _cheb_integral(a)
         right, left = _cheb_ends(A)
         half = 0.25 * np.pi * float(right - left)
         if abs(2.0 * half - period_ref) <= tol:
@@ -466,9 +466,37 @@ def _build_half_period_map(params: WaveParameters, tp: TurningPointData,
 
 
 def _cheb_ends(coeffs: np.ndarray) -> tuple:
-    """Values at t = 1 and t = -1 of Chebyshev series along the first
+    """Values at t = 1 and t = -1 of Chebyshev series along the last
     axis, from T_k(1) = 1 and T_k(-1) = (-1)^k."""
-    return coeffs.sum(axis=0), coeffs[0::2].sum(axis=0) - coeffs[1::2].sum(axis=0)
+    return (coeffs.sum(axis=-1),
+            coeffs[..., 0::2].sum(axis=-1) - coeffs[..., 1::2].sum(axis=-1))
+
+
+def _cheb_integral(coeffs: np.ndarray) -> np.ndarray:
+    """Antiderivative of Chebyshev series along the last axis, zero at
+    t = -1: coefficient k >= 1 is (c_{k-1} - c_{k+1}) / (2k), with c_0
+    counted twice (numpy's chebint(c, lbnd=-1) without its loop)."""
+    n = coeffs.shape[-1]
+    padded = np.zeros(coeffs.shape[:-1] + (n + 2,))
+    padded[..., :n] = coeffs
+    padded[..., 0] *= 2.0
+    k2 = 2.0 * np.arange(1, n + 1)
+    out = np.zeros(coeffs.shape[:-1] + (n + 1,))
+    out[..., 1:] = padded[..., :n] / k2 - padded[..., 2:] / k2
+    out[..., 0] = -_cheb_ends(out)[1]
+    return out
+
+
+def _cheb_derivative(coeffs: np.ndarray) -> np.ndarray:
+    """Derivative of Chebyshev series along the last axis (degree >= 1):
+    coefficient k is 2 sum(j c_j) over j = k+1, k+3, ..., halved for
+    k = 0, one reverse cumulative sum per parity (numpy's chebder)."""
+    w = 2.0 * np.arange(1, coeffs.shape[-1]) * coeffs[..., 1:]
+    out = np.empty_like(w)
+    for start in (0, 1):
+        out[..., start::2] = np.cumsum(w[..., start::2][..., ::-1], axis=-1)[..., ::-1]
+    out[..., 0] *= 0.5
+    return out
 
 
 def _lobatto_values(coeffs: np.ndarray, m: int) -> np.ndarray:
@@ -497,7 +525,7 @@ def _invert_half_period(map_: _HalfPeriodMap, x_targets: np.ndarray) -> np.ndarr
     m = max(_INVERSION_TABLE, A.size - 1)
     xi = (0.25 * np.pi * (_lobatto_values(A, m) - A_left))[::-1]
     dxi = _lobatto_values(map_.coeff_integrand, m)[::-1]
-    d2xi = (4.0 / np.pi) * _lobatto_values(_cheb.chebder(map_.coeff_integrand), m)[::-1]
+    d2xi = (4.0 / np.pi) * _lobatto_values(_cheb_derivative(map_.coeff_integrand), m)[::-1]
     nodes = _lobatto_theta(m)[::-1]
 
     j = np.clip(np.searchsorted(xi, targets, side="right") - 1, 0, m - 1)
@@ -618,9 +646,9 @@ def _fixed_phase_derivatives(profile: WaveProfile) -> tuple[np.ndarray, np.ndarr
     h = _COMPLEX_STEP
 
     G_c = math.sqrt(2.0) / np.sqrt(_W(_lobatto_theta(profile.map_nodes), pc, tpc))
-    A_p = _cheb.chebint(_cheb_fit(G_c.imag / h), lbnd=-1.0, axis=-1).T
+    A_p = _cheb_integral(_cheb_fit(G_c.imag / h))
     A_right, A_left = _cheb_ends(A_p)
-    xi_p = 0.25 * np.pi * (_cheb.chebval(4.0 * theta / np.pi - 1.0, A_p) - A_left[:, None])
+    xi_p = 0.25 * np.pi * (_cheb.chebval(4.0 * theta / np.pi - 1.0, A_p.T) - A_left[:, None])
     T_p = 0.5 * np.pi * (A_right - A_left)
     s = np.arange(theta.size) / profile.N
     G = math.sqrt(2.0) / np.sqrt(_W(theta, params, tp))

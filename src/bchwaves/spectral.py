@@ -165,18 +165,32 @@ def hill_matrix(coeffs: OperatorCoefficients, M: int) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
-def modes_to_grid(vec: np.ndarray, coeffs: OperatorCoefficients) -> np.ndarray:
-    """Evaluate a mode-space eigenvector on the coefficient grid (real part,
-    L2-normalized)."""
-    M = (vec.shape[0] - 1) // 2
-    modes = np.arange(-M, M + 1)
-    kt = 2.0 * np.pi * modes / coeffs.T
-    v = np.real(np.exp(1j * np.outer(coeffs.x, kt)) @ vec)
-    nrm = fourier.l2_norm(v, coeffs.T)
-    if nrm == 0.0:
-        v = np.imag(np.exp(1j * np.outer(coeffs.x, kt)) @ vec)
-        nrm = fourier.l2_norm(v, coeffs.T)
-    return v / nrm
+def _ground_state(coeffs: OperatorCoefficients, M: int) -> tuple[float, np.ndarray]:
+    """Lowest periodic eigenvalue over modes -M..M and its eigenfunction as
+    rfft coefficients on the coefficient grid, L2-normalized.
+
+    The coefficients are even, so the Hill matrix H maps cosine series to
+    cosine series, and the ground state (simple and free of zeros, hence
+    even) is the lowest eigenvector of the cosine block over the basis
+    1, sqrt(2) cos(kt x), k = 1..M:
+
+        C[j, k] = H[j, k] + H[j, -k],   row and column 0 divided by sqrt(2).
+
+    C is graded, its diagonal growing like kt^2 toward the bottom right.
+    The upper-triangle tridiagonal reduction (lower=False) starts from that
+    corner and keeps the eigenvector accurate to ~1e-14; starting from the
+    top left loses ~1e-11 at M = 128.
+    """
+    H = hill_matrix(coeffs, M)
+    C = H[M:, M:] + H[M:, M::-1]
+    C[0] /= np.sqrt(2.0)
+    C[:, 0] /= np.sqrt(2.0)
+    w, g = scipy.linalg.eigh(C, lower=False, subset_by_index=[0, 0])
+    n = coeffs.p.shape[0]
+    ground = np.zeros(n // 2 + 1, dtype=complex)
+    ground[:M + 1] = g[:, 0] * (n / np.sqrt(2.0 * coeffs.T))
+    ground[0] *= np.sqrt(2.0)
+    return float(w[0]), ground
 
 
 def operator_scale(coeffs: OperatorCoefficients) -> float:
@@ -308,30 +322,46 @@ def proof_identities(profile: WaveProfile,
 def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
                      trials: int = 1000, seed: int = 0,
                      project: bool = True) -> ProbeReport:
-    """Minimum H^1 Rayleigh quotient of the operator over random smooth
-    directions.
+    """Minimum H^1 Rayleigh quotient of the operator over smooth directions.
 
-    With project=True the directions are first projected onto the
-    orthogonal complement of {dF1/dm, dF2/dm, mu_x} (the constrained
-    subspace where coercivity is claimed); a strictly positive minimum
-    certifies it at probe resolution.  The trial set always includes the
-    spectral ground state and the constant direction, so an unconstrained
-    probe (project=False) reliably finds the negative direction.
+    The candidates are the spectral ground state (from the Hill cosine
+    block, see _ground_state), the constant direction, and random smooth
+    fields from fourier.random_smooth_coeffs, trials in all; an
+    unconstrained probe (project=False) therefore reliably finds the
+    negative direction.  With project=True each candidate is first
+    projected onto the orthogonal complement of {dF1/dm, dF2/dm, mu_x},
+    the constrained subspace where coercivity is claimed; a strictly
+    positive minimum certifies it at probe resolution only.
 
-    The directions are processed in blocks of _PROBE_BLOCK rows: each
-    block is drawn at once, projected, mapped through the operator and
-    its quotients <L m, m> / ||m||_{H^1}^2 formed together.  The first
-    block leads with the ground state and the constant direction.
+    Candidates go in blocks of _PROBE_BLOCK rows, the first led by the two
+    fixed ones.  One inverse FFT of a block's stacked rfft coefficients
+    [c, ik c] gives the values v and the derivatives v', and the projection
+    acts on v' through the derivatives of the basis.  The quotient is
+    formed on the grid,
+
+        <L v, v> = (T/N) sum(p v'^2 + symmetric_r v^2),
+        ||v||_{H^1}^2 = (T/N) sum(v^2 + v'^2),
+
+    which equals <apply_operator(v), v> because the spectral derivative is
+    skew-adjoint in the grid inner product.  Each row counts as scaled to
+    unit sup norm before projection; the quotient does not see the scale,
+    so only the skip of rows with ||v||_{H^1}^2 <= 1e-20 uses it.
     """
-    params = profile.params
-    b, T, n = params.b, profile.T, profile.N
-    dF1 = delta_F1(profile.mu, b)
-    dF2 = delta_F2(profile.mu, profile.dmu, profile.d2mu, b)
-    basis = fourier.orthonormalize((dF1, dF2, profile.dmu), T)
+    b, T, n = profile.params.b, profile.T, profile.N
+    deriv = fourier.rfft_tools(n, T)[1]
+    if project:
+        dF1 = delta_F1(profile.mu, b)
+        dF2 = delta_F2(profile.mu, profile.dmu, profile.d2mu, b)
+        basis = np.array(fourier.orthonormalize((dF1, dF2, profile.dmu), T))
+        d_basis = fourier.spectral_derivative(basis, T, 1)
 
-    _, ground = scipy.linalg.eigh(hill_matrix(coeffs, _default_modes(n)),
-                                  subset_by_index=[0, 0])
-    fixed = np.stack([modes_to_grid(ground[:, 0], coeffs), np.ones(n)])
+    fixed = np.zeros((2, n // 2 + 1), dtype=complex)
+    fixed[0] = _ground_state(coeffs, _default_modes(n))[1]
+    fixed[1, 0] = n  # the constant direction
+
+    # reused by every block: allocating them per block cost ~1/3 of the probe
+    pair_buf = np.empty((2, _PROBE_BLOCK, n // 2 + 1), dtype=complex)
+    vd_buf = np.empty((2, _PROBE_BLOCK, n))
 
     rng = np.random.default_rng(seed)
     n_total = len(fixed) + max(trials - len(fixed), 0)
@@ -340,20 +370,27 @@ def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
     evaluated = 0
     for start in range(0, n_total, _PROBE_BLOCK):
         stop = min(start + _PROBE_BLOCK, n_total)
-        block = fourier.random_smooth(n, rng, stop - max(start, len(fixed)),
-                                      n // 3)
+        c = fourier.random_smooth_coeffs(n, rng, stop - max(start, len(fixed)),
+                                         n // 3)
         if start == 0:
-            block = np.concatenate([fixed, block])
+            c = np.concatenate([fixed, c])
+        pair, vd = pair_buf[:, :stop - start], vd_buf[:, :stop - start]
+        pair[0] = c
+        np.multiply(c, deriv, out=pair[1])
+        v, dv = np.fft.irfft(pair, n=n, out=vd)
+        sup = np.max(np.abs(v), axis=-1)
         if project:
-            block = fourier.project_out(block, basis, T)
-        h1 = fourier.h1_norm_sq(block, T)
-        keep = h1 > 1e-20
-        block, h1 = block[keep], h1[keep]
-        evaluated += block.shape[0]
-        if not block.shape[0]:
-            continue
-        q = T * np.mean(apply_operator(coeffs, block) * block, axis=-1) / h1
-        min_q = min(min_q, float(np.min(q)))
-        n_negative += int(np.sum(q < 0.0))
+            coef = fourier.projection_coefficients(v, basis, T)
+            v -= coef @ basis
+            dv -= coef @ d_basis
+        vd *= vd
+        h1 = (T / n) * np.sum(vd, axis=(0, -1))
+        keep = h1 > 1e-20 * sup**2
+        quad = (T / n) * (vd[1] @ coeffs.p + vd[0] @ coeffs.symmetric_r)
+        q = quad[keep] / h1[keep]
+        evaluated += q.size
+        if q.size:
+            min_q = min(min_q, float(np.min(q)))
+            n_negative += int(np.sum(q < 0.0))
     return ProbeReport(min_quotient=float(min_q), n_negative=n_negative,
                        trials=evaluated, projected=project)

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from bchwaves import (WaveParameters, assemble_operator, critical_points,
                       synthesize_profile)
 from bchwaves.profile import turning_point_data
 
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 B_VALUES = (1.5, 2.0, 2.5, 3.0, 4.0)
 # keep acceptance samples clear of the peakon limit c - phi_max -> 0, where
 # one period stops being resolvable at the contracted grid size
@@ -54,3 +58,12 @@ def ref_profile(ref_params):
 @pytest.fixture(scope="session")
 def ref_coeffs(ref_profile):
     return assemble_operator(ref_profile)
+
+
+@pytest.fixture(scope="session")
+def reference_points() -> dict:
+    """The high-precision reference of the benchmark: "panel" holds the 13
+    certify points and "sweep" the README grid rows, each a dict of
+    b, a, E, c and the reference values."""
+    with open(REFERENCE, encoding="utf-8") as fh:
+        return json.load(fh)

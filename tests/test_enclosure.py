@@ -6,20 +6,14 @@ with mpmath at 30 and 45 digits without importing bchwaves; only the
 digits on which both precisions agree are stored.
 """
 
-import json
-from pathlib import Path
-
 from bchwaves import WaveParameters, parameter_jacobians
 
-REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 PAIRS = (("J_T_omega1", "err_J_T_omega1"), ("J_T_F1", "err_J_T_F1"),
          ("J3", "err_J3"))
 
 
-def test_error_bounds_enclose_reference():
-    with open(REFERENCE, encoding="utf-8") as fh:
-        ref = json.load(fh)
-    points = ref["panel"] + ref["sweep"]
+def test_error_bounds_enclose_reference(reference_points):
+    points = reference_points["panel"] + reference_points["sweep"]
     assert len(points) == 85
     misses = []
     for point in points:

@@ -45,3 +45,40 @@ def test_circular_shift_matches_full_fft(n):
         got = fourier.circular_shift(v, shift, period)
         want = _circular_shift_full(v, shift, period)
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(v))
+
+
+@pytest.mark.parametrize("n", [512, 511])
+def test_spectral_derivative_skew_adjoint(n):
+    """<Dv, w> = -<v, Dw> in the grid inner product, on white noise that
+    fills every mode up to Nyquist; the coercivity probe's grid quotient
+    relies on it."""
+    T = 7.3
+    v, w = np.random.default_rng(n).standard_normal((2, n))
+    Dv, Dw = fourier.spectral_derivative(np.stack([v, w]), T, 1)
+    lhs, rhs = fourier.l2_inner(Dv, w, T), -fourier.l2_inner(v, Dw, T)
+    scale = fourier.l2_norm(Dv, T) * fourier.l2_norm(w, T)
+    assert abs(lhs - rhs) <= 1e-13 * scale
+
+
+def test_random_smooth_is_the_scaled_transform_of_its_coefficients():
+    coeffs = fourier.random_smooth_coeffs(256, np.random.default_rng(5), 4, 85)
+    v = np.fft.irfft(coeffs, n=256)
+    fields = fourier.random_smooth(256, np.random.default_rng(5), 4, 85)
+    assert np.array_equal(fields, v / np.max(np.abs(v), axis=-1, keepdims=True))
+
+
+def test_project_out_matches_sequential_projection():
+    T, n = 3.0, 128
+    rng = np.random.default_rng(8)
+    basis = fourier.orthonormalize(rng.standard_normal((3, n)), T)
+    block = rng.standard_normal((5, n))
+    coef = fourier.projection_coefficients(block, basis, T)
+    assert coef.shape == (5, 3)
+    want = block.copy()
+    for u in basis:
+        want -= (T * np.mean(want * u, axis=-1, keepdims=True)) * u
+    got = fourier.project_out(block, basis, T)
+    assert np.allclose(got, want, rtol=0, atol=1e-14)
+    assert np.max(np.abs(fourier.projection_coefficients(got, basis, T))) < 1e-14
+    assert np.allclose(fourier.project_out(block[0], basis, T), got[0],
+                       rtol=0, atol=1e-15)

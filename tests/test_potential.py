@@ -148,3 +148,29 @@ def test_amax_monotone_in_c():
     for b in (1.5, 2.0, 3.0, 4.0):
         vals = [a_max(b, c) for c in cs]
         assert np.all(np.diff(vals) > 0)
+
+
+def test_critical_points_memo(ref_params):
+    from bchwaves.potential import _critical_values
+    key = (ref_params.b, ref_params.a, ref_params.c)
+    assert _critical_values(*key) == _critical_values.__wrapped__(*key)
+    # the memo holds the E-independent scan; the margin follows E
+    other = WaveParameters(b=2.0, a=0.1, E=0.08, c=1.0)
+    assert critical_points(other).phi1 == critical_points(ref_params).phi1
+    assert critical_points(other).margin != critical_points(ref_params).margin
+
+
+@pytest.mark.parametrize("e_mode,e_val,status", [
+    ("frac", 0.1, "ok"), ("frac", 0.9, "ok"), ("abs", 0.09, "ok"),
+    ("abs", 0.2, "NotInExistenceSet")])
+def test_critical_points_scan_once_per_sweep_row(e_mode, e_val, status):
+    """The E-fraction, the existence check and the turning points of one
+    sweep row share one root search, also when the row is refused."""
+    from bchwaves.cli import _sweep_row
+    from bchwaves.potential import _critical_values
+
+    _critical_values.cache_clear()
+    row = _sweep_row({"index": 0, "b": 2.0, "a": 0.1, "e_mode": e_mode,
+                      "e_val": e_val, "c": 1.0}, N=256, modes=64)
+    assert row["status"].split(":")[0] == status
+    assert _critical_values.cache_info().misses == 1

@@ -1,6 +1,4 @@
 import dataclasses
-import json
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,11 +11,10 @@ from bchwaves import (NotInExistenceSet, WaveParameters, critical_points,
                       synthesize_profile, turning_points)
 from bchwaves.potential import a_max
 from bchwaves.profile import (_INVERSION_TABLE, _build_half_period_map,
+                              _cheb_derivative, _cheb_integral,
                               _invert_half_period, _lobatto_theta, _noise_cut,
                               _wave_integrals, profile_header,
                               turning_point_data, write_profile_csv)
-
-REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 
 
 def bisect(f, lo, hi, tol=1e-14):
@@ -280,6 +277,21 @@ def test_inversion_matches_chebval_newton_past_table():
     _check_inversion(hp_map)
 
 
+@pytest.mark.parametrize("shape", [(2,), (3,), (4,), (257,), (4098,), (3, 257)])
+def test_chebyshev_helpers_match_numpy(shape):
+    """Degrees 1, 2, 3, 256 and 4097, and a stack of three series as the
+    fixed-phase derivatives pass; the scale is the same operation on |c|,
+    the size of the terms that rounding acts on."""
+    c = np.random.default_rng(shape[-1]).standard_normal(shape)
+    for mine, numpy_op in (
+            (_cheb_integral, lambda a: chebyshev.chebint(a, lbnd=-1.0, axis=-1)),
+            (_cheb_derivative, lambda a: chebyshev.chebder(a, axis=-1))):
+        got, want = mine(c), numpy_op(c)
+        assert got.shape == want.shape
+        scale = np.max(np.abs(numpy_op(np.abs(c))))
+        assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
 def _noise_cut_loop(mag):
     """Oracle route for _noise_cut: the window scan one k at a time."""
     cutoff = 1e-13 * mag.max()
@@ -289,11 +301,9 @@ def _noise_cut_loop(mag):
     return mag.size
 
 
-def test_noise_cut_matches_loop():
-    with open(REFERENCE, encoding="utf-8") as fh:
-        panel = json.load(fh)["panel"]
+def test_noise_cut_matches_loop(reference_points):
     cuts = []
-    for point in panel:
+    for point in reference_points["panel"]:
         params = WaveParameters(point["b"], point["a"], point["E"], point["c"])
         prof = synthesize_profile(params, 512)
         # the unfiltered samples, rebuilt from the synthesis' own theta

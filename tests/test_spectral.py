@@ -1,14 +1,29 @@
 import numpy as np
 import pytest
 
-from bchwaves import (DiscretizationNotConverged, apply_operator,
-                      assemble_operator, coercivity_probe,
+from bchwaves import (DiscretizationNotConverged, WaveParameters,
+                      apply_operator, assemble_operator, coercivity_probe,
                       equilibrium_profile, hill_matrix, kernel_residual,
                       multipliers, periodic_spectrum, proof_identities,
                       synthesize_profile)
 from bchwaves import fourier
 from bchwaves.invariants import delta_F1, delta_F2
-from bchwaves.spectral import SECOND_VARIATION_SCALE, modes_to_grid
+from bchwaves.spectral import SECOND_VARIATION_SCALE, _ground_state
+
+
+def modes_to_grid(vec, coeffs):
+    """Oracle: a mode-space eigenvector of hill_matrix over modes -M..M
+    evaluated on the coefficient grid by a dense exponential sum (real
+    part, L2-normalized)."""
+    M = (vec.shape[0] - 1) // 2
+    kt = 2.0 * np.pi * np.arange(-M, M + 1) / coeffs.T
+    waves = np.exp(1j * np.outer(coeffs.x, kt))
+    v = np.real(waves @ vec)
+    nrm = fourier.l2_norm(v, coeffs.T)
+    if nrm == 0.0:
+        v = np.imag(waves @ vec)
+        nrm = fourier.l2_norm(v, coeffs.T)
+    return v / nrm
 
 
 def _coercivity_probe_loop(coeffs, profile, trials, seed, project):
@@ -196,3 +211,39 @@ def test_h1_norm_sq_block_matches_full_spectrum(ref_profile):
                                  * np.abs(np.fft.fft(v) / n) ** 2)) for v in block]
         assert np.allclose(fourier.h1_norm_sq(block, T), full, rtol=1e-13, atol=0)
         assert fourier.h1_norm_sq(block[0], T) == pytest.approx(full[0], rel=1e-13)
+
+
+@pytest.fixture(scope="module")
+def panel_operators(reference_points):
+    """Profile and operator coefficients (N = 512) at the 13 certify-panel
+    points."""
+    out = []
+    for point in reference_points["panel"]:
+        prof = synthesize_profile(WaveParameters(point["b"], point["a"],
+                                                 point["E"], point["c"]), 512)
+        out.append((prof, assemble_operator(prof)))
+    return out
+
+
+@pytest.mark.parametrize("project", [True, False])
+def test_block_probe_matches_loop_on_panel(panel_operators, project):
+    for prof, coeffs in panel_operators:
+        probe = coercivity_probe(coeffs, prof, trials=300, seed=3,
+                                 project=project)
+        min_q, n_negative, evaluated = _coercivity_probe_loop(
+            coeffs, prof, 300, 3, project)
+        assert (probe.trials, probe.n_negative) == (evaluated, n_negative)
+        assert abs(probe.min_quotient - min_q) <= 1e-11 * abs(min_q)
+
+
+def test_cosine_block_ground_state(panel_operators):
+    """The ground state from the folded cosine block against the full
+    Hill matrix over modes -128..128."""
+    for prof, coeffs in panel_operators:
+        lam, ground = _ground_state(coeffs, 128)
+        evals, evecs = np.linalg.eigh(hill_matrix(coeffs, 128))
+        assert abs(lam - evals[0]) <= 1e-9 * abs(evals[0])
+        want = modes_to_grid(evecs[:, 0], coeffs)
+        got = np.fft.irfft(ground, n=prof.N)
+        assert fourier.l2_norm(got, prof.T) == pytest.approx(1.0, abs=1e-12)
+        assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) <= 1e-9
