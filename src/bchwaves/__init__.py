@@ -21,9 +21,8 @@ from .potential import (ExistenceResult, PotentialScan, WaveParameters, a_max,
                         critical_points, eval_g, eval_potential,
                         existence_check)
 from .profile import (ProfileResiduals, WaveProfile, equilibrium_profile,
-                      period, period_by_shooting, profile_residuals,
-                      synthesize_profile, turning_points, wave_integral,
-                      write_profile_csv)
+                      period, profile_residuals, synthesize_profile,
+                      turning_points, wave_integral, write_profile_csv)
 from .spectral import (SECOND_VARIATION_SCALE, OperatorCoefficients,
                        ProbeReport, ProofIdentityReport, SpectralReport,
                        apply_operator, assemble_operator, coercivity_probe,

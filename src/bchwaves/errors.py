@@ -22,7 +22,8 @@ class NotInExistenceSet(BchWavesError):
 
 class QuadratureFailure(BchWavesError):
     """Desingularized period integrand is not finite/positive, or the
-    adaptive Gauss rule failed to converge."""
+    nested Lobatto (Clenshaw-Curtis) rule did not converge by its last
+    level."""
 
 
 class ConvergenceFailure(BchWavesError):

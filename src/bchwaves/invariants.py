@@ -13,8 +13,8 @@ E - omega1 F1 - omega2 F2 are
     omega1 = (b-1) (2E + c^2) / (2 a^(1/b)),    omega2 = a^(1/b) (b-1) / 2.
 
 Parameter gradients of (T, F1, F2) are complex-step derivatives of their
-Gauss sums, bounded by the change over the last node doubling; omega
-gradients are closed forms.
+Clenshaw-Curtis sums on the profile's nested Lobatto levels, bounded by
+the change over the last level doubling; omega gradients are closed forms.
 Stability classification uses the sign data
 
     {T, omega1}_{E,c} > 0   (one negative direction of the second
@@ -39,19 +39,14 @@ from .errors import FDUnreliable, RouteMismatch
 from .potential import WaveParameters, _cpow
 from .profile import (_COMPLEX_STEP, _REL_TOL, ProfileResiduals, WaveProfile,
                       _complex_steps, _complex_turning_points,
-                      _fixed_phase_derivatives, _wave_integrals,
-                      profile_residuals, synthesize_profile,
-                      turning_point_data, wave_integral)
+                      _fixed_phase_derivatives, profile_residuals,
+                      synthesize_profile, turning_point_data, wave_integral)
 
 CLASS_STABLE = "StableCriteriaMet"
 CLASS_DEGENERATE = "TrichotomyCase_ii"
 CLASS_TWO_NEGATIVE = "TwoNegativeDirections"
 CLASS_PRODUCT_FAIL = "ProductSignFail"
 CLASS_OUT_OF_SCOPE = "OutOfScope"
-# Gauss nodes at which the gradient doubling gives up: well-conditioned
-# points converge by 128, while next to the well bottom the amplitude's
-# E-derivative amplifies the rounding of E - V and no level converges
-_GRADIENT_NODES_MAX = 4096
 
 
 @dataclass(frozen=True)
@@ -180,12 +175,6 @@ def _F1F2_integrands(params) -> tuple:
             lambda phi, P: (2.0 * P / (c - phi) + (c - phi)) / a1b)
 
 
-def _quadrature_F1F2(params: WaveParameters, tp=None) -> tuple[float, float]:
-    F1, F2 = (wave_integral(params, integrand=f, tp=tp)
-              for f in _F1F2_integrands(params))
-    return F1, F2
-
-
 def conserved_quantities(profile: WaveProfile,
                          inv: InvariantSet | None = None) -> tuple[float, float]:
     """Restricted invariants F1, F2 by two routes: the periodic trapezoid
@@ -200,7 +189,10 @@ def conserved_quantities(profile: WaveProfile,
     F2_grid = fourier.grid_integral(dens2, T)
     if profile.phi_max == profile.phi_min:  # constant state: grid route is exact
         return F1_grid, F2_grid
-    F1_quad, F2_quad = _quadrature_F1F2(p) if inv is None else (inv.F1, inv.F2)
+    if inv is None:
+        F1_quad, F2_quad = map(float, wave_integral(p, _F1F2_integrands(p)).values[:, 0])
+    else:
+        F1_quad, F2_quad = inv.F1, inv.F2
     for name, g, q in (("F1", F1_grid, F1_quad), ("F2", F2_grid, F2_quad)):
         if abs(g - q) > 1e-5 * abs(q):
             raise RouteMismatch(
@@ -211,14 +203,14 @@ def conserved_quantities(profile: WaveProfile,
 def restricted_invariants(params: WaveParameters) -> InvariantSet:
     """T, F1, F2, the multipliers, and all parameter gradients.
 
-    The gradients are complex-step derivatives of the Gauss sums of T, F1
-    and F2, doubled until values and gradients have both converged.  Each
-    entry's error bound is the larger of its change over the last doubling
-    and 10 rel_tol times the entry."""
+    The gradients are complex-step derivatives of the Clenshaw-Curtis
+    sums of T, F1 and F2, one wave_integral whose Lobatto levels double
+    until values and gradients have both converged.  Each entry's error
+    bound is the larger of its change over the last doubling and
+    10 _REL_TOL times the entry."""
     pc = _complex_steps(params)
     tpc = _complex_turning_points(pc, turning_point_data(params))
-    value, previous, _ = _wave_integrals(pc, (None, *_F1F2_integrands(pc)), tpc,
-                                         n_max=_GRADIENT_NODES_MAX)
+    value, previous, _ = wave_integral(pc, (None, *_F1F2_integrands(pc)), tpc)
     grad = value.imag / _COMPLEX_STEP
     err = np.maximum(np.abs(value.imag - previous.imag) / _COMPLEX_STEP,
                      10.0 * _REL_TOL * np.abs(grad))

@@ -13,9 +13,20 @@ phi = phi_min + A sin^2(theta) (A = phi_max - phi_min) removes them:
     W = (E - V(phi)) / ((phi - phi_min)(phi_max - phi)).
 
 W extends smoothly to the endpoints, where it equals -V'(phi_min)/A and
-+V'(phi_max)/A.  Near the turning points E - V(phi) is evaluated in an
-anchored form (exact factor differences, expm1/log1p for the power term)
-to avoid catastrophic cancellation.
++V'(phi_max)/A.  E - V(phi) is evaluated as V(root) - V(phi) anchored at
+the nearer turning point (exact factor differences, expm1/log1p for the
+power term) to avoid catastrophic cancellation.  The double-precision
+roots are taken as exact: adding back their residual E - V(root), which
+is rounding noise, would give W a spurious 1/sin^2 or 1/cos^2 term at the
+ends.
+
+One quadrature rule serves T, the restricted invariants and the profile:
+Clenshaw-Curtis on nested Chebyshev-Lobatto levels in t = 4 theta/pi - 1.
+Each doubling of the level samples the integrand at the new nodes only,
+one DCT-I gives its Chebyshev coefficients a_k, and the integral is the
+sum of 2 a_k / (1 - k^2) over even k (Trefethen, SIAM Rev. 50, 2008).  The
+doubling stops when the integrals change by at most _REL_TOL between
+levels, and refuses the point past _LEVEL_MAX.
 
 Every step from (a, E, c) to these integrals and to x(theta) is analytic,
 so parameter derivatives are taken by complex step: one evaluation at
@@ -25,16 +36,17 @@ SIAM Rev. 40, 1998; Martins, Sturdza & Alonso, ACM TOMS 29, 2003).  The
 three steps travel together as one _Params column, since WaveParameters
 is real.
 
-Profile synthesis builds the half-period map x(theta) as a Chebyshev
-antiderivative of the desingularized integrand and inverts it in theta,
-where the map has a strictly positive derivative.  Values of a Chebyshev
-series at Chebyshev-Lobatto points come from one DCT-I, and its values at
-t = +-1 are plain and alternating coefficient sums (T_k(+-1) = (+-1)^k;
-Trefethen, Approximation Theory and Approximation Practice, SIAM 2013,
-ch. 3).  So the map, its derivative and its second derivative are
-tabulated at Lobatto points, and each grid sample is found by Newton
-iteration on the quintic Hermite interpolant of the table interval that
-holds it; one evaluation of the exact series then checks the residual.
+Profile synthesis takes the half-period map x(theta) as the Chebyshev
+antiderivative of the accepted level's fit of the integrand, the fit that
+gives T, and inverts it in theta, where the map has a strictly positive
+derivative.  Values of a Chebyshev series at Chebyshev-Lobatto points
+come from one DCT-I, and its values at t = +-1 are plain and alternating
+coefficient sums (T_k(+-1) = (+-1)^k; Trefethen, Approximation Theory and
+Approximation Practice, SIAM 2013, ch. 3).  So the map, its derivative
+and its second derivative are tabulated at Lobatto points, and each grid
+sample is found by Newton iteration on the quintic Hermite interpolant of
+the table interval that holds it; one evaluation of the exact series then
+checks the residual.
 Grid derivatives are analytic: phi'' = phi - a/(c-phi)^b from the profile
 equation, phi' = -sqrt(2 (E - V)) on the decreasing half, and the
 momentum density mu = a/(c-phi)^b with
@@ -49,15 +61,13 @@ import csv
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import chebyshev as _cheb
 from scipy.fft import dct
-from scipy.integrate import solve_ivp
 from scipy.optimize import brentq
-from scipy.special import roots_legendre
 
 from . import fourier
 from .errors import ConvergenceFailure, NotInExistenceSet, QuadratureFailure
@@ -72,16 +82,17 @@ _INVERSION_TABLE = 2048
 # imaginary parameter step of the complex-step derivatives; any h far below
 # the double-precision resolution of the parameters gives the same result
 _COMPLEX_STEP = 1e-30
-# relative change between Gauss levels at which the node doubling stops
+# relative change between Lobatto levels at which the node doubling stops,
+# the level it starts from, and the level past which it refuses the point
 _REL_TOL = 1e-11
+_LEVEL_START = 64
+_LEVEL_MAX = 8192
 
 
 class TurningPointData(NamedTuple):
     phi_min: float
     phi_max: float
     amplitude: float
-    p_res_min: float  # E - V at the computed left root (roundoff residual)
-    p_res_max: float
     scan: PotentialScan
 
 
@@ -155,17 +166,6 @@ def _dV(phi, params: WaveParameters):
     return -phi + params.a / _cpow(params.c - phi, params.b)
 
 
-def _V_derivs(phi, params: WaveParameters) -> tuple:
-    """(V', V'', V''', V'''') at phi, closed forms."""
-    a, b, c = params.a, params.b, params.c
-    u = c - phi
-    d1 = -phi + a * _cpow(u, -b)
-    d2 = -1.0 + a * b * _cpow(u, -b - 1.0)
-    d3 = a * b * (b + 1.0) * _cpow(u, -b - 2.0)
-    d4 = a * b * (b + 1.0) * (b + 2.0) * _cpow(u, -b - 3.0)
-    return d1, d2, d3, d4
-
-
 def _log1p(z):
     """log1p that keeps the real part accurate under a complex step.
 
@@ -197,8 +197,6 @@ def turning_point_data(params: WaveParameters) -> TurningPointData:
         phi_min=float(lo),
         phi_max=float(hi),
         amplitude=float(hi - lo),
-        p_res_min=float(P(lo)),
-        p_res_max=float(P(hi)),
         scan=scan,
     )
 
@@ -216,7 +214,7 @@ def _complex_turning_points(params: _Params, tp: TurningPointData) -> TurningPoi
         lo = lo + P(lo) / _dV(lo, params)
         hi = hi + P(hi) / _dV(hi, params)
     return TurningPointData(phi_min=lo, phi_max=hi, amplitude=hi - lo,
-                            p_res_min=P(lo), p_res_max=P(hi), scan=tp.scan)
+                            scan=tp.scan)
 
 
 def turning_points(params: WaveParameters) -> tuple[float, float]:
@@ -225,98 +223,63 @@ def turning_points(params: WaveParameters) -> tuple[float, float]:
     return tp.phi_min, tp.phi_max
 
 
-# fraction of the amplitude near each turning point where the Taylor form
-# takes over: its truncation error grows as the fourth power of the zone
-# (1.4e-10 relative in T at 1e-3), while the anchored form's rounding grows
-# as the zone shrinks (worse again at 1e-5)
-_TAYLOR_ZONE = 1e-4
+def _potential_drop(d, root, params: WaveParameters):
+    """V(root) - V(root + d) without cancellation: exact factor differences
+    and expm1/log1p for the (c - phi)^(1-b) increment."""
+    a, b, u = params.a, params.b, params.c - root
+    return (d * (d + 2.0 * root) / 2.0
+            - (a / (b - 1.0)) * _cpow(u, 1.0 - b) * np.expm1((1.0 - b) * _log1p(-d / u)))
 
 
-def _samples_shape(tp: TurningPointData, theta: np.ndarray) -> tuple:
-    """Shape and dtype of per-sample values: one row per complex step."""
-    A = tp.amplitude
-    return np.broadcast_shapes(np.shape(A), theta.shape), np.result_type(A, theta)
+def _stable_P(s2: np.ndarray, c2: np.ndarray, params: WaveParameters,
+              tp: TurningPointData) -> np.ndarray:
+    """E - V(phi(theta)) without cancellation, from s2 = sin^2(theta) and
+    c2 = cos^2(theta), anchored at the nearer turning point.
 
-
-def _stable_P(theta: np.ndarray, params: WaveParameters, tp: TurningPointData) -> np.ndarray:
-    """E - V(phi(theta)) without cancellation near the turning points.
-
-    Mid-orbit the difference is anchored at the nearer turning point with
-    expm1/log1p handling the (c - phi)^(1-b) increment.  Within a small
-    relative distance of a turning point the anchored form loses digits
-    to rounding, so a fourth-order Taylor expansion of V about the
-    (machine-accurate) root takes over there.
+    Each anchored form treats its root as exact, so P vanishes at both
+    ends and W stays smooth there.  In floating point V(phi_min) and
+    V(phi_max) differ by rounding, delta; the left form is corrected by
+    -delta s2 and the right by +delta c2, which agree at every theta, so
+    the integrand has no jump where the anchor changes.
 
     Under a complex step (params from _complex_steps, tp from
     _complex_turning_points) the result has one row per step.
     """
-    a, b, c = params.a, params.b, params.c
-    A = tp.amplitude
-    s2 = np.sin(theta) ** 2
-    c2 = np.cos(theta) ** 2
-    out = np.empty(*_samples_shape(tp, s2))
-
-    left = (s2 <= 0.5) & (s2 > _TAYLOR_ZONE)
-    d = A * s2[left]  # phi - phi_min, exact in theta
-    u0 = c - tp.phi_min
-    pow_inc = _cpow(u0, 1.0 - b) * np.expm1((1.0 - b) * _log1p(-d / u0))
-    out[..., left] = tp.p_res_min + d * (d + 2.0 * tp.phi_min) / 2.0 - (a / (b - 1.0)) * pow_inc
-
-    right = (s2 > 0.5) & (c2 > _TAYLOR_ZONE)
-    dp = A * c2[right]  # phi_max - phi
-    u1 = c - tp.phi_max
-    pow_inc = _cpow(u1, 1.0 - b) * np.expm1((1.0 - b) * _log1p(dp / u1))
-    out[..., right] = tp.p_res_max - dp * (2.0 * tp.phi_max - dp) / 2.0 - (a / (b - 1.0)) * pow_inc
-
-    tl = s2 <= _TAYLOR_ZONE
-    if np.any(tl):
-        d = A * s2[tl]
-        v1, v2, v3, v4 = _V_derivs(tp.phi_min, params)
-        out[..., tl] = d * (-v1 - d * (v2 / 2.0 + d * (v3 / 6.0 + d * v4 / 24.0)))
-
-    tr = c2 <= _TAYLOR_ZONE
-    if np.any(tr):
-        dp = A * c2[tr]
-        v1, v2, v3, v4 = _V_derivs(tp.phi_max, params)
-        out[..., tr] = dp * (v1 - dp * (v2 / 2.0 - dp * (v3 / 6.0 - dp * v4 / 24.0)))
+    A, lo, hi = tp.amplitude, tp.phi_min, tp.phi_max
+    delta = _potential_drop(0.5 * A, lo, params) - _potential_drop(-0.5 * A, hi, params)
+    out = np.empty(np.broadcast_shapes(np.shape(A), s2.shape), np.result_type(A, s2))
+    left = s2 <= 0.5
+    out[..., left] = _potential_drop(A * s2[left], lo, params) - delta * s2[left]
+    right = ~left
+    out[..., right] = _potential_drop(-A * c2[right], hi, params) + delta * c2[right]
     return out
 
 
-def _W(theta: np.ndarray, params: WaveParameters, tp: TurningPointData) -> np.ndarray:
-    """Desingularized integrand core W(theta), positive on [0, pi/2]."""
+def _samples(theta: np.ndarray, params: WaveParameters,
+             tp: TurningPointData) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi(theta), E - V(phi) and the desingularized integrand
+    G = sqrt(2) W^(-1/2) at theta in [0, pi/2], where W takes its limit
+    values at the ends; one row per complex step."""
     theta = np.asarray(theta, dtype=float)
+    s2, c2 = np.sin(theta) ** 2, np.cos(theta) ** 2
     A = tp.amplitude
-    w = np.empty(*_samples_shape(tp, theta))
+    P = _stable_P(s2, c2, params, tp)
+    W = np.empty_like(P)
     interior = (theta > 0.0) & (theta < 0.5 * np.pi)
-    th = theta[interior]
-    w[..., interior] = _stable_P(th, params, tp) / (A**2 * np.sin(th) ** 2 * np.cos(th) ** 2)
-    w[..., theta <= 0.0] = -_dV(tp.phi_min, params) / A
-    w[..., theta >= 0.5 * np.pi] = _dV(tp.phi_max, params) / A
-    return w
-
-
-@lru_cache(maxsize=16)
-def _gauss_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
-    xi, w = roots_legendre(n)
-    return 0.25 * np.pi * (xi + 1.0), 0.25 * np.pi * w
-
-
-def _gauss_sums(n: int, params: WaveParameters, tp: TurningPointData,
-                integrands: tuple) -> np.ndarray:
-    """2 sqrt(2) times the n-node Gauss-Legendre sums of f(phi, P) W^(-1/2)
-    over theta in [0, pi/2], one row per f in integrands (None: f = 1),
-    with one entry per complex step (a single entry for real parameters)."""
-    theta, wts = _gauss_nodes(n)
-    A = tp.amplitude
-    P = _stable_P(theta, params, tp)
-    W = P / (A**2 * np.sin(theta) ** 2 * np.cos(theta) ** 2)
+    W[..., interior] = P[..., interior] / (A**2 * s2[interior] * c2[interior])
+    W[..., theta <= 0.0] = -_dV(tp.phi_min, params) / A
+    W[..., theta >= 0.5 * np.pi] = _dV(tp.phi_max, params) / A
     if not np.all(np.isfinite(W)) or np.any(W.real <= 0.0):
         raise QuadratureFailure("desingularized integrand is not finite and positive")
-    vals = 1.0 / np.sqrt(W)
-    phi = tp.phi_min + A * np.sin(theta) ** 2
-    sums = [np.sum(wts * (vals if f is None else vals * f(phi, P)), axis=-1)
-            for f in integrands]
-    return 2.0 * math.sqrt(2.0) * np.reshape(sums, (len(integrands), -1))
+    return tp.phi_min + A * s2, P, math.sqrt(2.0) / np.sqrt(W)
+
+
+def _integrand_samples(theta: np.ndarray, params: WaveParameters,
+                       tp: TurningPointData, integrands: tuple) -> np.ndarray:
+    """f(phi, P) G at theta, shape (len(integrands), complex steps, theta)."""
+    phi, P, G = _samples(theta, params, tp)
+    rows = [G if f is None else G * f(phi, P) for f in integrands]
+    return np.reshape(rows, (len(integrands), -1, theta.size))
 
 
 def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
@@ -330,81 +293,64 @@ def _relative_change(new: np.ndarray, old: np.ndarray) -> float:
     return worst
 
 
-def _wave_integrals(params: WaveParameters, integrands: tuple,
-                    tp: TurningPointData | None = None,
-                    rel_tol: float = _REL_TOL, n_start: int = 64,
-                    n_max: int = 16384) -> tuple[np.ndarray, np.ndarray, float]:
-    """Evaluate 2 sqrt(2) * Integral[ f(phi, P) * W^(-1/2), {theta, 0, pi/2} ]
-    for each f in integrands by Gauss-Legendre with node doubling until
-    the relative change drops below rel_tol.
+class WaveQuadrature(NamedTuple):
+    """2 Integral[f(phi, P) G, {theta, 0, pi/2}] for each integrand f at
+    the accepted Lobatto level and at the level before it, shape
+    (len(integrands), complex steps), and the Chebyshev coefficients of
+    f G at the accepted level, shape (len(integrands), complex steps,
+    level + 1)."""
+
+    values: np.ndarray
+    previous: np.ndarray
+    coeffs: np.ndarray
+
+
+def _clenshaw_curtis(coeffs: np.ndarray) -> np.ndarray:
+    """2 Integral[., {theta, 0, pi/2}] of Chebyshev series in
+    t = 4 theta / pi - 1: (pi / 2) sum of 2 a_k / (1 - k^2) over even k."""
+    k = np.arange(0, coeffs.shape[-1], 2)
+    return 0.5 * np.pi * (coeffs[..., ::2] @ (2.0 / (1.0 - k**2)))
+
+
+def wave_integral(params: WaveParameters, integrands: tuple = (None,),
+                  tp: TurningPointData | None = None) -> WaveQuadrature:
+    """2 sqrt(2) * Integral[ f(phi, P) * W^(-1/2), {theta, 0, pi/2} ] for
+    each f in integrands, by Clenshaw-Curtis on nested Lobatto levels.
 
     f = None (f = 1) gives the period; restricted conserved quantities use
-    their own densities f(phi, E - V(phi)).  Under a complex step the
-    real parts (the integrals) and the imaginary parts (h times their
-    derivatives) must both converge, each against its own row's largest
-    entry, so that a near-zero entry cannot stall the doubling.
-
-    Returns the accepted level, the level before it, and the relative
-    change between them.  Should the change grow again after falling
-    below 1e-9, rounding has set the floor and the previous level is
-    kept; past n_max the best level is kept if its change is below 1e-7.
+    their own densities f(phi, E - V(phi)).  Each doubling samples the
+    integrands at the new (odd) nodes only and interleaves them with the
+    previous level.  Under a complex step the real parts (the integrals)
+    and the imaginary parts (h times their derivatives) must both
+    converge, each against its own row's largest entry, so that a
+    near-zero entry cannot stall the doubling.  Past level _LEVEL_MAX the
+    point is refused with QuadratureFailure.
     """
     if tp is None:
         tp = turning_point_data(params)
-    n = n_start
-    levels = [_gauss_sums(n, params, tp, integrands)]
-    changes: list[float] = []
-    while n < n_max:
+    n = _LEVEL_START
+    samples = _integrand_samples(_lobatto_theta(n), params, tp, integrands)
+    values = _clenshaw_curtis(_cheb_fit(samples))
+    while True:
         n *= 2
-        levels.append(_gauss_sums(n, params, tp, integrands))
-        change = _relative_change(levels[-1], levels[-2])
-        changes.append(change)
-        if change <= rel_tol:
-            return levels[-1], levels[-2], change
-        if len(changes) >= 2 and change > changes[-2] and changes[-2] <= 1e-9:
-            return levels[-2], levels[-3], changes[-2]
-    best = int(np.argmin(changes))
-    if changes[best] <= 1e-7:
-        return levels[best + 1], levels[best], changes[best]
-    raise QuadratureFailure(
-        f"Gauss-Legendre stalled at relative change {min(changes):.3e} by n={n_max}")
-
-
-def wave_integral(params: WaveParameters,
-                  integrand: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
-                  tp: TurningPointData | None = None,
-                  rel_tol: float = _REL_TOL,
-                  n_start: int = 64,
-                  n_max: int = 16384) -> float:
-    value, _, _ = _wave_integrals(params, (integrand,), tp, rel_tol, n_start, n_max)
-    return float(value[0, 0])
+        nested = np.empty(samples.shape[:-1] + (n + 1,), samples.dtype)
+        nested[..., 0::2] = samples
+        nested[..., 1::2] = _integrand_samples(_lobatto_theta(n)[1::2], params, tp,
+                                               integrands)
+        samples = nested
+        coeffs = _cheb_fit(samples)
+        previous, values = values, _clenshaw_curtis(coeffs)
+        change = _relative_change(values, previous)
+        if change <= _REL_TOL:
+            return WaveQuadrature(values, previous, coeffs)
+        if n >= _LEVEL_MAX:
+            raise QuadratureFailure(
+                f"Lobatto rule stalled at relative change {change:.3e} by level {n}")
 
 
 def period(params: WaveParameters) -> float:
     """Spatial period T(a, E, c) by desingularized quadrature."""
-    return wave_integral(params)
-
-
-def period_by_shooting(params: WaveParameters, rtol: float = 1e-12,
-                       atol: float = 1e-14) -> float:
-    """Independent period oracle: integrate phi'' = phi - a/(c - phi)^b
-    from (phi_max, 0) until phi' vanishes again; T is twice that length."""
-    a, b, c = params.a, params.b, params.c
-    tp = turning_point_data(params)
-
-    def rhs(x, y):
-        return (y[1], y[0] - a / (c - y[0]) ** b)
-
-    def event(x, y):
-        return y[1]
-
-    event.terminal = True
-    event.direction = 1.0
-    sol = solve_ivp(rhs, (0.0, 1e6), (tp.phi_max, 0.0), events=event,
-                    rtol=rtol, atol=atol, method="DOP853")
-    if sol.t_events[0].size == 0:
-        raise ConvergenceFailure("shooting never returned to phi' = 0")
-    return 2.0 * float(sol.t_events[0][0])
+    return float(wave_integral(params).values[0, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -436,33 +382,12 @@ class _HalfPeriodMap(NamedTuple):
     half_period: float
 
 
-def _build_half_period_map(params: WaveParameters, tp: TurningPointData,
-                           period_ref: float, period_tol: float,
-                           n_start: int = 256, n_max: int = 4096) -> _HalfPeriodMap:
-    """Chebyshev fit of the desingularized integrand, accepted when its
-    integral reproduces the independently computed period.
-
-    Coefficient tails bottom out above machine precision, at the rounding
-    of the anchored E - V and at the small jump where its Taylor form takes
-    over, so agreement of the integrated map with the Gauss period is the
-    convergence criterion, not tail decay.
-    """
-    tol = max(1e-10, 3.0 * period_tol) * period_ref
-    n = n_start
-    while True:
-        G = math.sqrt(2.0) / np.sqrt(_W(_lobatto_theta(n), params, tp))
-        a = _cheb_fit(G)
-        A = _cheb_integral(a)
-        right, left = _cheb_ends(A)
-        half = 0.25 * np.pi * float(right - left)
-        if abs(2.0 * half - period_ref) <= tol:
-            break
-        if n >= n_max:
-            raise QuadratureFailure(
-                "Chebyshev half-period map disagrees with the Gauss period "
-                f"({2.0 * half!r} vs {period_ref!r})")
-        n *= 2
-    return _HalfPeriodMap(coeff_integrand=a, coeff_antideriv=A, half_period=half)
+def _half_period_map(coeff_integrand: np.ndarray) -> _HalfPeriodMap:
+    """The map whose integrand G has the Chebyshev coefficients given."""
+    A = _cheb_integral(coeff_integrand)
+    right, left = _cheb_ends(A)
+    return _HalfPeriodMap(coeff_integrand=coeff_integrand, coeff_antideriv=A,
+                          half_period=0.25 * np.pi * float(right - left))
 
 
 def _cheb_ends(coeffs: np.ndarray) -> tuple:
@@ -577,9 +502,7 @@ def synthesize_profile(params: WaveParameters, N: int = 512) -> WaveProfile:
 
     a, b, c = params.a, params.b, params.c
     A = tp.amplitude
-    T_gauss, _, T_change = _wave_integrals(params, (None,), tp)
-    hp_map = _build_half_period_map(params, tp, period_ref=float(T_gauss[0, 0]),
-                                    period_tol=T_change)
+    hp_map = _half_period_map(wave_integral(params, tp=tp).coeffs[0, 0])
     T = 2.0 * hp_map.half_period
 
     half = N // 2
@@ -645,13 +568,13 @@ def _fixed_phase_derivatives(profile: WaveProfile) -> tuple[np.ndarray, np.ndarr
     tpc = _complex_turning_points(pc, tp)
     h = _COMPLEX_STEP
 
-    G_c = math.sqrt(2.0) / np.sqrt(_W(_lobatto_theta(profile.map_nodes), pc, tpc))
+    G_c = _samples(_lobatto_theta(profile.map_nodes), pc, tpc)[2]
     A_p = _cheb_integral(_cheb_fit(G_c.imag / h))
     A_right, A_left = _cheb_ends(A_p)
     xi_p = 0.25 * np.pi * (_cheb.chebval(4.0 * theta / np.pi - 1.0, A_p.T) - A_left[:, None])
     T_p = 0.5 * np.pi * (A_right - A_left)
     s = np.arange(theta.size) / profile.N
-    G = math.sqrt(2.0) / np.sqrt(_W(theta, params, tp))
+    G = _samples(theta, params, tp)[2]
     theta_p = (T_p[:, None] * (0.5 - s) - xi_p) / G
 
     phi_c = tpc.phi_min + tpc.amplitude * np.sin(theta + 1j * h * theta_p) ** 2

@@ -14,9 +14,11 @@ from bchwaves.invariants import (CLASS_DEGENERATE, CLASS_PRODUCT_FAIL,
                                  CLASS_STABLE, CLASS_TWO_NEGATIVE,
                                  _F1F2_integrands, classify_from_signs,
                                  delta_F1)
-from bchwaves.profile import turning_point_data
+from bchwaves.profile import (_COMPLEX_STEP, _complex_steps,
+                              _complex_turning_points, turning_point_data)
 
 from fd_oracle import fd_steps_for, perturbed, richardson_gradient
+from quadrature_oracle import gauss_integrals
 
 # the reference wave and three certify-panel points of the benchmark
 # reference, b = 1.5, 3, 4
@@ -207,9 +209,7 @@ def test_near_well_bottom_classifies_or_refuses(ref_scan):
 
 
 def _observables(p):
-    tp = turning_point_data(p)
-    return np.array([wave_integral(p, integrand=f, tp=tp)
-                     for f in (None, *_F1F2_integrands(p))])
+    return wave_integral(p, (None, *_F1F2_integrands(p))).values[:, 0]
 
 
 @pytest.mark.parametrize("p", ORACLE_POINTS, ids=ORACLE_IDS)
@@ -222,6 +222,45 @@ def test_complex_step_gradients_match_richardson(p):
     for got, err in zip((inv.grad_T, inv.grad_F1, inv.grad_F2),
                         (inv.err_grad_T, inv.err_grad_F1, inv.err_grad_F2)):
         assert np.all(err <= 1e-8 * np.max(np.abs(got)))
+
+
+def test_lobatto_rule_matches_gauss_oracle(reference_points):
+    # the same integrands by Gauss-Legendre doubling: values to 1e-12
+    # relative (measured 1.6e-14), every gradient entry within its own
+    # error bound (measured: differences below 2e-13 relative, bounds 1e-10)
+    for point in reference_points["panel"]:
+        p = WaveParameters(point["b"], point["a"], point["E"], point["c"])
+        inv = restricted_invariants(p)
+        pc = _complex_steps(p)
+        gauss = gauss_integrals(pc, (None, *_F1F2_integrands(pc)),
+                                _complex_turning_points(pc, turning_point_data(p)))
+        values = np.array([inv.T, inv.F1, inv.F2])
+        assert np.all(np.abs(values - gauss[:, 0].real) <= 1e-12 * values)
+        grads = np.stack([inv.grad_T, inv.grad_F1, inv.grad_F2])
+        errs = np.stack([inv.err_grad_T, inv.err_grad_F1, inv.err_grad_F2])
+        assert np.all(np.abs(grads - gauss.imag / _COMPLEX_STEP) <= errs)
+
+
+def test_quadrature_runs_through_wave_integral(ref_params, ref_profile, monkeypatch):
+    # the benchmark counts profile.wave_integral by rebinding that name
+    # wherever the package binds it, so every quadrature must call it so
+    from bchwaves import invariants, profile
+
+    original = profile.wave_integral
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (profile, invariants):
+        monkeypatch.setattr(module, "wave_integral", counted)
+    for run in (lambda: synthesize_profile(ref_params, 64),
+                lambda: restricted_invariants(ref_params),
+                lambda: conserved_quantities(ref_profile)):
+        calls.clear()
+        run()
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("p", ORACLE_POINTS, ids=ORACLE_IDS)

@@ -7,14 +7,16 @@ from scipy.fft import dct
 
 from bchwaves import (NotInExistenceSet, WaveParameters, critical_points,
                       equilibrium_profile, eval_potential, period,
-                      period_by_shooting, profile_residuals,
-                      synthesize_profile, turning_points)
+                      profile_residuals, synthesize_profile, turning_points,
+                      wave_integral)
 from bchwaves.potential import a_max
-from bchwaves.profile import (_INVERSION_TABLE, _build_half_period_map,
-                              _cheb_derivative, _cheb_integral,
+from bchwaves.profile import (_INVERSION_TABLE, _cheb_derivative, _cheb_fit,
+                              _cheb_integral, _half_period_map,
                               _invert_half_period, _lobatto_theta, _noise_cut,
-                              _wave_integrals, profile_header,
-                              turning_point_data, write_profile_csv)
+                              _samples, profile_header, turning_point_data,
+                              write_profile_csv)
+
+from quadrature_oracle import period_by_shooting
 
 
 def bisect(f, lo, hi, tol=1e-14):
@@ -71,8 +73,8 @@ def test_period_matches_shooting(ref_params):
 
 
 def test_period_matches_shooting_near_peakon():
-    # c - phi_max = 1.4e-3: the Taylor form near the turning points must be
-    # accurate far below rel_tol for the Gauss doubling to stop at once
+    # c - phi_max = 1.4e-3: E - V must stay smooth far below _REL_TOL next
+    # to the turning points for the Lobatto doubling to stop at once
     b, c = 1.5, 1.0
     a = 0.02 * a_max(b, c)
     scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=c))
@@ -205,9 +207,7 @@ def _well_point(b, a_frac, e_frac, c=1.0):
 @pytest.mark.parametrize("which", ["reference", "b=1.5"])
 def test_half_period_inversion_residual(ref_params, which):
     params = ref_params if which == "reference" else _well_point(1.5, 0.3, 0.5)
-    tp = turning_point_data(params)
-    T_gauss, _, change = _wave_integrals(params, (None,), tp)
-    hp_map = _build_half_period_map(params, tp, float(T_gauss[0, 0]), change)
+    hp_map = _half_period_map(wave_integral(params).coeffs[0, 0])
     half = hp_map.half_period
     x = np.arange(257) * (half / 256)
     theta = _invert_half_period(hp_map, x)
@@ -259,22 +259,29 @@ def _check_inversion(hp_map):
 @pytest.mark.parametrize("b,a_frac,e_frac", INVERSION_GRID)
 def test_inversion_matches_chebval_newton(b, a_frac, e_frac):
     params = _well_point(b, a_frac, e_frac)
-    tp = turning_point_data(params)
-    T_gauss, _, change = _wave_integrals(params, (None,), tp)
-    _check_inversion(_build_half_period_map(params, tp, float(T_gauss[0, 0]), change))
+    _check_inversion(_half_period_map(wave_integral(params).coeffs[0, 0]))
 
 
 def test_inversion_matches_chebval_newton_past_table():
-    # synthesis accepts the map at level 4096 (degree 4097) here, after a
-    # Gauss doubling to 16384 nodes that takes ~10 s; build that level
-    # directly and check it loosely against the shooting period (at this
-    # small amplitude the map's period is 2.2e-8 relative off the mpmath one)
+    # a map of degree 4097, twice the table, fitted directly at level 4096
+    # (synthesis accepts level 128 at this small-amplitude point)
     params = _well_point(6.0, 0.995, 1e-4)
-    hp_map = _build_half_period_map(params, turning_point_data(params),
-                                    period_by_shooting(params), 1e-7,
-                                    n_start=4096, n_max=4096)
+    G = _samples(_lobatto_theta(4096), params, turning_point_data(params))[2]
+    hp_map = _half_period_map(_cheb_fit(G))
     assert hp_map.coeff_antideriv.size - 1 == 4097 > _INVERSION_TABLE
     _check_inversion(hp_map)
+
+
+def test_small_amplitude_period_matches_mpmath():
+    # E - V is ~1e-9 mid-orbit here, so the ~1e-17 rounding of V at the
+    # roots bounds what double precision can do: adding the rounded
+    # residual E - V(root) back into E - V put T 2.2e-8 off (measured now:
+    # 1.3e-11); reference: mpmath at 40 digits, tanh-sinh in theta
+    params = _well_point(6.0, 0.995, 1e-4)
+    assert params.E == 0.014156607836324518
+    T_mpmath = 18.716823842957643
+    assert abs(synthesize_profile(params, 512).T - T_mpmath) <= 1e-10 * T_mpmath
+    assert abs(period(params) - T_mpmath) <= 1e-10 * T_mpmath
 
 
 @pytest.mark.parametrize("shape", [(2,), (3,), (4,), (257,), (4098,), (3, 257)])
