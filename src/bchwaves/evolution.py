@@ -11,11 +11,19 @@ The right-hand side is dealiased by the 2/3 rule, time stepping is a fixed
 step classical RK4 on the rfft coefficients with the step chosen from the
 initial advective CFL bound, and positivity of m (membership in the
 admissible state space) is monitored every step.
+
+A stepped state carries its rfft coefficients and its grid fields m, u,
+m_x and u_x from one stacked inverse transform.  Those fields are the
+state's own m, the next step's first stage and the sampled diagnostics,
+so the coefficients never make an rfft(irfft(.)) round trip: a step
+takes 8 numpy FFT calls (one rfft at stage 1, one stacked irfft and one
+rfft at each of stages 2-4, one stacked irfft for the new state).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -32,12 +40,20 @@ _NEWTON_MAXITER = 60
 class EvolutionState:
     """Momentum density on the grid at time t.  cfl is the advective
     number max|u - c| dt/dx of the step that produced the state (0 for
-    initial data)."""
+    initial data).
+
+    carried is None for a state built from a grid m.  A state made by
+    step (or by run_experiment) carries the pair (mh, G): mh is the half
+    spectrum of m and G the rows (m, u, m_x, u_x) of one stacked irfft of
+    [mh, mh/(1+k^2), ik mh, ik mh/(1+k^2)], with m the row G[0] itself.
+    Both are read-only.  step uses the pair only while m is G[0], so
+    dataclasses.replace(state, m=other) steps from other."""
 
     t: float
     m: np.ndarray
     dx: float
     cfl: float = 0.0
+    carried: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -63,34 +79,62 @@ def reconstruct_velocity(m: np.ndarray, period: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(m) / fourier.rfft_tools(n, period)[3], n=n)
 
 
-def _rhs_hat(mh: np.ndarray, n: int, period: float, b: float,
-             frame_speed: float) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand side in rfft space, from the rfft coefficients mh of m,
-    and the velocity u on the grid.  One stacked inverse transform gives
-    m, u, m_x and u_x; the product u m_x + b m u_x is formed as one.
+@lru_cache(maxsize=16)
+def _step_symbols(n: int, period: float, frame_speed: float
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only half-spectrum symbols of one step: the (4, n//2+1) stack
+    [1, 1/(1+k^2), ik, ik/(1+k^2)] that maps mh to the coefficients of
+    m, u, m_x and u_x, the masked frame term c ik mask, and the 2/3 mask.
 
-    The 2/3 mask covers the whole right-hand side, the frame term c m_x
+    The mask covers the whole right-hand side, the frame term c m_x
     included.  Left on the modes above N/3, that term alone can put dt
     times the spectral radius of the linearised right-hand side past RK4's
     stability limit 2 sqrt(2) (3.03 at b = 2, a = 0.1722, E = 0.0194,
     c = 1.378 and dt_safety 0.5); rounding noise on those modes then grows
     until m leaves the positive cone."""
     _, deriv, mask, helm = fourier.rfft_tools(n, period)
-    stack = np.empty((4, mh.shape[-1]), dtype=complex)
-    stack[0] = mh
-    np.divide(mh, helm, out=stack[1])
-    np.multiply(deriv, mh, out=stack[2])
-    np.multiply(deriv, stack[1], out=stack[3])
-    m, u, m_x, u_x = np.fft.irfft(stack, n=n)
-    prodh = np.fft.rfft(u * m_x + b * (m * u_x))
-    return (frame_speed * stack[2] - prodh) * mask, u
+    inv_helm = 1.0 / helm
+    sym = np.array([np.ones_like(deriv), inv_helm, deriv, deriv * inv_helm])
+    frame = frame_speed * deriv * mask
+    for a in (sym, frame):
+        a.flags.writeable = False
+    return sym, frame, mask
+
+
+def _fields(mh: np.ndarray, sym: np.ndarray, n: int) -> np.ndarray:
+    """m, u, m_x and u_x on the grid, as the rows of one stacked inverse
+    transform of the coefficients mh."""
+    return np.fft.irfft(sym * mh, n=n, out=np.empty((sym.shape[0], n)))
+
+
+def _stage(mh: np.ndarray, fields, b: float, frame: np.ndarray,
+           mask: np.ndarray) -> np.ndarray:
+    """rfft coefficients of the dealiased right-hand side
+    c m_x - u m_x - b m u_x at the state with coefficients mh and grid
+    fields (m, u, m_x, u_x); the product u m_x + b m u_x is formed as one."""
+    m, u, m_x, u_x = fields
+    prodh = np.fft.rfft(u * m_x + b * (m * u_x), out=np.empty_like(mh))
+    prodh *= mask
+    return frame * mh - prodh
+
+
+def _carrying(t: float, mh: np.ndarray, n: int, dx: float, cfl: float,
+              sym: np.ndarray) -> EvolutionState:
+    """The state at time t with coefficients mh, carrying them and its
+    grid fields (read-only); its m is the row G[0]."""
+    grid = _fields(mh, sym, n)
+    mh.flags.writeable = False
+    grid.flags.writeable = False
+    rows = tuple(grid)
+    return EvolutionState(t=t, m=rows[0], dx=dx, cfl=cfl, carried=(mh, rows))
 
 
 def rhs(m: np.ndarray, period: float, b: float, frame_speed: float) -> np.ndarray:
     """Right-hand side c m_x - u m_x - b m u_x with dealiased products."""
     n = m.shape[-1]
-    out, _ = _rhs_hat(np.fft.rfft(m), n, period, b, frame_speed)
-    return np.fft.irfft(out, n=n)
+    sym, frame, mask = _step_symbols(n, period, frame_speed)
+    mh = np.fft.rfft(m)
+    return np.fft.irfft(_stage(mh, _fields(mh, sym, n), b, frame, mask), n=n)
 
 
 def cfl_dt(m: np.ndarray, period: float, frame_speed: float,
@@ -105,24 +149,44 @@ def cfl_dt(m: np.ndarray, period: float, frame_speed: float,
 def step(state: EvolutionState, dt: float, b: float,
          frame_speed: float) -> EvolutionState:
     """One classical RK4 step in rfft space; aborts if m leaves the
-    positive cone or exceeds the blow-up guard."""
+    positive cone or exceeds the blow-up guard.
+
+    Stage 1 starts from the pair the state carries (see EvolutionState),
+    so the step takes 8 FFT calls; a state without one, or whose m is no
+    longer its G[0], first takes the rfft of m and one stacked irfft (10
+    calls).  The new state's stacked irfft gives the m that is checked,
+    and the fields that the next step's stage 1 reads."""
     n = state.m.shape[-1]
     period = state.dx * n
-    mh = np.fft.rfft(state.m)
-    k1, u = _rhs_hat(mh, n, period, b, frame_speed)
-    k2, _ = _rhs_hat(mh + (0.5 * dt) * k1, n, period, b, frame_speed)
-    k3, _ = _rhs_hat(mh + (0.5 * dt) * k2, n, period, b, frame_speed)
-    k4, _ = _rhs_hat(mh + dt * k3, n, period, b, frame_speed)
-    m_new = np.fft.irfft(mh + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), n=n)
-    m_min = float(np.min(m_new))
+    sym, frame, mask = _step_symbols(n, period, frame_speed)
+    pair = state.carried
+    if pair is not None and state.m is pair[1][0]:
+        mh, fields = pair
+    else:
+        mh = np.fft.rfft(state.m)
+        fields = _fields(mh, sym, n)
+    k1 = _stage(mh, fields, b, frame, mask)
+    mh2 = mh + (0.5 * dt) * k1
+    k2 = _stage(mh2, _fields(mh2, sym, n), b, frame, mask)
+    mh3 = mh + (0.5 * dt) * k2
+    k3 = _stage(mh3, _fields(mh3, sym, n), b, frame, mask)
+    mh4 = mh + dt * k3
+    k4 = _stage(mh4, _fields(mh4, sym, n), b, frame, mask)
+    t = state.t + dt
+    u = fields[1]
+    # max|u - c| without the temporary: rounding is monotone and odd, so
+    # this is the same float
+    speed = max(float(u.max()) - frame_speed, frame_speed - float(u.min()))
+    new = _carrying(t, mh + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), n,
+                    state.dx, speed * dt / state.dx, sym)
+    m_min = float(new.m.min())
     if not m_min > 0.0:  # a NaN anywhere makes m_min NaN, which fails this too
         if np.isnan(m_min):
-            raise BlowUp(f"m is not a number at t = {state.t + dt!r}")
-        raise PositivityLost(f"min m = {m_min!r} at t = {state.t + dt!r}")
-    if float(np.max(m_new)) > _BLOWUP_GUARD:  # m > 0 here, so this is sup|m|
-        raise BlowUp(f"sup |m| exceeded {_BLOWUP_GUARD} at t = {state.t + dt!r}")
-    cfl = float(np.max(np.abs(u - frame_speed))) * dt / state.dx
-    return EvolutionState(t=state.t + dt, m=m_new, dx=state.dx, cfl=cfl)
+            raise BlowUp(f"m is not a number at t = {t!r}")
+        raise PositivityLost(f"min m = {m_min!r} at t = {t!r}")
+    if float(new.m.max()) > _BLOWUP_GUARD:  # m > 0 here, so this is sup|m|
+        raise BlowUp(f"sup |m| exceeded {_BLOWUP_GUARD} at t = {t!r}")
+    return new
 
 
 def h1_shift_distance(m: np.ndarray, ref: np.ndarray, period: float,
@@ -242,22 +306,26 @@ def run_experiment(profile: WaveProfile, eps: float,
     dt = horizon / n_steps
     stride = max(n_steps // max(n_samples, 1), 1)
 
-    def _invariants(mm: np.ndarray) -> tuple[float, float, float]:
-        """E, F1 and F2 of the density mm."""
-        dens1, dens2 = invariant_densities(
-            mm, fourier.spectral_derivative(mm, period, 1), b)
+    dx = period / n
+    state = _carrying(0.0, np.fft.rfft(m0), n, dx, 0.0,
+                      _step_symbols(n, dx * n, frame_speed)[0])
+
+    def _invariants(state: EvolutionState) -> tuple[float, float, float]:
+        """E, F1 and F2 of a carried state, with m_x from its grid fields."""
+        mm, _, m_x, _ = state.carried[1]
+        dens1, dens2 = invariant_densities(mm, m_x, b)
         return (fourier.grid_integral(mm, period),
                 fourier.grid_integral(dens1, period),
                 fourier.grid_integral(dens2, period))
 
-    E0, F1_0, F2_0 = _invariants(m0)
+    E0, F1_0, F2_0 = _invariants(state)
 
     times, dE, dF1, dF2, rho_series = [], [], [], [], []
 
     def record(state: EvolutionState) -> None:
         mm = state.m
         times.append(state.t)
-        e, f1, f2 = _invariants(mm)
+        e, f1, f2 = _invariants(state)
         dE.append(abs(e - E0) / abs(E0))
         dF1.append(abs(f1 - F1_0) / abs(F1_0))
         dF2.append(abs(f2 - F2_0) / abs(F2_0))
@@ -266,7 +334,6 @@ def run_experiment(profile: WaveProfile, eps: float,
         ref_dist, _ = orbital_distance(mm, mu, period)
         rho_series.append(ref_dist)
 
-    state = EvolutionState(t=0.0, m=m0, dx=period / n)
     record(state)
     outcome = "completed"
     cfl_max = 0.0

@@ -74,6 +74,44 @@ def _rhs_six_transforms(m, period, b, frame_speed):
     return np.fft.irfft(frame_speed * mxh * mask - advh - b * strainh, n=n)
 
 
+def _step_ten_transforms(state, dt, b, frame_speed):
+    """Oracle route for step: RK4 on the rfft coefficients of state.m,
+    each stage one stacked inverse transform of [mh, mh/(1+k^2), ik mh,
+    ik mh/(1+k^2)] and one rfft of the product, the new m one inverse
+    transform (10 transforms).  Returns the new m and the CFL number of
+    the stage-1 velocity."""
+    n = state.m.shape[-1]
+    period = state.dx * n
+    _, deriv, mask, helm = fourier.rfft_tools(n, period)
+
+    def rhs_hat(mh):
+        stack = np.empty((4, mh.shape[-1]), dtype=complex)
+        stack[0] = mh
+        np.divide(mh, helm, out=stack[1])
+        np.multiply(deriv, mh, out=stack[2])
+        np.multiply(deriv, stack[1], out=stack[3])
+        m, u, m_x, u_x = np.fft.irfft(stack, n=n)
+        prodh = np.fft.rfft(u * m_x + b * (m * u_x))
+        return (frame_speed * stack[2] - prodh) * mask, u
+
+    mh = np.fft.rfft(state.m)
+    k1, u = rhs_hat(mh)
+    k2, _ = rhs_hat(mh + (0.5 * dt) * k1)
+    k3, _ = rhs_hat(mh + (0.5 * dt) * k2)
+    k4, _ = rhs_hat(mh + dt * k3)
+    m_new = np.fft.irfft(mh + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), n=n)
+    return m_new, float(np.max(np.abs(u - frame_speed))) * dt / state.dx
+
+
+def _filtered_initial_data(profile, n, eps, seed):
+    """run_experiment's initial data: the 2/3-filtered wave on n points
+    plus its raw perturbation of H^1 norm eps."""
+    T, b = profile.T, profile.params.b
+    mu = fourier.resample(profile.mu, n) if n != profile.N else profile.mu
+    mu = np.fft.irfft(np.fft.rfft(mu) * fourier.rfft_tools(n, T)[2], n=n)
+    return mu + make_perturbation(mu, T, b, eps, seed=seed)
+
+
 def test_reconstruct_constant():
     m = np.full(256, 1.7)
     assert np.max(np.abs(reconstruct_velocity(m, 5.0) - 1.7)) < 1e-14
@@ -322,14 +360,12 @@ def test_orbital_distance_matches_golden_section(ref_profile, seed):
 def test_cfl_max_recorded(ref_profile):
     """The worst CFL number over the run is reported and is at least the
     one of the initial data at the step actually taken."""
-    T, b, c = ref_profile.T, ref_profile.params.b, ref_profile.params.c
+    T, c = ref_profile.T, ref_profile.params.c
     n = 256
     diag = run_experiment(ref_profile, eps=1e-3, horizon_periods=0.5, N=n,
                           n_samples=4, seed=5)
     assert diag.outcome == "completed"
-    mu = fourier.resample(ref_profile.mu, n)
-    mu = np.fft.irfft(np.fft.rfft(mu) * fourier.rfft_tools(n, T)[2], n=n)
-    m0 = mu + make_perturbation(mu, T, b, 1e-3, seed=5)
+    m0 = _filtered_initial_data(ref_profile, n, 1e-3, 5)
     cfl0 = (float(np.max(np.abs(reconstruct_velocity(m0, T) - c)))
             * diag.config["dt"] / (T / n))
     assert diag.config["cfl_max"] >= cfl0 * (1.0 - 1e-12)
@@ -364,3 +400,108 @@ def test_exact_waves_complete_one_period():
                               horizon_periods=1.0, N=256, n_samples=10)
         assert diag.outcome == "completed", params
         assert diag.max_rho < 1e-8, params
+
+
+@pytest.mark.parametrize("n, n_steps", [(512, 643), (511, 50)])
+def test_step_matches_ten_transforms(ref_profile, n, n_steps):
+    """The carried-state step against the ten-transform oracle, which
+    rebuilds the coefficients from m every step: one period of the
+    benchmark's eps = 1e-3 member at N = 512 (643 steps), and 50 steps on
+    an odd grid."""
+    T, b, c = ref_profile.T, ref_profile.params.b, ref_profile.params.c
+    m0 = _filtered_initial_data(ref_profile, n, 1e-3, 11)
+    horizon = T / c
+    period_steps = int(np.ceil(horizon / cfl_dt(m0, T, c, safety=0.5)))
+    assert period_steps >= n_steps
+    dt = horizon / period_steps
+    state = EvolutionState(t=0.0, m=m0, dx=T / n)
+    m_oracle = m0
+    worst_cfl = 0.0
+    for _ in range(n_steps):
+        m_oracle, cfl_oracle = _step_ten_transforms(
+            EvolutionState(t=state.t, m=m_oracle, dx=state.dx), dt, b, c)
+        state = step(state, dt, b, c)
+        worst_cfl = max(worst_cfl, abs(state.cfl - cfl_oracle) / cfl_oracle)
+    err = np.max(np.abs(state.m - m_oracle)) / np.max(np.abs(m_oracle))
+    assert err <= 1e-12
+    assert worst_cfl <= 1e-14
+
+
+def test_stepped_state_is_read_only(ref_profile):
+    n = 256
+    m0 = _filtered_initial_data(ref_profile, n, 1e-3, 11)
+    state = step(EvolutionState(t=0.0, m=m0, dx=ref_profile.T / n), 1e-3,
+                 ref_profile.params.b, ref_profile.params.c)
+    with pytest.raises(ValueError):
+        state.m[0] = 1.0
+    mh, rows = state.carried
+    with pytest.raises(ValueError):
+        mh[1] = 0.0
+    assert rows[0] is state.m
+
+
+def test_replaced_state_steps_from_its_own_m(ref_profile):
+    """dataclasses.replace keeps the carried pair of the old m; step must
+    not use it for the new one, not even for a view of the carried rows."""
+    n = 256
+    T, b, c = ref_profile.T, ref_profile.params.b, ref_profile.params.c
+    m0 = _filtered_initial_data(ref_profile, n, 1e-3, 11)
+    state = step(EvolutionState(t=0.0, m=m0, dx=T / n), 1e-3, b, c)
+    for other in (_filtered_initial_data(ref_profile, n, 1e-3, 4),
+                  state.m[::-1]):
+        got = step(dataclasses.replace(state, m=other), 1e-3, b, c)
+        want = step(EvolutionState(t=state.t, m=other, dx=state.dx), 1e-3, b, c)
+        assert np.array_equal(got.m, want.m)
+        assert got.cfl == want.cfl
+
+
+def test_step_takes_eight_transforms(ref_profile, monkeypatch):
+    """Only the first step of a chain transforms a user-built m; every
+    later one takes 8 numpy FFT calls.  The sampled diagnostics read m_x
+    from the carried fields, not from spectral_derivative."""
+    calls = {"fft": 0, "spectral_derivative": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(getattr(np.fft, name), "fft"))
+    monkeypatch.setattr(fourier, "spectral_derivative",
+                        counted(fourier.spectral_derivative,
+                                "spectral_derivative"))
+    n = 256
+    state = EvolutionState(t=0.0, m=_filtered_initial_data(ref_profile, n, 1e-3, 11),
+                           dx=ref_profile.T / n)
+    per_step = []
+    for _ in range(6):
+        before = calls["fft"]
+        state = step(state, 1e-3, ref_profile.params.b, ref_profile.params.c)
+        per_step.append(calls["fft"] - before)
+    assert per_step[1:] == [8] * 5
+
+    diag = run_experiment(ref_profile, eps=1e-3, horizon_periods=0.2, N=n,
+                          n_samples=10, seed=11)
+    assert diag.outcome == "completed"
+    assert calls["spectral_derivative"] <= 1
+
+
+def test_one_period_ladder_within_benchmark_bounds(ref_profile):
+    """The evolve benchmark's ladder (one period, N = 512, seed 11, 100
+    samples) within the bounds of its check: every member completes, the
+    invariants drift by < 1e-8, the unperturbed wave stays within 1e-6 of
+    its orbit, and max_rho/eps varies by < 3x across the perturbed ones."""
+    ratios = []
+    for eps in (1e-3, 5e-4, 2.5e-4, 0.0):
+        diag = run_experiment(ref_profile, eps=eps, horizon_periods=1.0,
+                              N=512, seed=11, n_samples=100)
+        assert diag.outcome == "completed"
+        assert max(diag.E_drift.max(), diag.F1_drift.max(),
+                   diag.F2_drift.max()) < 1e-8
+        if eps > 0.0:
+            ratios.append(diag.ratio)
+        else:
+            assert diag.max_rho < 1e-6
+    assert max(ratios) / min(ratios) < 3.0
