@@ -31,6 +31,7 @@ leaves stability unresolved (no instability claim).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -200,8 +201,11 @@ def conserved_quantities(profile: WaveProfile,
     return F1_quad, F2_quad
 
 
+# one entry: the Jacobians and the identities of one certificate share it
+@lru_cache(maxsize=1)
 def restricted_invariants(params: WaveParameters) -> InvariantSet:
-    """T, F1, F2, the multipliers, and all parameter gradients.
+    """T, F1, F2, the multipliers, and all parameter gradients, in
+    read-only arrays.
 
     The gradients are complex-step derivatives of the Clenshaw-Curtis
     sums of T, F1 and F2, one wave_integral whose Lobatto levels double
@@ -215,6 +219,8 @@ def restricted_invariants(params: WaveParameters) -> InvariantSet:
     err = np.maximum(np.abs(value.imag - previous.imag) / _COMPLEX_STEP,
                      10.0 * _REL_TOL * np.abs(grad))
     mults = multipliers(params)
+    for arr in (grad, err, mults.grad_omega1, mults.grad_omega2):
+        arr.setflags(write=False)
     return InvariantSet(
         T=float(value[0, 0].real), F1=float(value[1, 0].real),
         F2=float(value[2, 0].real),

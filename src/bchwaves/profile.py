@@ -58,9 +58,10 @@ momentum density mu = a/(c-phi)^b with
 from __future__ import annotations
 
 import csv
+import inspect
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -490,6 +491,26 @@ def _noise_cut(mag: np.ndarray) -> int:
     return 1 + int(np.argmax(quiet)) if quiet.any() else mag.size
 
 
+def _one_entry_memo(fn):
+    """lru_cache(maxsize=1) of fn, keyed on its arguments bound to fn's
+    signature with the defaults applied, so that f(p), f(p, 512) and
+    f(p, N=512) share the one entry."""
+    signature = inspect.signature(fn)
+    cached = lru_cache(maxsize=1)(fn)
+
+    @wraps(fn)
+    def memo(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+
+    memo.cache_clear, memo.cache_info = cached.cache_clear, cached.cache_info
+    return memo
+
+
+# one entry: the classification, the operator and the identities of one
+# certificate share its profile, whose arrays are read-only
+@_one_entry_memo
 def synthesize_profile(params: WaveParameters, N: int = 512) -> WaveProfile:
     """Sample phi, its derivatives, and the momentum density on N uniform
     grid points over one period, with the maximum phase-locked at x = 0."""

@@ -33,15 +33,32 @@ elements of -d(p d)/dx + symmetric_r in the basis exp(2 pi i k x / T) are
     H[j, k] = kt_j kt_k phat[j - k] + rhat[j - k],   kt = 2 pi k / T,
 
 over modes -M..M.  The profile is even by construction, so phat and rhat
-are real and H is real symmetric (its imaginary part sits at rounding,
-~4e-17 relative), which real LAPACK solves.  (A collocation product of grid
-differentiation matrices is avoided deliberately: with even N its
-annihilated Nyquist mode produces a spurious eigenvalue at mean(r).)
+are real and even, and H splits into a cosine block over the basis
+1, sqrt(2) cos(kt x), k = 0..M, and a sine block over sqrt(2) sin(kt x),
+k = 1..M, each a Toeplitz-plus-Hankel matrix in d = |j - k|, s = j + k:
+
+    C = kt kt^T (phat[d] - phat[s]) + rhat[d] + rhat[s]
+        (row and column 0 divided by sqrt(2)),
+    S = kt kt^T (phat[d] + phat[s]) + rhat[d] - rhat[s],   j, k >= 1.
+
+Their eigenvalues together are those of H.  _parity_blocks builds both
+once per operator and mode count (a one-entry memo); periodic_spectrum
+solves them, and their leading sub-blocks for its convergence check, and
+the probe takes its ground state from C.  The blocks are graded, their
+diagonal growing like kt^2 toward the bottom right, so they are solved
+from the upper triangle, whose tridiagonal reduction starts from that
+corner: the lowest eigenvalue then agrees with a long-double Rayleigh
+quotient to ~1e-14 relative, where the full matrix ordered -M..M loses
+~1e-12.  hill_matrix, the full matrix, stays as the reference the blocks
+are tested against.  (A collocation product of grid differentiation
+matrices is avoided deliberately: with even N its annihilated Nyquist mode
+produces a spurious eigenvalue at mean(r).)
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import scipy.linalg
@@ -58,10 +75,11 @@ SECOND_VARIATION_SCALE = -0.5
 _PROBE_BLOCK = 128
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OperatorCoefficients:
     """Sturm-Liouville coefficients of the second variation on the profile
-    grid, plus the data needed to apply it and locate its kernel."""
+    grid, plus the data needed to apply it and locate its kernel.  Equality
+    and hashing go by identity, which keys the memo of its Hill blocks."""
 
     T: float
     x: np.ndarray
@@ -165,26 +183,44 @@ def hill_matrix(coeffs: OperatorCoefficients, M: int) -> np.ndarray:
     return 0.5 * (H + H.T)
 
 
+# one entry: the spectrum and the probe of one operator share its blocks
+@lru_cache(maxsize=1)
+def _parity_blocks(coeffs: OperatorCoefficients, M: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cosine block C, (M+1)^2, and sine block S, M^2, of
+    hill_matrix(coeffs, M) (see the module docstring).  Their leading
+    sub-blocks C[:m+1, :m+1] and S[:m, :m] are the blocks for m < M
+    modes."""
+    n = coeffs.p.shape[0]
+    if 2 * M + 1 > n:
+        raise ValueError("mode count exceeds the coefficient grid")
+    phat = np.fft.rfft(coeffs.p).real / n
+    rhat = np.fft.rfft(coeffs.symmetric_r).real / n
+    k = np.arange(M + 1)
+    kt = 2.0 * np.pi * k / coeffs.T
+    d = np.abs(k[:, None] - k[None, :])
+    s = k[:, None] + k[None, :]
+    s = np.minimum(s, n - s)  # the coefficients are even: hat[s] = hat[n - s]
+    kk = kt[:, None] * kt[None, :]
+    pd, ps, rd, rs = phat[d], phat[s], rhat[d], rhat[s]
+    C = kk * (pd - ps) + rd + rs
+    S = (kk * (pd + ps) + rd - rs)[1:, 1:]
+    C[0] /= np.sqrt(2.0)
+    C[:, 0] /= np.sqrt(2.0)
+    C.setflags(write=False)
+    S.setflags(write=False)
+    return C, S
+
+
 def _ground_state(coeffs: OperatorCoefficients, M: int) -> tuple[float, np.ndarray]:
     """Lowest periodic eigenvalue over modes -M..M and its eigenfunction as
     rfft coefficients on the coefficient grid, L2-normalized.
 
-    The coefficients are even, so the Hill matrix H maps cosine series to
-    cosine series, and the ground state (simple and free of zeros, hence
-    even) is the lowest eigenvector of the cosine block over the basis
-    1, sqrt(2) cos(kt x), k = 1..M:
-
-        C[j, k] = H[j, k] + H[j, -k],   row and column 0 divided by sqrt(2).
-
-    C is graded, its diagonal growing like kt^2 toward the bottom right.
-    The upper-triangle tridiagonal reduction (lower=False) starts from that
-    corner and keeps the eigenvector accurate to ~1e-14; starting from the
-    top left loses ~1e-11 at M = 128.
+    The ground state is simple and free of zeros, hence even: it is the
+    lowest eigenvector of the cosine block C, solved from the upper
+    triangle like the spectrum.
     """
-    H = hill_matrix(coeffs, M)
-    C = H[M:, M:] + H[M:, M::-1]
-    C[0] /= np.sqrt(2.0)
-    C[:, 0] /= np.sqrt(2.0)
+    C = _parity_blocks(coeffs, M)[0]
     w, g = scipy.linalg.eigh(C, lower=False, subset_by_index=[0, 0])
     n = coeffs.p.shape[0]
     ground = np.zeros(n // 2 + 1, dtype=complex)
@@ -213,8 +249,15 @@ def _default_modes(n: int) -> int:
     return min(n // 4, 128)
 
 
+def _block_eigenvalues(C: np.ndarray, S: np.ndarray) -> np.ndarray:
+    """Sorted eigenvalues of the Hill matrix with parity blocks C and S."""
+    return np.sort(np.concatenate([np.linalg.eigvalsh(C, UPLO="U"),
+                                   np.linalg.eigvalsh(S, UPLO="U")]))
+
+
 def periodic_spectrum(coeffs: OperatorCoefficients, M: int | None = None) -> SpectralReport:
-    """Sorted periodic eigenvalues and the inertia counts.
+    """Sorted periodic eigenvalues and the inertia counts, from the parity
+    blocks of the Hill matrix.
 
     Convergence is certified by halving the mode count: the lowest five
     eigenvalues must be stationary.  The zero tolerance scales with the
@@ -225,8 +268,10 @@ def periodic_spectrum(coeffs: OperatorCoefficients, M: int | None = None) -> Spe
         M = _default_modes(coeffs.p.shape[0])
     if M < 1:
         raise ValueError(f"Hill mode count must be positive, got {M}")
-    evals = np.linalg.eigvalsh(hill_matrix(coeffs, M))
-    evals_half = np.linalg.eigvalsh(hill_matrix(coeffs, M // 2))
+    C, S = _parity_blocks(coeffs, M)
+    evals = _block_eigenvalues(C, S)
+    evals_half = _block_eigenvalues(C[:M // 2 + 1, :M // 2 + 1],
+                                    S[:M // 2, :M // 2])
     scale = operator_scale(coeffs)
     move = float(np.max(np.abs(evals[:5] - evals_half[:5])))
     if move > 1e-6 * max(scale, 1.0):

@@ -8,13 +8,29 @@ import pytest
 
 from bchwaves import (WaveParameters, assemble_operator, critical_points,
                       synthesize_profile)
+from bchwaves.invariants import restricted_invariants
+from bchwaves.potential import _critical_values
 from bchwaves.profile import turning_point_data
+from bchwaves.spectral import _parity_blocks
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 B_VALUES = (1.5, 2.0, 2.5, 3.0, 4.0)
 # keep acceptance samples clear of the peakon limit c - phi_max -> 0, where
 # one period stops being resolvable at the contracted grid size
 STEEPNESS_GUARD = 0.15
+
+
+# the one-entry memos of the per-point stages
+POINT_MEMOS = (_critical_values, turning_point_data, synthesize_profile,
+               restricted_invariants, _parity_blocks)
+
+
+@pytest.fixture(autouse=True)
+def clear_point_memos():
+    """Start every test with empty per-point memos, so that no test reads
+    an entry another one left and call counts start from zero."""
+    for memo in POINT_MEMOS:
+        memo.cache_clear()
 
 
 def sample_admissible(n: int, seed: int,

@@ -226,3 +226,26 @@ def test_parallel_sweep_matches_serial(tmp_path):
     assert main([*args, "--jobs", "1", "--out", str(serial)]) == 0
     assert main([*args, "--jobs", "2", "--out", str(parallel)]) == 0
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+
+# the README-grid rows of the benchmark reference that M = 64 Hill modes
+# against 32 leave unconverged at N = 512
+SWEEP_UNCONVERGED = (2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17, 23, 24, 25,
+                     26, 33, 34, 35, 44)
+
+
+def test_sweep_failure_set(reference_points):
+    """Every benchmark sweep row through the sweep's row function: exactly
+    the pinned rows fail, all with DiscretizationNotConverged, and every
+    other row has one negative direction and a simple kernel."""
+    rows = [cli._sweep_row({"index": i, "b": p["b"], "a": p["a"],
+                            "e_mode": "abs", "e_val": p["E"], "c": p["c"]},
+                           N=512, modes=64)
+            for i, p in enumerate(reference_points["sweep"])]
+    failed = tuple(r["index"] for r in rows if r["status"] != "ok")
+    assert failed == SWEEP_UNCONVERGED
+    for r in rows:
+        if r["status"] == "ok":
+            assert (r["n_neg"], r["n_zero"]) == (1, 1)
+        else:
+            assert r["status"].startswith("DiscretizationNotConverged")

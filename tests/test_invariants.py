@@ -328,3 +328,25 @@ def test_family_derivatives_match_interpolation_route(ref_params, ref_profile):
         assert np.max(np.abs(got - want)) <= 1e-8 * np.max(np.abs(want))
     for got, want in zip((fam.T_a, fam.T_E, fam.T_c), T_grads):
         assert abs(got - want) <= 1e-7 * abs(want)
+
+
+def test_invariants_memo(ref_params):
+    """One entry with read-only arrays; a refused point is refused again
+    rather than remembered."""
+    from bchwaves import NotInExistenceSet
+
+    inv = restricted_invariants(ref_params)
+    assert restricted_invariants(ref_params) is inv
+    for arr in (inv.grad_T, inv.grad_F1, inv.grad_F2, inv.err_grad_T,
+                inv.err_grad_F1, inv.err_grad_F2, inv.grad_omega1,
+                inv.grad_omega2):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    other = dataclasses.replace(ref_params, E=0.08)
+    assert restricted_invariants(other).T != inv.T
+    again = restricted_invariants(ref_params)
+    assert again is not inv and again.T == inv.T
+    refused = dataclasses.replace(ref_params, E=0.2)
+    for _ in range(2):
+        with pytest.raises(NotInExistenceSet):
+            restricted_invariants(refused)

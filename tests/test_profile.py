@@ -364,3 +364,21 @@ def test_turning_points_once_per_point(ref_params):
     proof_identities(prof, coeffs=coeffs)
     coercivity_probe(coeffs, prof, trials=16)
     assert turning_point_data.cache_info().misses == 1
+
+
+def test_synthesis_memo(ref_params, ref_scan):
+    """One entry, shared by positional, keyword and default N; a refused
+    point is refused again rather than remembered."""
+    prof = synthesize_profile(ref_params, 512)
+    assert synthesize_profile(ref_params, N=512) is prof
+    assert synthesize_profile(ref_params) is prof
+    assert synthesize_profile.cache_info().misses == 1
+    assert synthesize_profile(ref_params, 256).N == 256
+    other = dataclasses.replace(ref_params, E=0.08)
+    assert synthesize_profile(other, 512).params == other
+    again = synthesize_profile(ref_params, 512)
+    assert again is not prof and np.array_equal(again.mu, prof.mu)
+    refused = dataclasses.replace(ref_params, E=ref_scan.V_phi2 + 1e-13)
+    for _ in range(2):
+        with pytest.raises(NotInExistenceSet):
+            synthesize_profile(refused, 512)

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from bchwaves import (DiscretizationNotConverged, WaveParameters,
                       apply_operator, assemble_operator, coercivity_probe,
                       equilibrium_profile, hill_matrix, kernel_residual,
                       multipliers, periodic_spectrum, proof_identities,
                       synthesize_profile)
-from bchwaves import fourier
+from bchwaves import fourier, spectral
 from bchwaves.invariants import delta_F1, delta_F2
-from bchwaves.spectral import SECOND_VARIATION_SCALE, _ground_state
+from bchwaves.spectral import (SECOND_VARIATION_SCALE, _block_eigenvalues,
+                               _ground_state, _parity_blocks, operator_scale)
 
 
 def modes_to_grid(vec, coeffs):
@@ -247,3 +249,65 @@ def test_cosine_block_ground_state(panel_operators):
         got = np.fft.irfft(ground, n=prof.N)
         assert fourier.l2_norm(got, prof.T) == pytest.approx(1.0, abs=1e-12)
         assert min(np.max(np.abs(got - want)), np.max(np.abs(got + want))) <= 1e-9
+
+
+@pytest.mark.parametrize("M", [16, 64, 128])
+def test_parity_blocks_match_full_hill_matrix(panel_operators, ref_profile,
+                                              ref_coeffs, M):
+    """The cosine and sine blocks together against the full Hill matrix over
+    modes -M..M at the 13 panel points and the reference wave: the lowest
+    M eigenvalues (the range periodic_spectrum reports; the top of the
+    spectrum sits at ~1e4 op_scale, where both solves round at
+    eps ||H||), and the inertia counts at periodic_spectrum's zero
+    tolerance."""
+    for prof, coeffs in [*panel_operators, (ref_profile, ref_coeffs)]:
+        full = np.linalg.eigvalsh(hill_matrix(coeffs, M))
+        blocks = _block_eigenvalues(*_parity_blocks(coeffs, M))
+        scale = operator_scale(coeffs)
+        assert blocks.shape == full.shape
+        assert np.max(np.abs(blocks[:M] - full[:M])) <= 1e-11 * scale
+        tau = max(1e-8 * scale, 10.0 * kernel_residual(coeffs))
+        assert np.sum(blocks < -tau) == np.sum(full < -tau)
+        assert np.sum(np.abs(blocks) <= tau) == np.sum(np.abs(full) <= tau)
+
+
+def test_lowest_eigenvalue_to_rounding():
+    """At a graded panel point the lowest eigenvalue at M = 128 agrees with
+    the long-double Rayleigh quotient of the full Hill matrix at its
+    eigenvector to 1e-13 relative; the full matrix's own eigvalsh, which
+    reduces it from the low modes, is off by ~1e-12."""
+    params = WaveParameters(b=4.0, a=0.4938981104340343,
+                            E=-0.2110995509239468, c=1.9508178180982396)
+    coeffs = assemble_operator(synthesize_profile(params, 512))
+    lam = periodic_spectrum(coeffs, M=128).eigenvalues[0]
+    H = hill_matrix(coeffs, 128)
+    v = np.linalg.eigh(H)[1][:, 0].astype(np.longdouble)
+    rq = float(v @ (H.astype(np.longdouble) @ v) / (v @ v))
+    assert abs(lam - rq) <= 1e-13 * abs(rq)
+
+
+def test_one_hill_build_per_operator(ref_profile, ref_coeffs, monkeypatch):
+    """The spectrum and the probe's ground state share one pair of parity
+    blocks; the full Hill matrix is never built."""
+    built = []
+    monkeypatch.setattr(spectral, "hill_matrix",
+                        lambda *args: built.append(args))
+    periodic_spectrum(ref_coeffs, M=128)
+    coercivity_probe(ref_coeffs, ref_profile, trials=16)
+    assert _parity_blocks.cache_info().misses == 1
+    assert built == []
+
+
+def test_parity_blocks_memo(ref_profile, ref_coeffs):
+    C, S = _parity_blocks(ref_coeffs, 64)
+    assert C.shape == (65, 65) and S.shape == (64, 64)
+    assert _parity_blocks(ref_coeffs, 64)[0] is C
+    with pytest.raises(ValueError):
+        C[0, 0] = 0.0
+    # another operator object with equal coefficients has its own blocks
+    twin = assemble_operator(ref_profile)
+    assert twin != ref_coeffs
+    assert _parity_blocks(twin, 64)[0] is not C
+    assert np.array_equal(_parity_blocks(twin, 64)[0], C)
+    with pytest.raises(ValueError):
+        _parity_blocks(ref_coeffs, 400)
