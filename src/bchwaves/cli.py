@@ -261,7 +261,8 @@ def _row_to_csv(row: dict) -> list[str]:
 
 
 def _sweep_config_hash(args: argparse.Namespace) -> str:
-    """Hash of every setting that shapes the rows, and of the version."""
+    """Hash of every option of the sweep except --out and --jobs, and of
+    the version."""
     config = {k: v for k, v in _config_echo(args).items()
               if k not in ("out", "jobs")}
     config["version"] = __version__
@@ -318,27 +319,48 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 # parser / dispatch
 # ---------------------------------------------------------------------------
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--b", type=float, default=None, help="family exponent (> 1)")
-    sub.add_argument("--a", type=float, default=None, help="integration constant")
-    sub.add_argument("--E", type=float, default=None, help="quadrature energy")
-    sub.add_argument("--c", type=float, default=None, help="wave speed")
-    sub.add_argument("--N", type=int, default=512, help="grid size (power of two)")
-    sub.add_argument("--modes", type=int, default=None, help="Hill mode count")
-    sub.add_argument("--dt-safety", dest="dt_safety", type=float, default=0.5)
-    sub.add_argument("--out", type=str, default=".")
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--frame", choices=("traveling", "lab"), default="traveling")
-    sub.add_argument("--eps", type=float, default=1e-3)
-    sub.add_argument("--horizon-periods", dest="horizon_periods", type=float,
-                     default=50.0)
-    sub.add_argument("--perturbation", choices=("raw", "constrained"),
-                     default="raw")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--config", type=str, default=None,
-                     help="JSON file of option defaults (flags override; "
-                          "unknown keys are refused)")
-    sub.add_argument("--jobs", type=int, default=None)
+# every option once: flag name (its dest has "_" for "-") -> argparse keywords
+_OPTIONS = {
+    "b": dict(type=float, help="family exponent (> 1)"),
+    "a": dict(type=float, help="integration constant"),
+    "E": dict(type=float, help="quadrature energy"),
+    "c": dict(type=float, help="wave speed"),
+    "N": dict(type=int, default=512, help="grid size (power of two)"),
+    "out": dict(default="."),
+    "config": dict(help="JSON file of option defaults (flags override; "
+                        "unknown keys are refused)"),
+    "modes": dict(type=int, help="Hill mode count"),
+    "format": dict(choices=("csv", "json"), default="csv"),
+    "dt-safety": dict(type=float, default=0.5),
+    "frame": dict(choices=("traveling", "lab"), default="traveling"),
+    "eps": dict(type=float, default=1e-3),
+    "horizon-periods": dict(type=float, default=50.0),
+    "perturbation": dict(choices=("raw", "constrained"), default="raw"),
+    "seed": dict(type=int, default=0),
+    "jobs": dict(type=int),
+    "b-range": dict(help="MIN:MAX:COUNT"),
+    "a-range": dict(),
+    "E-range": dict(),
+    "E-frac-range": dict(help="energies as fractions of the well "
+                              "(V(phi2), V(phi1))"),
+    "c-range": dict(),
+}
+
+_COMMON = ("b", "a", "E", "c", "N", "out", "config")
+
+# each subcommand: its function, its help and the options it reads
+_COMMANDS = {
+    "profile": (cmd_profile, "synthesize a wave profile", _COMMON),
+    "classify": (cmd_classify, "stability classification report", _COMMON),
+    "spectrum": (cmd_spectrum, "periodic spectrum and identities",
+                 _COMMON + ("modes", "format")),
+    "evolve": (cmd_evolve, "time-evolve a perturbed wave",
+               _COMMON + ("dt-safety", "frame", "eps", "horizon-periods",
+                          "perturbation", "seed")),
+    "sweep": (cmd_sweep, "classify over a parameter grid",
+              _COMMON + ("modes", "jobs", "seed", "b-range", "a-range",
+                         "E-range", "E-frac-range", "c-range")),
+}
 
 
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
@@ -350,36 +372,11 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                     "and time evolution.")
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sp = subs.add_parser("profile", help="synthesize a wave profile")
-    _add_common(sp)
-    sp.set_defaults(func=cmd_profile)
-
-    sc = subs.add_parser("classify", help="stability classification report")
-    _add_common(sc)
-    sc.set_defaults(func=cmd_classify)
-
-    ss = subs.add_parser("spectrum", help="periodic spectrum and identities")
-    _add_common(ss)
-    ss.set_defaults(func=cmd_spectrum)
-
-    se = subs.add_parser("evolve", help="time-evolve a perturbed wave")
-    _add_common(se)
-    se.set_defaults(func=cmd_evolve)
-
-    sw = subs.add_parser("sweep", help="classify over a parameter grid")
-    _add_common(sw)
-    sw.add_argument("--b-range", dest="b_range", type=str, default=None,
-                    help="MIN:MAX:COUNT")
-    sw.add_argument("--a-range", dest="a_range", type=str, default=None)
-    sw.add_argument("--E-range", dest="E_range", type=str, default=None)
-    sw.add_argument("--E-frac-range", dest="E_frac_range", type=str,
-                    default=None,
-                    help="energies as fractions of the well (V(phi2), V(phi1))")
-    sw.add_argument("--c-range", dest="c_range", type=str, default=None)
-    sw.set_defaults(func=cmd_sweep)
-    for sub in (sp, sc, ss, se, sw):
-        sub.set_defaults(**(defaults or {}))
+    for name, (func, help_text, options) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_text)
+        for option in options:
+            sub.add_argument(f"--{option}", **_OPTIONS[option])
+        sub.set_defaults(func=func, **(defaults or {}))
     return parser
 
 

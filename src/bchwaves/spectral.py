@@ -266,8 +266,10 @@ def periodic_spectrum(coeffs: OperatorCoefficients, M: int | None = None) -> Spe
     """
     if M is None:
         M = _default_modes(coeffs.p.shape[0])
-    if M < 1:
-        raise ValueError(f"Hill mode count must be positive, got {M}")
+    # the check compares the lowest five eigenvalues with the 2(M//2) + 1 at
+    # M//2, so it needs M >= 4
+    if M < 4:
+        raise ValueError(f"Hill mode count must be at least 4, got {M}")
     C, S = _parity_blocks(coeffs, M)
     evals = _block_eigenvalues(C, S)
     evals_half = _block_eigenvalues(C[:M // 2 + 1, :M // 2 + 1],

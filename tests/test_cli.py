@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from bchwaves import CoefficientInconsistency, cli
 from bchwaves.cli import main
 
@@ -42,6 +44,9 @@ def test_classify_command(tmp_path, capsys):
     assert payload["jacobians"]["J_T_omega1"] > 0
     assert "theta" in payload["jacobians"]
     assert payload["config"]["N"] == 256
+    # the echo holds only what classify reads
+    assert set(payload["config"]) == {"b", "a", "E", "c", "N", "out",
+                                      "command"}
     assert "StableCriteriaMet" in capsys.readouterr().out
 
 
@@ -67,6 +72,13 @@ def test_spectrum_unconverged_exit_code(tmp_path, capsys):
 
 def test_spectrum_rejects_nonpositive_modes(tmp_path, capsys):
     rc = main(["spectrum", *REF, "--N", "256", "--modes", "0",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "mode count" in capsys.readouterr().err
+
+
+def test_spectrum_rejects_too_few_modes(tmp_path, capsys):
+    rc = main(["spectrum", *REF, "--N", "256", "--modes", "2",
                "--out", str(tmp_path)])
     assert rc == 2
     assert "mode count" in capsys.readouterr().err
@@ -216,6 +228,53 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg.write_text(json.dumps({"b_range": "2:3:2"}))
     assert main(["profile", *REF, "--config", str(cfg),
                  "--out", str(tmp_path)]) == 2
+    capsys.readouterr()
+    cfg.write_text(json.dumps({"eps": 1e-3}))
+    assert main(["classify", *REF, "--config", str(cfg),
+                 "--out", str(tmp_path)]) == 2
+    assert "eps" in capsys.readouterr().err
+    assert not (tmp_path / "classify.json").exists()
+
+
+_COMMON = {"b", "a", "E", "c", "N", "out", "config"}
+_COMMAND_OPTIONS = {
+    "profile": _COMMON,
+    "classify": _COMMON,
+    "spectrum": _COMMON | {"modes", "format"},
+    "evolve": _COMMON | {"dt-safety", "frame", "eps", "horizon-periods",
+                         "perturbation", "seed"},
+    "sweep": _COMMON | {"modes", "jobs", "seed", "b-range", "a-range",
+                        "E-range", "E-frac-range", "c-range"},
+}
+_ALL_OPTIONS = set().union(*_COMMAND_OPTIONS.values())
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_OPTIONS))
+def test_subcommand_takes_only_its_options(command, capsys):
+    """Each subcommand defines exactly the options it reads and refuses
+    every other option with exit code 2."""
+    options = _COMMAND_OPTIONS[command]
+    args = vars(cli.build_parser().parse_args([command]))
+    assert set(args) - {"func", "command"} == {o.replace("-", "_")
+                                               for o in options}
+    for option in sorted(_ALL_OPTIONS - options):
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args([command, f"--{option}", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_benchmark_sweep_argv_parses(tmp_path):
+    """The sweep workload of benchmarks/run.py calls main with this argv
+    (SWEEP_ARGS, then --out and --seed); copied here, because importing
+    run.py pins the BLAS threads."""
+    sweep_args = ["sweep", "--b", "2", "--c", "1", "--a-range", "0.02:0.13:8",
+                  "--E-frac-range", "0.1:0.9:9", "--jobs", "1"]
+    args = cli.build_parser().parse_args(
+        sweep_args + ["--out", str(tmp_path), "--seed", "3"])
+    assert args.func is cli.cmd_sweep
+    assert (args.jobs, args.seed, args.out) == (1, 3, str(tmp_path))
+    assert len(cli._sweep_grid(args)) == 72
 
 
 def test_parallel_sweep_matches_serial(tmp_path):

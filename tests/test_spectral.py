@@ -148,6 +148,13 @@ def test_unconverged_discretization_raises(ref_coeffs):
         periodic_spectrum(ref_coeffs, M=8)
 
 
+@pytest.mark.parametrize("M", [1, 2, 3])
+def test_spectrum_refuses_fewer_than_four_modes(ref_coeffs, M):
+    """The halving check needs five eigenvalues at M // 2."""
+    with pytest.raises(ValueError, match="mode count"):
+        periodic_spectrum(ref_coeffs, M=M)
+
+
 def test_hill_matrix_size_guard(ref_coeffs):
     with pytest.raises(ValueError):
         hill_matrix(ref_coeffs, 400)
