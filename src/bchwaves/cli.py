@@ -29,8 +29,7 @@ from .errors import (BchWavesError, CoefficientInconsistency,
                      QuadratureFailure, RouteMismatch)
 from .evolution import run_experiment
 from .invariants import (CLASS_OUT_OF_SCOPE, classify_stability,
-                         conserved_quantities, multipliers,
-                         parameter_jacobians)
+                         conserved_quantities, parameter_jacobians)
 from .potential import WaveParameters, critical_points, existence_check
 from .profile import profile_header, synthesize_profile, write_profile_csv
 from .spectral import assemble_operator, periodic_spectrum, proof_identities
@@ -237,12 +236,11 @@ def _sweep_row(point: dict, N: int, modes: int) -> dict:
             return row
         jac = parameter_jacobians(params)
         prof = synthesize_profile(params, N)
-        F1, F2 = conserved_quantities(prof, jac.invariants)
-        mults = multipliers(params)
-        spec = periodic_spectrum(assemble_operator(prof, mults),
-                                 M=min(modes, N // 4))
+        inv = jac.invariants
+        F1, F2 = conserved_quantities(prof, inv)
+        spec = periodic_spectrum(assemble_operator(prof), M=min(modes, N // 4))
         row.update({"status": "ok", "T": prof.T, "F1": F1, "F2": F2,
-                    "omega1": mults.omega1, "omega2": mults.omega2,
+                    "omega1": inv.omega1, "omega2": inv.omega2,
                     "J_T_omega1": jac.J_T_omega1, "J_T_F1": jac.J_T_F1,
                     "J3": jac.J3, "theta": jac.theta, "n_neg": spec.n_neg,
                     "n_zero": spec.n_zero,
@@ -363,6 +361,18 @@ _COMMANDS = {
 }
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A subcommand's parser.  argparse hands the options a subparser does
+    not know back to the top parser, whose usage line lists none of the
+    subcommand's; this one refuses them itself, with its own usage."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
+
 def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
     """The parser; defaults (from --config) override every subcommand's."""
     parser = argparse.ArgumentParser(
@@ -371,7 +381,8 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
                     "equation: construction, stability criteria, spectra, "
                     "and time evolution.")
     parser.add_argument("--version", action="version", version=__version__)
-    subs = parser.add_subparsers(dest="command", required=True)
+    subs = parser.add_subparsers(dest="command", required=True,
+                                 parser_class=_CommandParser)
     for name, (func, help_text, options) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
         for option in options:

@@ -278,7 +278,9 @@ def run_experiment(profile: WaveProfile, eps: float,
 
     One period means the temporal period T/c of the lab-frame wave.
     Positivity loss and blow-up are experiment outcomes, recorded in the
-    diagnostics rather than raised.
+    diagnostics rather than raised.  An eps below zero, a horizon_periods
+    or dt_safety not above zero, or any of them not finite raises
+    ValueError naming it.
     """
     params = profile.params
     b, c = params.b, params.c
@@ -286,6 +288,12 @@ def run_experiment(profile: WaveProfile, eps: float,
     frame_speed = c if frame == "traveling" else 0.0
     if frame not in ("traveling", "lab"):
         raise ValueError(f"unknown frame {frame!r}")
+    if not (np.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps!r}")
+    for name, value in (("horizon_periods", horizon_periods),
+                        ("dt_safety", dt_safety)):
+        if not (np.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     n = N
     mu = fourier.resample(profile.mu, n) if n != profile.N else profile.mu.copy()

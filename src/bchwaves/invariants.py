@@ -111,7 +111,6 @@ class StabilityReport:
     params: WaveParameters
     classification: str
     jacobians: JacobianReport
-    crest: CrestIdentityReport
     el_residual: float
     profile_res: ProfileResiduals
     F1: float
@@ -277,11 +276,10 @@ def _crest_quantities(params: WaveParameters, tp) -> tuple:
     return phip, phipp0, mup, muxx0, J_mu_w1
 
 
-def parameter_jacobians(params: WaveParameters,
-                        invariants: InvariantSet | None = None) -> JacobianReport:
+def parameter_jacobians(params: WaveParameters) -> JacobianReport:
     """Assemble the three stability determinants, their error estimates,
     the monodromy coefficient theta, and the classification."""
-    inv = restricted_invariants(params) if invariants is None else invariants
+    inv = restricted_invariants(params)
     w1_E, w1_c = inv.grad_omega1[1], inv.grad_omega1[2]
 
     J1 = inv.grad_T[1] * w1_c - inv.grad_T[2] * w1_E
@@ -349,16 +347,15 @@ def crest_identities(params: WaveParameters) -> CrestIdentityReport:
 
 def classify_stability(params: WaveParameters, N: int = 512) -> StabilityReport:
     """Full classification bundle: profile synthesis and its residuals,
-    stationarity residual, invariants and Jacobians, crest-derivative identities."""
+    stationarity residual, invariants and Jacobians."""
     profile = synthesize_profile(params, N)
     res = profile_residuals(profile)
     el = euler_lagrange_residual(profile)
     jac = parameter_jacobians(params)
-    crest = crest_identities(params)
     F1, F2 = conserved_quantities(profile, jac.invariants)
     return StabilityReport(
         params=params, classification=jac.classification,
-        jacobians=jac, crest=crest, el_residual=el,
+        jacobians=jac, el_residual=el,
         profile_res=res, F1=F1, F2=F2)
 
 
@@ -386,11 +383,9 @@ class FamilyDerivatives:
     T_c: float
 
 
-def family_derivatives(params: WaveParameters, N: int = 512,
-                       profile: WaveProfile | None = None) -> FamilyDerivatives:
-    base = synthesize_profile(params, N) if profile is None else profile
-    mu_s, T_p = _fixed_phase_derivatives(base)
-    mu_grads = mu_s - (T_p[:, None] / base.T) * base.x * base.dmu
+def family_derivatives(profile: WaveProfile) -> FamilyDerivatives:
+    mu_s, T_p = _fixed_phase_derivatives(profile)
+    mu_grads = mu_s - (T_p[:, None] / profile.T) * profile.x * profile.dmu
     return FamilyDerivatives(
-        profile=base, mu_a=mu_grads[0], mu_E=mu_grads[1], mu_c=mu_grads[2],
+        profile=profile, mu_a=mu_grads[0], mu_E=mu_grads[1], mu_c=mu_grads[2],
         T_a=float(T_p[0]), T_E=float(T_p[1]), T_c=float(T_p[2]))

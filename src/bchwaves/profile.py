@@ -60,7 +60,7 @@ from __future__ import annotations
 import csv
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache, wraps
 from typing import NamedTuple
 
@@ -135,14 +135,6 @@ class ProfileResiduals:
     first_integral: float
     mu_relation: float
     profile_ode: float
-
-    def as_dict(self) -> dict:
-        return {
-            "energy_relation": self.energy_relation,
-            "first_integral": self.first_integral,
-            "mu_relation": self.mu_relation,
-            "profile_ode": self.profile_ode,
-        }
 
 
 class _Params(NamedTuple):
@@ -666,7 +658,7 @@ def profile_header(profile: WaveProfile) -> dict:
         "N": profile.N,
         "phi_min": profile.phi_min,
         "phi_max": profile.phi_max,
-        "residuals": res.as_dict(),
+        "residuals": asdict(res),
     }
 
 

@@ -124,6 +124,14 @@ def test_evolve_command(tmp_path):
     assert summary["run_config"]["cfl_max"] > 0
 
 
+def test_evolve_rejects_zero_dt_safety(tmp_path, capsys):
+    rc = main(["evolve", *REF, "--N", "128", "--dt-safety", "0",
+               "--horizon-periods", "0.5", "--out", str(tmp_path)])
+    assert rc == 2
+    assert "dt_safety" in capsys.readouterr().err
+    assert not (tmp_path / "evolve.json").exists()
+
+
 def test_sweep_and_determinism(tmp_path):
     args = ["sweep", "--b", "2", "--c", "1", "--a-range", "0.06:0.12:2",
             "--E-frac-range", "0.3:0.6:2", "--N", "256", "--modes", "64",
@@ -262,6 +270,11 @@ def test_subcommand_takes_only_its_options(command, capsys):
             cli.build_parser().parse_args([command, f"--{option}", "1"])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+    # through main the refusal shows the subcommand's own usage line
+    with pytest.raises(SystemExit) as exc:
+        main([command, *REF, f"--{min(_ALL_OPTIONS - options)}", "1"])
+    assert exc.value.code == 2
+    assert f"usage: bchwaves {command} " in capsys.readouterr().err
 
 
 def test_benchmark_sweep_argv_parses(tmp_path):

@@ -328,6 +328,22 @@ def test_run_experiment_rejects_nan_profile(ref_profile):
                        n_samples=2)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("eps", -1e-3), ("eps", np.nan), ("eps", np.inf),
+    ("horizon_periods", -1.0), ("horizon_periods", 0.0),
+    ("horizon_periods", np.nan), ("horizon_periods", np.inf),
+    ("dt_safety", 0.0), ("dt_safety", -0.5), ("dt_safety", np.nan),
+    ("dt_safety", np.inf)])
+def test_run_experiment_refuses_out_of_range_input(ref_profile, name, value):
+    """Unchecked, horizon_periods = -1 takes one backward step,
+    dt_safety = 0 divides by zero, dt_safety = -0.5 takes one step over
+    the whole horizon, and eps = -1e-3 runs unperturbed."""
+    kwargs = dict(eps=1e-3, horizon_periods=0.1, dt_safety=0.5)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=name):
+        run_experiment(ref_profile, N=128, n_samples=2, **kwargs)
+
+
 def test_constrained_run_smoke(ref_profile):
     diag = run_experiment(ref_profile, eps=5e-4, horizon_periods=2.0, N=256,
                           mode="constrained", n_samples=10, seed=3)

@@ -110,7 +110,7 @@ def test_gradient_identity(ref_params):
     # the crest-value boundary term from the moving period
     prof = synthesize_profile(ref_params, 2048)
     inv = restricted_invariants(ref_params)
-    fam = family_derivatives(ref_params, 2048, profile=prof)
+    fam = family_derivatives(prof)
     b, T = ref_params.b, prof.T
     from bchwaves.invariants import delta_F2
 
@@ -286,7 +286,7 @@ def test_crest_derivatives_match_richardson(p):
 def test_family_derivatives_quasi_periodicity(ref_params, ref_profile):
     # mu_E(x + T) - mu_E(x) = -T_E mu_x(x): check at x = T/2 (interior)
     # by comparing the periodized combination's wrap consistency
-    fam = family_derivatives(ref_params, 256)
+    fam = family_derivatives(synthesize_profile(ref_params, 256))
     prof = fam.profile
     v = fam.mu_E + (fam.T_E / prof.T) * prof.x * prof.dmu
     # v is T-periodic, so its trig interpolant at x=0 and x->T agree
@@ -321,7 +321,7 @@ def _family_derivatives_interpolated(params, N, base, rel_step=1e-4):
 
 
 def test_family_derivatives_match_interpolation_route(ref_params, ref_profile):
-    fam = family_derivatives(ref_params, 512, profile=ref_profile)
+    fam = family_derivatives(ref_profile)
     mu_grads, T_grads = _family_derivatives_interpolated(ref_params, 512,
                                                          ref_profile)
     for got, want in zip((fam.mu_a, fam.mu_E, fam.mu_c), mu_grads):

@@ -1,11 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from bchwaves import (DiscretizationNotConverged, WaveParameters,
                       apply_operator, assemble_operator, coercivity_probe,
-                      equilibrium_profile, hill_matrix, kernel_residual,
-                      multipliers, periodic_spectrum, proof_identities,
+                      equilibrium_profile, family_derivatives, hill_matrix,
+                      kernel_residual, multipliers, periodic_spectrum,
+                      proof_identities, restricted_invariants,
                       synthesize_profile)
 from bchwaves import fourier, spectral
 from bchwaves.invariants import delta_F1, delta_F2
@@ -59,6 +62,30 @@ def _coercivity_probe_loop(coeffs, profile, trials, seed, project):
     return min_q, n_negative, evaluated
 
 
+def _sampled_tangent_orthogonality(profile, coeffs, trials=16, seed=0):
+    """Oracle route for the tangent check of proof_identities: the largest
+    |<L psi, m>| / (||L psi|| ||m||) over trials random smooth directions m
+    on modes below N/3, each projected onto {dF1, dF2}^perp."""
+    T, b = profile.T, profile.params.b
+    inv = restricted_invariants(profile.params)
+    fam = family_derivatives(profile)
+    gT, gF = inv.grad_T, inv.grad_F1
+    psi = (fam.mu_a * (gT[1] * gF[2] - gT[2] * gF[1])
+           - fam.mu_E * (gT[0] * gF[2] - gT[2] * gF[0])
+           + fam.mu_c * (gT[0] * gF[1] - gT[1] * gF[0]))
+    L_psi = apply_operator(coeffs, psi)
+    basis = fourier.orthonormalize((delta_F1(profile.mu, b),
+                                    delta_F2(profile.mu, profile.dmu,
+                                             profile.d2mu, b)), T)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for m in fourier.random_smooth(profile.N, rng, trials, profile.N // 3):
+        m = fourier.project_out(m, basis, T)
+        worst = max(worst, abs(fourier.l2_inner(L_psi, m, T))
+                    / (fourier.l2_norm(L_psi, T) * fourier.l2_norm(m, T)))
+    return worst
+
+
 def discrete_action_gradient(m, T, b, w1, w2):
     """Gradient of the grid-discretized action E - w1 F1 - w2 F2 (integrand
     level), with the F2 transport term handled by the antisymmetry of the
@@ -99,7 +126,6 @@ def test_coefficients(ref_profile, ref_coeffs):
     assert np.all(ref_coeffs.p > 0)
     dp = fourier.spectral_derivative(ref_coeffs.p, ref_profile.T, 1)
     assert np.max(np.abs(ref_coeffs.q - dp)) < 1e-7 * np.max(np.abs(dp))
-    assert np.allclose(ref_coeffs.symmetric_r, -ref_coeffs.r)
 
 
 def test_equilibrium_coefficients():
@@ -171,6 +197,24 @@ def test_proof_identities(ref_params, ref_profile, ref_coeffs):
     # positive here (J2 < 0, J3 < 0)
     assert ids.psi_quadform < 0
     assert ids.psi_quadform_predicted < 0
+
+
+def test_tangent_check_is_exact(ref_profile, ref_coeffs):
+    """The tangent check is the supremum over the tangent space, so it is
+    at least what sampled directions see, and it sees a defect of the
+    operator on mode 200, which the sampled directions (modes below
+    N/3 = 170) miss."""
+    clean = proof_identities(ref_profile, ref_coeffs).tangent_orthogonality
+    sampled = _sampled_tangent_orthogonality(ref_profile, ref_coeffs)
+    assert clean >= sampled
+
+    r = ref_coeffs.symmetric_r
+    high = 1e-6 * np.max(np.abs(r)) * np.cos(
+        2.0 * np.pi * 200 * ref_coeffs.x / ref_coeffs.T)
+    corrupt = dataclasses.replace(ref_coeffs, symmetric_r=r + high)
+    defect = proof_identities(ref_profile, corrupt).tangent_orthogonality
+    assert defect > 1e3 * clean
+    assert _sampled_tangent_orthogonality(ref_profile, corrupt) < 10 * sampled
 
 
 def test_coercivity_probe(ref_profile, ref_coeffs):
