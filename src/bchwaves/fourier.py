@@ -104,14 +104,20 @@ def resample(v: np.ndarray, n_new: int) -> np.ndarray:
     """Trigonometric resampling onto n_new uniform points.
 
     Upsampling is exact; downsampling truncates modes above the new
-    Nyquist (exact for data band-limited to the coarser grid).
+    Nyquist (exact for data band-limited to the coarser grid).  The rfft
+    coefficients are zero-padded or truncated; the Nyquist mode of the
+    even one of the two grids has no partner, so it is halved into a
+    cosine pair when upsampling and takes the pair's sum, twice its
+    coefficient, when downsampling (scipy.signal.resample's convention).
     """
-    from scipy.signal import resample as _fourier_resample
-
     n = v.shape[-1]
     if n_new == n:
         return v.copy()
-    return np.asarray(_fourier_resample(v, n_new), dtype=float)
+    m = min(n, n_new)
+    c = np.fft.rfft(v)[..., :m // 2 + 1]
+    if m % 2 == 0:
+        c[..., m // 2] *= 2.0 if n_new < n else 0.5
+    return np.fft.irfft(c / (n / n_new), n=n_new)
 
 
 def circular_shift(v: np.ndarray, shift: float, period: float) -> np.ndarray:

@@ -20,12 +20,16 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
 
-from .errors import NotInExistenceSet
+from .errors import ConvergenceFailure, NotInExistenceSet
 
 # relative bracket offset for root finding on (0, c)
 _BRACKET_EPS = 1e-14
+# _bracketed_root: absolute and relative width of the final bracket, and
+# the most steps it takes
+_ROOT_XTOL = 1e-15
+_ROOT_RTOL = 9e-16
+_ROOT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -109,6 +113,71 @@ def _dg(phi: float, params: WaveParameters) -> float:
     return float(_cpow(c - phi, b - 1.0) * (c - (b + 1.0) * phi))
 
 
+def _fpow(base: float, expo: float) -> float:
+    """_cpow on Python floats."""
+    return math.exp(expo * math.log(base))
+
+
+def _float_potential(b: float, a: float, c: float):
+    """V(phi; a, c) as a function of one Python float phi < c, by math: a
+    root search evaluates it one point at a time, where numpy's per-call
+    cost would exceed the arithmetic."""
+    return lambda phi: -0.5 * phi**2 + a / ((b - 1.0) * _fpow(c - phi, b - 1.0))
+
+
+def _bracketed_root(f, lo: float, hi: float) -> float:
+    """A root of f in [lo, hi], where f(lo) and f(hi) differ in sign, by
+    Brent's method (inverse quadratic interpolation safeguarded by
+    bisection; Brent, Algorithms for Minimization without Derivatives,
+    1973, ch. 4), to a bracket of width _ROOT_XTOL + _ROOT_RTOL |root|.
+    The steps are those of scipy.optimize.brentq.
+
+    Raises ValueError when f has the same sign at both ends, and
+    ConvergenceFailure when _ROOT_MAXITER steps do not close the bracket.
+    """
+    x_pre, x_cur = lo, hi
+    f_pre, f_cur = f(x_pre), f(x_cur)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if math.copysign(1.0, f_pre) == math.copysign(1.0, f_cur):
+        raise ValueError(f"f has the same sign at both ends of [{lo!r}, {hi!r}]")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(_ROOT_MAXITER):
+        if f_pre != 0.0 and f_cur != 0.0 and (
+                math.copysign(1.0, f_pre) != math.copysign(1.0, f_cur)):
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            # keep at x_cur the end of the bracket where |f| is smaller
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = 0.5 * (_ROOT_XTOL + _ROOT_RTOL * abs(x_cur))
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < delta:
+            return x_cur
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:  # secant
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:  # inverse quadratic interpolation
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                         / (d_blk * d_pre * (f_blk - f_pre)))
+            if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else math.copysign(delta, s_bis)
+        f_cur = f(x_cur)
+    raise ConvergenceFailure(
+        f"bracketed root not found in {_ROOT_MAXITER} steps on [{lo!r}, {hi!r}]")
+
+
 def _newton_polish(f, df, x0: float, steps: int = 2) -> float:
     x = x0
     for _ in range(steps):
@@ -130,14 +199,17 @@ def _critical_values(b: float, a: float, c: float) -> tuple:
     if not (0.0 < a < amax):
         raise NotInExistenceSet(f"a outside (0, {amax!r}): got {a!r}")
 
+    # Brent's steps on math floats; the polish and V through numpy, like
+    # every later evaluation of the well, so the polished roots are roots
+    # of the g the rest of the package evaluates
     params = WaveParameters(b=b, a=a, E=0.0, c=c)
     g = lambda phi: eval_g(phi, params)
+    dg = lambda phi: _dg(phi, params)
+    g_float = lambda phi: phi * _fpow(c - phi, b) - a
     lo, mid, hi = _BRACKET_EPS * c, c / (b + 1.0), c * (1.0 - _BRACKET_EPS)
-    phi1 = brentq(g, lo, mid, xtol=1e-15, rtol=9e-16)
-    phi2 = brentq(g, mid, hi, xtol=1e-15, rtol=9e-16)
-    phi1 = _newton_polish(g, lambda p: _dg(p, params), phi1)
-    phi2 = _newton_polish(g, lambda p: _dg(p, params), phi2)
-    return (float(phi1), float(phi2), amax, eval_potential(phi1, params),
+    phi1 = _newton_polish(g, dg, _bracketed_root(g_float, lo, mid))
+    phi2 = _newton_polish(g, dg, _bracketed_root(g_float, mid, hi))
+    return (phi1, phi2, amax, eval_potential(phi1, params),
             eval_potential(phi2, params))
 
 

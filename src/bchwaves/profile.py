@@ -66,14 +66,12 @@ from typing import NamedTuple
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from numpy.polynomial import chebyshev as _cheb
-from scipy.fft import dct
-from scipy.optimize import brentq
 
 from . import fourier
 from .errors import ConvergenceFailure, NotInExistenceSet, QuadratureFailure
-from .potential import (PotentialScan, WaveParameters, _cpow, _potential,
-                        critical_points, eval_potential, require_existence)
+from .potential import (PotentialScan, WaveParameters, _bracketed_root, _cpow,
+                        _float_potential, _potential, critical_points,
+                        eval_potential, require_existence)
 
 # refuse synthesis when E is this close to the boundary of the well
 _E_MARGIN_FLOOR = 1e-12
@@ -176,13 +174,16 @@ def _log1p(z):
 def turning_point_data(params: WaveParameters) -> TurningPointData:
     scan = require_existence(params)
     E, c = params.E, params.c
+    V_float = _float_potential(params.b, params.a, c)
+    P_float = lambda phi: E - V_float(phi)
 
     def P(phi):
         return E - eval_potential(phi, params)
 
-    lo = brentq(P, scan.phi1, scan.phi2, xtol=1e-15, rtol=9e-16)
-    hi = brentq(P, scan.phi2, c * (1.0 - 1e-12), xtol=1e-15, rtol=9e-16)
-    # Newton polish towards machine-precision roots
+    lo = _bracketed_root(P_float, scan.phi1, scan.phi2)
+    hi = _bracketed_root(P_float, scan.phi2, c * (1.0 - 1e-12))
+    # Newton polish towards machine-precision roots, through numpy like
+    # every later evaluation of V (see potential._critical_values)
     for _ in range(2):
         lo = lo + P(lo) / _dV(lo, params)
         hi = hi + P(hi) / _dV(hi, params)
@@ -350,11 +351,35 @@ def period(params: WaveParameters) -> float:
 # Chebyshev machinery for the half-period map x(theta)
 # ---------------------------------------------------------------------------
 
+def _dct1(values: np.ndarray) -> np.ndarray:
+    """Unnormalized DCT-I along the last axis,
+
+        y_k = x_0 + (-1)^k x_n + 2 sum(x_j cos(pi j k / n), j = 1..n-1),
+
+    as the real part of the rfft of the even extension x_0..x_n, x_{n-1}..x_1.
+    A complex input is transformed as its real and imaginary parts apart:
+    its sine terms, zero in exact arithmetic, would otherwise round one
+    part into the other, and under a complex step the imaginary part is
+    ~1e-30 of the real one."""
+    n = values.shape[-1] - 1
+    parts = (values.real, values.imag) if np.iscomplexobj(values) else (values,)
+    even = np.empty((len(parts),) + values.shape[:-1] + (2 * n,))
+    for row, part in zip(even, parts):
+        row[..., :n + 1] = part
+        row[..., n + 1:] = part[..., -2:0:-1]
+    y = np.fft.rfft(even).real
+    if len(parts) == 1:
+        return y[0]
+    out = np.empty(values.shape, complex)
+    out.real, out.imag = y
+    return out
+
+
 def _cheb_fit(values: np.ndarray) -> np.ndarray:
     """Chebyshev coefficients interpolating values at t_j = cos(pi j / n),
     along the last axis."""
     n = values.shape[-1] - 1
-    a = dct(values, type=1) / n
+    a = _dct1(values) / n
     a[..., 0] *= 0.5
     a[..., -1] *= 0.5
     return a
@@ -390,6 +415,28 @@ def _cheb_ends(coeffs: np.ndarray) -> tuple:
             coeffs[..., 0::2].sum(axis=-1) - coeffs[..., 1::2].sum(axis=-1))
 
 
+def _cheb_values(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Chebyshev series along the last axis of coeffs at the points of the
+    1-D array t, shape coeffs.shape[:-1] + t.shape: the rows T_k(t) by the
+    three-term recurrence T_k = 2 t T_(k-1) - T_(k-2), each row written in
+    place, then one matrix product (numpy's chebval runs a Clenshaw loop
+    whose every step allocates).  Row n-1-k holds T_k, so the product
+    adds the small high-degree terms first, as Clenshaw's recurrence
+    does; summed from T_0 up, a degree-4097 series was off by 1.2e-15 of
+    sum |c_k|, against 1.5e-16 this way."""
+    n = coeffs.shape[-1]
+    rows = np.empty((n, t.size))
+    row = list(rows[::-1])
+    row[0][:] = 1.0
+    if n > 1:
+        row[1][:] = t
+    t2 = 2.0 * t
+    for k in range(2, n):
+        np.multiply(t2, row[k - 1], out=row[k])
+        np.subtract(row[k], row[k - 2], out=row[k])
+    return coeffs[..., ::-1] @ rows
+
+
 def _cheb_integral(coeffs: np.ndarray) -> np.ndarray:
     """Antiderivative of Chebyshev series along the last axis, zero at
     t = -1: coefficient k >= 1 is (c_{k-1} - c_{k+1}) / (2k), with c_0
@@ -423,7 +470,7 @@ def _lobatto_values(coeffs: np.ndarray, m: int) -> np.ndarray:
     padded = np.zeros(m + 1)
     padded[:coeffs.size] = coeffs
     padded[1:-1] *= 0.5  # DCT-I doubles the interior terms
-    return dct(padded, type=1)
+    return _dct1(padded)
 
 
 def _invert_half_period(map_: _HalfPeriodMap, x_targets: np.ndarray) -> np.ndarray:
@@ -468,7 +515,7 @@ def _invert_half_period(map_: _HalfPeriodMap, x_targets: np.ndarray) -> np.ndarr
         if done:
             break
     theta = nodes[j] + h * s
-    res = np.abs(0.25 * np.pi * (_cheb.chebval(4.0 * theta / np.pi - 1.0, A)
+    res = np.abs(0.25 * np.pi * (_cheb_values(A, 4.0 * theta / np.pi - 1.0)
                                  - A_left) - targets)
     if float(np.max(res)) > 1e-11 * max(map_.half_period, 1.0):
         raise ConvergenceFailure("inversion of the half-period map failed")
@@ -584,7 +631,7 @@ def _fixed_phase_derivatives(profile: WaveProfile) -> tuple[np.ndarray, np.ndarr
     G_c = _samples(_lobatto_theta(profile.map_nodes), pc, tpc)[2]
     A_p = _cheb_integral(_cheb_fit(G_c.imag / h))
     A_right, A_left = _cheb_ends(A_p)
-    xi_p = 0.25 * np.pi * (_cheb.chebval(4.0 * theta / np.pi - 1.0, A_p.T) - A_left[:, None])
+    xi_p = 0.25 * np.pi * (_cheb_values(A_p, 4.0 * theta / np.pi - 1.0) - A_left[:, None])
     T_p = 0.5 * np.pi * (A_right - A_left)
     s = np.arange(theta.size) / profile.N
     G = _samples(theta, params, tp)[2]

@@ -48,7 +48,9 @@ k = 1..M, each a Toeplitz-plus-Hankel matrix in d = |j - k|, s = j + k:
 Their eigenvalues together are those of H.  _parity_blocks builds both
 once per operator and mode count (a one-entry memo); periodic_spectrum
 solves them, and their leading sub-blocks for its convergence check, and
-the probe takes its ground state from C.  The blocks are graded, their
+the probe takes its ground state from C by inverse iteration, shifted by
+the lowest eigenvalue of the spectrum's solve of C (a one-entry memo
+beside the blocks).  The blocks are graded, their
 diagonal growing like kt^2 toward the bottom right, so they are solved
 from the upper triangle, whose tridiagonal reduction starts from that
 corner: the lowest eigenvalue then agrees with a long-double Rayleigh
@@ -65,7 +67,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy.linalg
 
 from . import fourier
 from .errors import CoefficientInconsistency, DiscretizationNotConverged
@@ -210,21 +211,41 @@ def _parity_blocks(coeffs: OperatorCoefficients, M: int
     return C, S
 
 
+# one entry, like the blocks: the spectrum's solve of C gives the probe's
+# ground state its shift
+@lru_cache(maxsize=1)
+def _cosine_eigenvalues(coeffs: OperatorCoefficients, M: int) -> np.ndarray:
+    """Read-only sorted eigenvalues of the cosine block of
+    _parity_blocks(coeffs, M), solved from the upper triangle."""
+    w = np.linalg.eigvalsh(_parity_blocks(coeffs, M)[0], UPLO="U")
+    w.setflags(write=False)
+    return w
+
+
 def _ground_state(coeffs: OperatorCoefficients, M: int) -> tuple[float, np.ndarray]:
     """Lowest periodic eigenvalue over modes -M..M and its eigenfunction as
     rfft coefficients on the coefficient grid, L2-normalized.
 
     The ground state is simple and free of zeros, hence even: it is the
-    lowest eigenvector of the cosine block C, solved from the upper
-    triangle like the spectrum.
+    lowest eigenvector of the cosine block C.  Two steps of inverse
+    iteration with C shifted by its lowest eigenvalue, from the constant
+    mode (which a zero-free ground state does not annihilate), give it to
+    rounding, since the shift sits ~1e-14 relative from that eigenvalue
+    and far from the next.
     """
     C = _parity_blocks(coeffs, M)[0]
-    w, g = scipy.linalg.eigh(C, lower=False, subset_by_index=[0, 0])
+    lam = float(_cosine_eigenvalues(coeffs, M)[0])
+    shifted = C - lam * np.eye(M + 1)
+    g = np.zeros(M + 1)
+    g[0] = 1.0
+    for _ in range(2):
+        g = np.linalg.solve(shifted, g)
+        g /= np.linalg.norm(g)
     n = coeffs.p.shape[0]
     ground = np.zeros(n // 2 + 1, dtype=complex)
-    ground[:M + 1] = g[:, 0] * (n / np.sqrt(2.0 * coeffs.T))
+    ground[:M + 1] = g * (n / np.sqrt(2.0 * coeffs.T))
     ground[0] *= np.sqrt(2.0)
-    return float(w[0]), ground
+    return lam, ground
 
 
 def operator_scale(coeffs: OperatorCoefficients) -> float:
@@ -269,7 +290,8 @@ def periodic_spectrum(coeffs: OperatorCoefficients, M: int | None = None) -> Spe
     if M < 4:
         raise ValueError(f"Hill mode count must be at least 4, got {M}")
     C, S = _parity_blocks(coeffs, M)
-    evals = _block_eigenvalues(C, S)
+    evals = np.sort(np.concatenate([_cosine_eigenvalues(coeffs, M),
+                                    np.linalg.eigvalsh(S, UPLO="U")]))
     evals_half = _block_eigenvalues(C[:M // 2 + 1, :M // 2 + 1],
                                     S[:M // 2, :M // 2])
     scale = operator_scale(coeffs)

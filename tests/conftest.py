@@ -11,7 +11,7 @@ from bchwaves import (WaveParameters, assemble_operator, critical_points,
 from bchwaves.invariants import restricted_invariants
 from bchwaves.potential import _critical_values
 from bchwaves.profile import turning_point_data
-from bchwaves.spectral import _parity_blocks
+from bchwaves.spectral import _cosine_eigenvalues, _parity_blocks
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 B_VALUES = (1.5, 2.0, 2.5, 3.0, 4.0)
@@ -22,7 +22,7 @@ STEEPNESS_GUARD = 0.15
 
 # the one-entry memos of the per-point stages
 POINT_MEMOS = (_critical_values, turning_point_data, synthesize_profile,
-               restricted_invariants, _parity_blocks)
+               restricted_invariants, _parity_blocks, _cosine_eigenvalues)
 
 
 @pytest.fixture(autouse=True)

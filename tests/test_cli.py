@@ -321,3 +321,48 @@ def test_sweep_failure_set(reference_points):
             assert (r["n_neg"], r["n_zero"]) == (1, 1)
         else:
             assert r["status"].startswith("DiscretizationNotConverged")
+
+
+_NUMPY_ONLY = """
+import sys
+
+import bchwaves
+import bchwaves.cli
+from bchwaves import fourier
+
+out = sys.argv[1]
+ref = ["--b", "2", "--a", "0.1", "--E", "0.09", "--c", "1", "--N", "256",
+       "--out", out]
+codes = [
+    bchwaves.cli.main(["classify", *ref]),
+    bchwaves.cli.main(["spectrum", *ref]),
+    bchwaves.cli.main(["sweep", "--b", "2", "--c", "1", "--a-range",
+                       "0.1:0.1:1", "--E-frac-range", "0.5:0.5:1", "--N",
+                       "256", "--jobs", "1", "--out", out]),
+    bchwaves.cli.main(["evolve", *ref, "--horizon-periods", "0.05"]),
+]
+assert codes == [0, 0, 0, 0], codes
+fourier.resample(fourier.random_smooth(64, __import__("numpy").random
+                                       .default_rng(0), 1, 16)[0], 128)
+print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_runs_on_numpy_alone(tmp_path):
+    """A fresh process imports the package and the CLI, runs classify,
+    spectrum, a one-row sweep, a short evolution and a resampling, and
+    has imported no scipy module, also not lazily.  (This process has:
+    the test oracles import it.)"""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bchwaves
+
+    env = dict(os.environ, PYTHONPATH=str(Path(bchwaves.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_ONLY, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"

@@ -82,3 +82,21 @@ def test_project_out_matches_sequential_projection():
     assert np.max(np.abs(fourier.projection_coefficients(got, basis, T))) < 1e-14
     assert np.allclose(fourier.project_out(block[0], basis, T), got[0],
                        rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_resample_matches_scipy(n):
+    """Zero-padding and truncation of the rfft against scipy's resample,
+    n -> 2n and 2n -> n, with the Nyquist mode of an even grid split or
+    united the same way."""
+    from scipy.signal import resample as scipy_resample
+
+    rng = np.random.default_rng(n)
+    for n_old, n_new in ((n, 2 * n), (2 * n, n)):
+        v = rng.standard_normal(n_old)
+        got = fourier.resample(v, n_new)
+        assert got.shape == (n_new,)
+        assert np.max(np.abs(got - scipy_resample(v, n_new))) <= 1e-14 * np.max(np.abs(v))
+    # upsampling keeps the samples it started from, the Nyquist mode too
+    v = rng.standard_normal(n)
+    assert np.allclose(fourier.resample(v, 2 * n)[::2], v, rtol=0, atol=1e-14)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -174,3 +176,85 @@ def test_critical_points_scan_once_per_sweep_row(e_mode, e_val, status):
                       "e_val": e_val, "c": 1.0}, N=256, modes=64)
     assert row["status"].split(":")[0] == status
     assert _critical_values.cache_info().misses == 1
+
+
+def _brentq_roots(params):
+    """Oracle route for the four roots of a point: scipy's brentq on the
+    numpy evaluations of g and E - V over the library's brackets, then the
+    library's two-step Newton polish; (phi1, phi2, phi_min, phi_max)."""
+    from scipy.optimize import brentq
+
+    from bchwaves.potential import _BRACKET_EPS, _dg, _newton_polish
+    from bchwaves.profile import _dV
+
+    b, E, c = params.b, params.E, params.c
+    g = lambda phi: eval_g(phi, params)
+    P = lambda phi: E - eval_potential(phi, params)
+    dP = lambda phi: -float(_dV(phi, params))
+    root = lambda f, lo, hi: brentq(f, lo, hi, xtol=1e-15, rtol=9e-16)
+    mid = c / (b + 1.0)
+    phi1 = _newton_polish(g, lambda p: _dg(p, params), root(g, _BRACKET_EPS * c, mid))
+    phi2 = _newton_polish(g, lambda p: _dg(p, params),
+                          root(g, mid, c * (1.0 - _BRACKET_EPS)))
+    lo = _newton_polish(P, dP, root(P, phi1, phi2))
+    hi = _newton_polish(P, dP, root(P, phi2, c * (1.0 - 1e-12)))
+    return phi1, phi2, lo, hi
+
+
+def _rounding_band(params, roots):
+    """Width eps sum|terms| / |f'| within which the numpy evaluation of g
+    (phi1, phi2) and of E - V (phi_min, phi_max) fixes each root: a Newton
+    step lands anywhere in it, depending on where it starts."""
+    from bchwaves.potential import _dg
+    from bchwaves.profile import _dV
+
+    b, a, E, c = params.b, params.a, params.E, params.c
+    eps = np.finfo(float).eps
+    g_band = [eps * 2.0 * a / abs(_dg(phi, params)) for phi in roots[:2]]
+    P_band = [eps * (abs(E) + 0.5 * phi**2 + a / ((b - 1.0) * (c - phi) ** (b - 1.0)))
+              / abs(float(_dV(phi, params))) for phi in roots[2:]]
+    return g_band + P_band
+
+
+def test_roots_match_brentq(reference_points):
+    """The critical points and the turning points at the 13 panel points
+    and the 72 README sweep rows agree with scipy's brentq followed by the
+    same polish to 4 ulp, or to the root's rounding band where that is
+    wider (panel point 0, b = 1.2: phi_max differs by 5 ulp in a band of
+    11)."""
+    from bchwaves.profile import turning_point_data
+
+    points = reference_points["panel"] + reference_points["sweep"]
+    assert len(points) == 85
+    for point in points:
+        params = WaveParameters(point["b"], point["a"], point["E"], point["c"])
+        scan, tp = critical_points(params), turning_point_data(params)
+        got = (scan.phi1, scan.phi2, tp.phi_min, tp.phi_max)
+        want = _brentq_roots(params)
+        for mine, root, band in zip(got, want, _rounding_band(params, want)):
+            assert abs(mine - root) <= max(4.0 * np.spacing(root), band)
+
+
+def test_bracketed_root_matches_brentq_steps():
+    """On the same function the root finder takes brentq's steps."""
+    from scipy.optimize import brentq
+
+    from bchwaves.potential import _bracketed_root
+
+    for f, lo, hi in ((math.cos, 0.0, 2.0), (lambda x: x**3 - 2.0, 0.0, 4.0),
+                      (lambda x: math.exp(x) - 5.0, -3.0, 3.0)):
+        assert _bracketed_root(f, lo, hi) == brentq(f, lo, hi, xtol=1e-15,
+                                                    rtol=9e-16)
+
+
+def test_bracketed_root_refuses_bad_brackets(monkeypatch):
+    """Ends of the same sign raise ValueError, like brentq (the CLI maps it
+    to exit 2); a root search that does not close its bracket in its
+    allotted steps raises ConvergenceFailure instead of running on."""
+    from bchwaves import ConvergenceFailure, potential
+
+    with pytest.raises(ValueError, match="same sign"):
+        potential._bracketed_root(lambda x: x * x + 1.0, -1.0, 1.0)
+    monkeypatch.setattr(potential, "_ROOT_MAXITER", 3)
+    with pytest.raises(ConvergenceFailure, match="in 3 steps"):
+        potential._bracketed_root(math.cos, 0.0, 2.0)

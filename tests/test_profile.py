@@ -10,10 +10,13 @@ from bchwaves import (NotInExistenceSet, WaveParameters, critical_points,
                       profile_residuals, synthesize_profile, turning_points,
                       wave_integral)
 from bchwaves.potential import a_max
-from bchwaves.profile import (_INVERSION_TABLE, _cheb_derivative, _cheb_fit,
-                              _cheb_integral, _half_period_map,
-                              _invert_half_period, _lobatto_theta, _noise_cut,
-                              _samples, profile_header, turning_point_data,
+from bchwaves.profile import (_COMPLEX_STEP, _INVERSION_TABLE,
+                              _cheb_derivative, _cheb_fit, _cheb_integral,
+                              _cheb_values, _complex_steps,
+                              _complex_turning_points, _dct1,
+                              _half_period_map, _invert_half_period,
+                              _lobatto_theta, _noise_cut, _samples,
+                              profile_header, turning_point_data,
                               write_profile_csv)
 
 from quadrature_oracle import period_by_shooting
@@ -297,6 +300,48 @@ def test_chebyshev_helpers_match_numpy(shape):
         assert got.shape == want.shape
         scale = np.max(np.abs(numpy_op(np.abs(c))))
         assert np.max(np.abs(got - want)) <= 1e-15 * scale
+
+
+@pytest.mark.parametrize("shape", [(65,), (129,), (2049,), (1, 1, 65),
+                                   (3, 3, 129)])
+def test_dct1_matches_scipy(shape):
+    """The rfft route to the DCT-I against scipy's at the shapes passed: a
+    Lobatto level, the inversion table, and stacks of integrands by
+    complex steps.  A complex stack's imaginary part is step-sized, and
+    each part keeps its own accuracy."""
+    rng = np.random.default_rng(shape[-1])
+    x = rng.standard_normal(shape)
+    z = x + 1e-30j * rng.standard_normal(shape)
+    bound = lambda v: 1e-15 * np.max(np.abs(v)) * shape[-1]
+    assert np.max(np.abs(_dct1(x) - dct(x, type=1))) <= bound(x)
+    got, want = _dct1(z), dct(z, type=1)
+    assert got.shape == want.shape
+    for part in (np.real, np.imag):
+        assert np.max(np.abs(part(got) - part(want))) <= bound(part(z))
+
+
+def test_cheb_values_matches_chebval(ref_profile):
+    """The recurrence-row evaluation against numpy's chebval at the degrees
+    synthesis uses, at its 257 theta samples: the reference wave's map
+    (level 128), its three parameter derivatives stacked, and a map of
+    degree 4097 from level 4096."""
+    t = 4.0 * ref_profile.theta / np.pi - 1.0
+    params = ref_profile.params
+    tp = turning_point_data(params)
+    series = [_half_period_map(wave_integral(params).coeffs[0, 0]).coeff_antideriv]
+    G_c = _samples(_lobatto_theta(ref_profile.map_nodes), _complex_steps(params),
+                   _complex_turning_points(_complex_steps(params), tp))[2]
+    series.append(_cheb_integral(_cheb_fit(G_c.imag / _COMPLEX_STEP)))
+    far = _well_point(6.0, 0.995, 1e-4)
+    G = _samples(_lobatto_theta(4096), far, turning_point_data(far))[2]
+    series.append(_half_period_map(_cheb_fit(G)).coeff_antideriv)
+    assert [c.shape for c in series] == [(130,), (3, 130), (4098,)]
+    for c in series:
+        got = _cheb_values(c, t)
+        want = chebyshev.chebval(t, c.T)
+        assert got.shape == want.shape
+        scale = np.sum(np.abs(c), axis=-1, keepdims=True)
+        assert np.all(np.abs(got - want) <= 1e-15 * scale)
 
 
 def _noise_cut_loop(mag):
