@@ -6,8 +6,8 @@ __version__ = "0.1.0"
 
 from .errors import (BchWavesError, BlowUp, CoefficientInconsistency,
                      ConvergenceFailure, DiscretizationNotConverged,
-                     FDUnreliable, NotInExistenceSet, PositivityLost,
-                     QuadratureFailure, RouteMismatch)
+                     FDUnreliable, NotInExistenceSet, NumericalFailure,
+                     PositivityLost, QuadratureFailure, RouteMismatch)
 from .evolution import (EvolutionState, RunDiagnostics, cfl_dt,
                         make_perturbation, orbital_distance,
                         reconstruct_velocity, run_experiment, step)

@@ -1,9 +1,10 @@
 """Command-line interface: profile, classify, spectrum, evolve, sweep.
 
-Exit codes: 0 success, 2 domain rejection (outside the admissible set),
-3 numerical non-convergence, 1 internal error.  All reports embed the
-numeric configuration; floats are written with 17 significant digits so
-repeated runs diff byte-identically.
+Exit codes: 0 success, 2 domain rejection (outside the admissible set) or
+bad input, 3 numerical non-convergence, 1 internal error; a package error
+carries its own code (errors.py).  All reports embed the numeric
+configuration; floats are written with 17 significant digits so repeated
+runs diff byte-identically.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -23,49 +25,36 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import (BchWavesError, CoefficientInconsistency,
-                     ConvergenceFailure, DiscretizationNotConverged,
-                     FDUnreliable, NotInExistenceSet, PositivityLost,
-                     QuadratureFailure, RouteMismatch)
+from .errors import BchWavesError
 from .evolution import run_experiment
 from .invariants import (CLASS_OUT_OF_SCOPE, classify_stability,
                          conserved_quantities, parameter_jacobians)
-from .potential import WaveParameters, critical_points, existence_check
+from .potential import WaveParameters, critical_points
 from .profile import profile_header, synthesize_profile, write_profile_csv
 from .spectral import assemble_operator, periodic_spectrum, proof_identities
 
-_DOMAIN_ERRORS = (NotInExistenceSet, ValueError)
-_NUMERICAL_ERRORS = (QuadratureFailure, ConvergenceFailure, RouteMismatch,
-                     FDUnreliable, DiscretizationNotConverged, PositivityLost,
-                     CoefficientInconsistency)
+# what a command refuses: a package error, or bad input (exit code 2)
+_REFUSALS = (BchWavesError, ValueError)
+_PREFIXES = {2: "domain error", 3: "numerical error"}
 
 
 def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-def _jsonable(obj):
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return {f.name: _jsonable(getattr(obj, f.name))
-                for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    return obj
+def _json_default(obj):
+    """What json cannot write itself: report dataclasses and numpy values."""
+    if dataclasses.is_dataclass(obj):
+        return dataclasses.asdict(obj)
+    return obj.tolist()
 
 
 def _write_json(path: Path, payload: dict) -> None:
     """Write via a temporary file renamed into place: never half-written."""
     tmp = path.with_name(path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(_jsonable(payload), fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True,
+                  default=_json_default)
         fh.write("\n")
     os.replace(tmp, path)
 
@@ -105,7 +94,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     params = _params_from(args)
     report = classify_stability(params, N=args.N)
     out = _outdir(args)
-    payload = _jsonable(report)
+    payload = dataclasses.asdict(report)
     payload["config"] = _config_echo(args)
     payload["version"] = __version__
     _write_json(out / "classify.json", payload)
@@ -124,8 +113,8 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     ids = proof_identities(prof, coeffs=coeffs)
     out = _outdir(args)
     payload = {
-        "spectrum": _jsonable(spec),
-        "identities": _jsonable(ids),
+        "spectrum": spec,
+        "identities": ids,
         "config": _config_echo(args),
         "version": __version__,
     }
@@ -188,7 +177,7 @@ def _parse_range(text: str | None, fallback: float | None) -> list[float]:
     lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
     if count < 1:
         raise ValueError("range count must be positive")
-    return [lo] if count == 1 else list(np.linspace(lo, hi, count))
+    return np.linspace(lo, hi, count).tolist()
 
 
 def _sweep_grid(args: argparse.Namespace) -> list[dict]:
@@ -199,16 +188,9 @@ def _sweep_grid(args: argparse.Namespace) -> list[dict]:
         e_mode, e_vals = "frac", _parse_range(args.E_frac_range, None)
     else:
         e_mode, e_vals = "abs", _parse_range(args.E_range, args.E)
-    points = []
-    idx = 0
-    for b in b_vals:
-        for a in a_vals:
-            for ev in e_vals:
-                for c in c_vals:
-                    points.append({"index": idx, "b": b, "a": a,
-                                   "e_mode": e_mode, "e_val": ev, "c": c})
-                    idx += 1
-    return points
+    grid = itertools.product(b_vals, a_vals, e_vals, c_vals)
+    return [{"index": i, "b": b, "a": a, "e_mode": e_mode, "e_val": ev, "c": c}
+            for i, (b, a, ev, c) in enumerate(grid)]
 
 
 def _sweep_row(point: dict, N: int, modes: int) -> dict:
@@ -230,10 +212,6 @@ def _sweep_row(point: dict, N: int, modes: int) -> dict:
             E = point["e_val"]
         row["E"] = E
         params = WaveParameters(b=point["b"], a=point["a"], E=E, c=point["c"])
-        check = existence_check(params)
-        if not check.ok:
-            row["status"] = f"NotInExistenceSet: {check.reason}"
-            return row
         jac = parameter_jacobians(params)
         prof = synthesize_profile(params, N)
         inv = jac.invariants
@@ -245,7 +223,7 @@ def _sweep_row(point: dict, N: int, modes: int) -> dict:
                     "J3": jac.J3, "theta": jac.theta, "n_neg": spec.n_neg,
                     "n_zero": spec.n_zero,
                     "classification": jac.classification})
-    except _DOMAIN_ERRORS + _NUMERICAL_ERRORS as exc:
+    except _REFUSALS as exc:
         row["status"] = f"{type(exc).__name__}: {exc}"
     return row
 
@@ -407,15 +385,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser(config).parse_args(argv)
     try:
         return args.func(args)
-    except _DOMAIN_ERRORS as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 2
-    except _NUMERICAL_ERRORS as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 3
-    except BchWavesError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except _REFUSALS as exc:
+        code = exc.exit_code if isinstance(exc, BchWavesError) else 2
+        print(f"{_PREFIXES.get(code, 'error')}: {exc}", file=sys.stderr)
+        return code
     except Exception as exc:  # noqa: BLE001
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

@@ -74,8 +74,10 @@ class ExistenceResult:
 
 
 def a_max(b: float, c: float) -> float:
-    """Largest integration constant admitting critical points of V."""
-    return b**b * c ** (b + 1.0) / (b + 1.0) ** (b + 1.0)
+    """Largest integration constant admitting critical points of V,
+    b^b c^(b+1) / (b+1)^(b+1), with b^b / (b+1)^b taken as one power so that
+    neither overflows at large b."""
+    return (b / (b + 1.0)) ** b * c ** (b + 1.0) / (b + 1.0)
 
 
 def _cpow(base, expo):
@@ -121,8 +123,14 @@ def _fpow(base: float, expo: float) -> float:
 def _float_potential(b: float, a: float, c: float):
     """V(phi; a, c) as a function of one Python float phi < c, by math: a
     root search evaluates it one point at a time, where numpy's per-call
-    cost would exceed the arithmetic."""
-    return lambda phi: -0.5 * phi**2 + a / ((b - 1.0) * _fpow(c - phi, b - 1.0))
+    cost would exceed the arithmetic.  V is +inf where (c - phi)^(b-1)
+    underflows (near c at large b), so a bracket end there keeps its sign."""
+
+    def V(phi):
+        power = _fpow(c - phi, b - 1.0)
+        return -0.5 * phi**2 + a / ((b - 1.0) * power) if power else math.inf
+
+    return V
 
 
 def _bracketed_root(f, lo: float, hi: float) -> float:

@@ -75,6 +75,9 @@ from .potential import (PotentialScan, WaveParameters, _bracketed_root, _cpow,
 
 # refuse synthesis when E is this close to the boundary of the well
 _E_MARGIN_FLOOR = 1e-12
+# the crest is searched on (phi2, c (1 - _CREST_GAP)); a wave whose crest
+# lies closer to c is refused as near-peakon
+_CREST_GAP = 1e-12
 # least number of intervals of the Chebyshev-Lobatto table on which the
 # half-period map is inverted (more when the map's degree is higher)
 _INVERSION_TABLE = 2048
@@ -181,7 +184,12 @@ def turning_point_data(params: WaveParameters) -> TurningPointData:
         return E - eval_potential(phi, params)
 
     lo = _bracketed_root(P_float, scan.phi1, scan.phi2)
-    hi = _bracketed_root(P_float, scan.phi2, c * (1.0 - 1e-12))
+    crest_end = c * (1.0 - _CREST_GAP)
+    if P_float(crest_end) > 0.0:
+        raise NotInExistenceSet(
+            f"crest lies within {_CREST_GAP}*c of c: E - V > 0 at phi = "
+            f"{crest_end!r} (near-peakon)")
+    hi = _bracketed_root(P_float, scan.phi2, crest_end)
     # Newton polish towards machine-precision roots, through numpy like
     # every later evaluation of V (see potential._critical_values)
     for _ in range(2):

@@ -1,8 +1,10 @@
+import csv
 import json
 
 import pytest
 
-from bchwaves import CoefficientInconsistency, cli
+from bchwaves import (BchWavesError, CoefficientInconsistency, WaveParameters,
+                      a_max, cli, critical_points)
 from bchwaves.cli import main
 
 REF = ["--b", "2", "--a", "0.1", "--E", "0.09", "--c", "1"]
@@ -110,6 +112,53 @@ def test_sweep_coefficient_inconsistency_row(tmp_path, monkeypatch):
     assert ",CoefficientInconsistency: coefficient check failed," in lines[1]
 
 
+def _error_classes(base=BchWavesError):
+    """The package's error classes, the base and every subclass."""
+    yield base
+    for sub in base.__subclasses__():
+        yield from _error_classes(sub)
+
+
+@pytest.mark.parametrize("error", list(_error_classes()),
+                         ids=lambda cls: cls.__name__)
+def test_every_package_error_is_a_named_refusal(error, tmp_path, capsys,
+                                                monkeypatch):
+    """A sweep row records any package error with its class name; a
+    command exits with the class's exit code and its prefix."""
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "parameter_jacobians", fail)
+    monkeypatch.setattr(cli, "classify_stability", fail)
+    row = cli._sweep_row({"index": 0, "b": 2.0, "a": 0.1, "e_mode": "abs",
+                          "e_val": 0.09, "c": 1.0}, N=256, modes=64)
+    assert row["status"] == f"{error.__name__}: injected"
+    assert main(["classify", *REF, "--out", str(tmp_path)]) == error.exit_code
+    prefix = {2: "domain error", 3: "numerical error"}.get(error.exit_code,
+                                                           "error")
+    assert capsys.readouterr().err == f"{prefix}: injected\n"
+
+
+def test_large_b_sweep_of_plain_floats(tmp_path):
+    """At b = 30, (c - phi)^(b-1) underflows at the crest bracket end, and
+    every grid value is a Python float, whose division by 0.0 raises."""
+    out = tmp_path / "s"
+    rc = main(["sweep", "--b", "30", "--a", "0.001", "--c", "1",
+               "--E-frac-range", "0.3:0.6:2", "--jobs", "1", "--out", str(out)])
+    assert rc == 0
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok"]
+
+
+@pytest.mark.parametrize("b", [30.0, 50.0, 100.0])
+def test_classify_large_b(b, tmp_path):
+    a = 0.5 * a_max(b, 1.0)
+    scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=1.0))
+    E = 0.5 * (scan.V_phi1 + scan.V_phi2)
+    assert main(["classify", "--b", repr(b), "--a", repr(a), f"--E={E!r}",
+                 "--c", "1", "--out", str(tmp_path)]) == 0
+
+
 def test_evolve_command(tmp_path):
     rc = main(["evolve", *REF, "--N", "128", "--eps", "1e-3",
                "--horizon-periods", "0.5", "--out", str(tmp_path)])
@@ -157,7 +206,9 @@ def test_sweep_skips_outside_points(tmp_path):
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 3
     assert ",ok," in lines[1]
-    assert "NotInExistenceSet" in lines[2]  # a = 0.2 exceeds a_max
+    # a = 0.2 exceeds a_max; grid values are plain floats in the reason
+    assert lines[2].endswith('"NotInExistenceSet: a outside '
+                             '(0, 0.14814814814814814): got 0.2",,,,,,,,,,,,')
 
 
 _RESUME_ARGS = ["sweep", "--b", "2", "--c", "1", "--a-range", "0.06:0.12:2",

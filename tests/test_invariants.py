@@ -350,3 +350,22 @@ def test_invariants_memo(ref_params):
     for _ in range(2):
         with pytest.raises(NotInExistenceSet):
             restricted_invariants(refused)
+
+
+@pytest.mark.parametrize("b", [28.0, 30.0, 50.0, 100.0, 150.0, 300.0, 1000.0,
+                               1.001, 1.01])
+def test_edges_of_the_region_classify_or_refuse_by_name(b):
+    """Large b and b -> 1+, c = 1, a and E across the well: every point
+    classifies or raises a package error, never a ZeroDivisionError, an
+    OverflowError, a bare ValueError or a warning."""
+    from bchwaves import a_max
+
+    for a_frac in (0.05, 0.5, 0.95):
+        a = a_frac * a_max(b, 1.0)
+        scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=1.0))
+        for e_frac in (1e-3, 0.5, 0.999):
+            E = scan.V_phi2 + e_frac * (scan.V_phi1 - scan.V_phi2)
+            try:
+                classify_stability(WaveParameters(b=b, a=a, E=E, c=1.0))
+            except BchWavesError:
+                pass

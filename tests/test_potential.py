@@ -258,3 +258,19 @@ def test_bracketed_root_refuses_bad_brackets(monkeypatch):
     monkeypatch.setattr(potential, "_ROOT_MAXITER", 3)
     with pytest.raises(ConvergenceFailure, match="in 3 steps"):
         potential._bracketed_root(math.cos, 0.0, 2.0)
+
+
+def test_amax_finite_at_large_b():
+    """b^b and (b+1)^(b+1) each overflow from b = 143 on; a_max itself is
+    about 1/(e (b+1)) there."""
+    for b in (143.0, 300.0, 1000.0):
+        want = math.exp(b * math.log(b) - (b + 1.0) * math.log(b + 1.0))
+        assert a_max(b, 1.0) == pytest.approx(want, rel=1e-11)
+
+
+def test_float_potential_is_infinite_where_the_power_underflows():
+    """At b = 30, (c - phi)^(b-1) is 0.0 at the crest bracket end
+    c (1 - 1e-12): V is +inf there, so E - V keeps its sign."""
+    from bchwaves.potential import _float_potential
+
+    assert _float_potential(30.0, 1e-3, 1.0)(1.0 - 1e-12) == math.inf

@@ -279,9 +279,11 @@ def test_small_amplitude_period_matches_mpmath():
     # E - V is ~1e-9 mid-orbit here, so the ~1e-17 rounding of V at the
     # roots bounds what double precision can do: adding the rounded
     # residual E - V(root) back into E - V put T 2.2e-8 off (measured now:
-    # 1.3e-11); reference: mpmath at 40 digits, tanh-sinh in theta
-    params = _well_point(6.0, 0.995, 1e-4)
-    assert params.E == 0.014156607836324518
+    # 1.3e-11); reference: mpmath at 40 digits, tanh-sinh in theta.  The
+    # point is a = 0.995 a_max, E at 1e-4 of the well, given as literals:
+    # derived, they would move with every rounding of a_max or the scan
+    params = WaveParameters(b=6.0, a=0.05636951561727803,
+                            E=0.014156607836324518, c=1.0)
     T_mpmath = 18.716823842957643
     assert abs(synthesize_profile(params, 512).T - T_mpmath) <= 1e-10 * T_mpmath
     assert abs(period(params) - T_mpmath) <= 1e-10 * T_mpmath
@@ -427,3 +429,12 @@ def test_synthesis_memo(ref_params, ref_scan):
     for _ in range(2):
         with pytest.raises(NotInExistenceSet):
             synthesize_profile(refused, 512)
+
+
+def test_crest_at_the_bracket_end_is_refused_as_near_peakon():
+    """b -> 1+: E - V is still positive at c (1 - 1e-12), so the crest lies
+    closer to c than the search bracket reaches."""
+    params = WaveParameters(b=1.01, a=0.012413964995495415,
+                            E=1.241042475576888, c=1.0)
+    with pytest.raises(NotInExistenceSet, match="crest lies within 1e-12"):
+        turning_point_data(params)
