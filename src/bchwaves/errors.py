@@ -39,7 +39,9 @@ class QuadratureFailure(NumericalFailure):
 
 
 class ConvergenceFailure(NumericalFailure):
-    """Inversion of the half-period map (or another iteration) failed."""
+    """Inversion of the half-period map, the root scan of the well (also
+    where its root function leaves the double range), or another iteration
+    failed."""
 
 
 class RouteMismatch(NumericalFailure):

@@ -76,8 +76,12 @@ class ExistenceResult:
 def a_max(b: float, c: float) -> float:
     """Largest integration constant admitting critical points of V,
     b^b c^(b+1) / (b+1)^(b+1), with b^b / (b+1)^b taken as one power so that
-    neither overflows at large b."""
-    return (b / (b + 1.0)) ** b * c ** (b + 1.0) / (b + 1.0)
+    neither overflows at large b; inf where c^(b+1) exceeds the double
+    range (c > 1 at large b)."""
+    try:
+        return (b / (b + 1.0)) ** b * c ** (b + 1.0) / (b + 1.0)
+    except OverflowError:
+        return math.inf
 
 
 def _cpow(base, expo):
@@ -206,6 +210,12 @@ def _critical_values(b: float, a: float, c: float) -> tuple:
     amax = a_max(b, c)
     if not (0.0 < a < amax):
         raise NotInExistenceSet(f"a outside (0, {amax!r}): got {a!r}")
+    # g = phi (c - phi)^b - a peaks at a_max - a, so its powers overflow
+    # where a_max does
+    if amax == math.inf:
+        raise ConvergenceFailure(
+            f"a_max = b^b c^(b+1) / (b+1)^(b+1) overflows double precision "
+            f"at b={b!r}, c={c!r}: the root scan cannot evaluate g")
 
     # Brent's steps on math floats; the polish and V through numpy, like
     # every later evaluation of the well, so the polished roots are roots
@@ -215,6 +225,11 @@ def _critical_values(b: float, a: float, c: float) -> tuple:
     dg = lambda phi: _dg(phi, params)
     g_float = lambda phi: phi * _fpow(c - phi, b) - a
     lo, mid, hi = _BRACKET_EPS * c, c / (b + 1.0), c * (1.0 - _BRACKET_EPS)
+    # phi1 ~ a / c^b when small: at large b and c > 1 it can fall under lo
+    if g_float(lo) >= 0.0:
+        raise ConvergenceFailure(
+            f"phi1 lies below {lo!r}, the lower end of the root scan's "
+            f"bracket")
     phi1 = _newton_polish(g, dg, _bracketed_root(g_float, lo, mid))
     phi2 = _newton_polish(g, dg, _bracketed_root(g_float, mid, hi))
     return (phi1, phi2, amax, eval_potential(phi1, params),

@@ -171,6 +171,17 @@ def _log1p(z):
     return np.log1p(z)
 
 
+def _polish_turning_points(params: WaveParameters | _Params, lo, hi) -> tuple:
+    """Two Newton steps on E - V = 0 from each of lo and hi, through numpy
+    like every later evaluation of V (see potential._critical_values).
+    params may carry a complex step (_Params); the imaginary parts of the
+    polished roots then carry their parameter derivatives."""
+    for _ in range(2):
+        lo = lo + (params.E - _potential(lo, params)) / _dV(lo, params)
+        hi = hi + (params.E - _potential(hi, params)) / _dV(hi, params)
+    return lo, hi
+
+
 # one entry: the stages of one point share its roots, and no reuse
 # crosses points
 @lru_cache(maxsize=1)
@@ -180,9 +191,6 @@ def turning_point_data(params: WaveParameters) -> TurningPointData:
     V_float = _float_potential(params.b, params.a, c)
     P_float = lambda phi: E - V_float(phi)
 
-    def P(phi):
-        return E - eval_potential(phi, params)
-
     lo = _bracketed_root(P_float, scan.phi1, scan.phi2)
     crest_end = c * (1.0 - _CREST_GAP)
     if P_float(crest_end) > 0.0:
@@ -190,11 +198,7 @@ def turning_point_data(params: WaveParameters) -> TurningPointData:
             f"crest lies within {_CREST_GAP}*c of c: E - V > 0 at phi = "
             f"{crest_end!r} (near-peakon)")
     hi = _bracketed_root(P_float, scan.phi2, crest_end)
-    # Newton polish towards machine-precision roots, through numpy like
-    # every later evaluation of V (see potential._critical_values)
-    for _ in range(2):
-        lo = lo + P(lo) / _dV(lo, params)
-        hi = hi + P(hi) / _dV(hi, params)
+    lo, hi = _polish_turning_points(params, lo, hi)
     return TurningPointData(
         phi_min=float(lo),
         phi_max=float(hi),
@@ -207,14 +211,7 @@ def _complex_turning_points(params: _Params, tp: TurningPointData) -> TurningPoi
     """Turning points under a complex step: Newton polish of the real
     roots tp for the complex parameters, whose imaginary parts then carry
     the roots' parameter derivatives."""
-
-    def P(phi):
-        return params.E - _potential(phi, params)
-
-    lo, hi = tp.phi_min + 0j, tp.phi_max + 0j
-    for _ in range(2):
-        lo = lo + P(lo) / _dV(lo, params)
-        hi = hi + P(hi) / _dV(hi, params)
+    lo, hi = _polish_turning_points(params, tp.phi_min + 0j, tp.phi_max + 0j)
     return TurningPointData(phi_min=lo, phi_max=hi, amplitude=hi - lo,
                             scan=tp.scan)
 

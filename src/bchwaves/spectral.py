@@ -48,14 +48,16 @@ k = 1..M, each a Toeplitz-plus-Hankel matrix in d = |j - k|, s = j + k:
 Their eigenvalues together are those of H.  _parity_blocks builds both
 once per operator and mode count (a one-entry memo); periodic_spectrum
 solves them, and their leading sub-blocks for its convergence check, and
-the probe takes its ground state from C by inverse iteration, shifted by
-the lowest eigenvalue of the spectrum's solve of C (a one-entry memo
-beside the blocks).  The blocks are graded, their
-diagonal growing like kt^2 toward the bottom right, so they are solved
-from the upper triangle, whose tridiagonal reduction starts from that
-corner: the lowest eigenvalue then agrees with a long-double Rayleigh
-quotient to ~1e-14 relative, where the full matrix ordered -M..M loses
-~1e-12.  hill_matrix, the full matrix, stays as the reference the blocks
+the probe takes its ground state from C at M = N // 4 by inverse
+iteration, shifted by the lowest eigenvalue of the spectrum's solve of C
+(a one-entry memo beside the blocks).  The mode count is chosen here
+alone: given none, periodic_spectrum climbs from M = 64 by doubling to
+N // 4 and stops at the first M that passes its check.  The blocks are
+graded, their diagonal growing like kt^2 toward the bottom right, so they
+are solved from the upper triangle, whose tridiagonal reduction starts
+from that corner: the lowest eigenvalue then agrees with a long-double
+Rayleigh quotient to ~1e-14 relative, where the full matrix ordered -M..M
+loses ~1e-12.  hill_matrix, the full matrix, stays as the reference the blocks
 are tested against.  (A collocation product of grid differentiation
 matrices is avoided deliberately: with even N its annihilated Nyquist mode
 produces a spurious eigenvalue at mean(r).)
@@ -263,9 +265,17 @@ def kernel_residual(coeffs: OperatorCoefficients) -> float:
     return float(np.max(np.abs(apply_operator(coeffs, mux)))) / denom
 
 
-def _default_modes(n: int) -> int:
-    """Hill mode count used when none is given, for an n-point grid."""
-    return min(n // 4, 128)
+def _mode_ladder(n: int) -> tuple[int, ...]:
+    """Hill mode counts periodic_spectrum tries, in order, when none is
+    given for an n-point grid: 64, 128, ... below n // 4, then n // 4 (for
+    n < 256, n // 4 alone)."""
+    top = n // 4
+    rungs = []
+    M = 64
+    while M < top:
+        rungs.append(M)
+        M *= 2
+    return (*rungs, top)
 
 
 def _block_eigenvalues(C: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -279,24 +289,33 @@ def periodic_spectrum(coeffs: OperatorCoefficients, M: int | None = None) -> Spe
     blocks of the Hill matrix.
 
     Convergence is certified by halving the mode count: the lowest five
-    eigenvalues must be stationary.  The zero tolerance scales with the
-    achieved kernel residual so that a genuinely degenerate pair is
-    reported as such rather than silently split.
+    eigenvalues at M must agree with those at M // 2.  An explicit M is the
+    one mode count tried.  With M=None the counts of _mode_ladder are tried
+    in turn, each checked against the one below it, and the first that
+    passes is reported; the last refuses like an explicit M.  The zero
+    tolerance scales with the achieved kernel residual so that a genuinely
+    degenerate pair is reported as such rather than silently split.
     """
-    if M is None:
-        M = _default_modes(coeffs.p.shape[0])
+    rungs = _mode_ladder(coeffs.p.shape[0]) if M is None else (M,)
     # the check compares the lowest five eigenvalues with the 2(M//2) + 1 at
     # M//2, so it needs M >= 4
-    if M < 4:
-        raise ValueError(f"Hill mode count must be at least 4, got {M}")
-    C, S = _parity_blocks(coeffs, M)
-    evals = np.sort(np.concatenate([_cosine_eigenvalues(coeffs, M),
-                                    np.linalg.eigvalsh(S, UPLO="U")]))
-    evals_half = _block_eigenvalues(C[:M // 2 + 1, :M // 2 + 1],
-                                    S[:M // 2, :M // 2])
+    if rungs[0] < 4:
+        raise ValueError(f"Hill mode count must be at least 4, got {rungs[0]}")
     scale = operator_scale(coeffs)
-    move = float(np.max(np.abs(evals[:5] - evals_half[:5])))
-    if move > 1e-6 * max(scale, 1.0):
+    below = None
+    for M in rungs:
+        C, S = _parity_blocks(coeffs, M)
+        evals = np.sort(np.concatenate([_cosine_eigenvalues(coeffs, M),
+                                        np.linalg.eigvalsh(S, UPLO="U")]))
+        if below is None:
+            below = _block_eigenvalues(C[:M // 2 + 1, :M // 2 + 1],
+                                       S[:M // 2, :M // 2])
+        move = float(np.max(np.abs(evals[:5] - below[:5])))
+        if move <= 1e-6 * max(scale, 1.0):
+            break
+        # the rungs double, so this rung is the next one's half
+        below = evals
+    else:
         raise DiscretizationNotConverged(
             f"lowest eigenvalues moved by {move!r} when modes doubled from {M // 2}")
 
@@ -415,7 +434,7 @@ def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
         d_basis = fourier.spectral_derivative(basis, T, 1)
 
     fixed = np.zeros((2, n // 2 + 1), dtype=complex)
-    fixed[0] = _ground_state(coeffs, _default_modes(n))[1]
+    fixed[0] = _ground_state(coeffs, n // 4)[1]
     fixed[1, 0] = n  # the constant direction
 
     # reused by every block: allocating them per block cost ~1/3 of the probe

@@ -256,6 +256,43 @@ def test_sweep_resume_needs_same_config(tmp_path):
     assert b"stale" not in (out / "sweep.csv").read_bytes()
 
 
+def test_sweep_resume_needs_same_version(tmp_path, monkeypatch):
+    """A manifest written by another version is not resumed: a sweep begun
+    under 0.1.0, whose sweep fixed M = 64 where no --modes was given,
+    starts again from the first row."""
+    args = [a for a in _RESUME_ARGS if a not in ("--modes", "64")]
+    out = tmp_path / "s"
+    monkeypatch.setattr(cli, "__version__", "0.1.0")
+    assert main([*args, "--out", str(out)]) == 0
+    _interrupt(out, 2, rows_done=2)
+    (out / "sweep.csv").write_bytes(
+        (out / "sweep.csv").read_bytes().replace(b",ok,", b",stale,"))
+    monkeypatch.undo()
+    assert main([*args, "--out", str(out)]) == 0
+    fresh = tmp_path / "fresh"
+    assert main([*args, "--out", str(fresh)]) == 0
+    assert (out / "sweep.csv").read_bytes() == (fresh / "sweep.csv").read_bytes()
+    assert b"stale" not in (out / "sweep.csv").read_bytes()
+
+
+def test_sweep_refuses_modes_beyond_the_grid(tmp_path, capsys):
+    """--modes 200 on a 256-point grid: spectrum exits with code 2, and a
+    sweep records the same refusal, by name, in every row."""
+    rc = main(["spectrum", *REF, "--N", "256", "--modes", "200",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "mode count exceeds the coefficient grid" in capsys.readouterr().err
+    out = tmp_path / "s"
+    assert main(["sweep", "--b", "2", "--c", "1", "--a-range", "0.06:0.12:2",
+                 "--E-frac-range", "0.3:0.6:2", "--N", "256", "--modes",
+                 "200", "--jobs", "1", "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 4
+    assert all(r["status"] == "ValueError: mode count exceeds the "
+               "coefficient grid" for r in rows)
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"b": 2.0, "a": 0.1, "E": 0.09, "c": 1.0,
@@ -355,23 +392,38 @@ def test_parallel_sweep_matches_serial(tmp_path):
 # against 32 leave unconverged at N = 512
 SWEEP_UNCONVERGED = (2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17, 23, 24, 25,
                      26, 33, 34, 35, 44)
+# those that the mode ladder leaves unconverged at its top rung, M = 128
+# against 64
+SWEEP_UNCONVERGED_LADDER = (5, 6, 7, 8, 16, 17)
 
 
-def test_sweep_failure_set(reference_points):
+def _assert_sweep_failure_set(reference_points, modes, unconverged):
     """Every benchmark sweep row through the sweep's row function: exactly
-    the pinned rows fail, all with DiscretizationNotConverged, and every
+    the given rows fail, all with DiscretizationNotConverged, and every
     other row has one negative direction and a simple kernel."""
     rows = [cli._sweep_row({"index": i, "b": p["b"], "a": p["a"],
                             "e_mode": "abs", "e_val": p["E"], "c": p["c"]},
-                           N=512, modes=64)
+                           N=512, modes=modes)
             for i, p in enumerate(reference_points["sweep"])]
     failed = tuple(r["index"] for r in rows if r["status"] != "ok")
-    assert failed == SWEEP_UNCONVERGED
+    assert failed == unconverged
     for r in rows:
         if r["status"] == "ok":
             assert (r["n_neg"], r["n_zero"]) == (1, 1)
         else:
             assert r["status"].startswith("DiscretizationNotConverged")
+
+
+def test_sweep_failure_set(reference_points):
+    """At a pinned M = 64, the rows of SWEEP_UNCONVERGED fail."""
+    _assert_sweep_failure_set(reference_points, 64, SWEEP_UNCONVERGED)
+
+
+def test_sweep_failure_set_ladder(reference_points):
+    """With no mode count the ladder decides M, and only the rows of
+    SWEEP_UNCONVERGED_LADDER fail."""
+    _assert_sweep_failure_set(reference_points, None,
+                              SWEEP_UNCONVERGED_LADDER)
 
 
 _NUMPY_ONLY = """

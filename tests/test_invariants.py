@@ -353,19 +353,24 @@ def test_invariants_memo(ref_params):
 
 
 @pytest.mark.parametrize("b", [28.0, 30.0, 50.0, 100.0, 150.0, 300.0, 1000.0,
-                               1.001, 1.01])
+                               1100.0, 2000.0, 1.001, 1.01])
 def test_edges_of_the_region_classify_or_refuse_by_name(b):
-    """Large b and b -> 1+, c = 1, a and E across the well: every point
-    classifies or raises a package error, never a ZeroDivisionError, an
-    OverflowError, a bare ValueError or a warning."""
+    """Large b and b -> 1+, c = 1, a and E across the well, and a = 0.001,
+    E = 0 at c = 2 and c = 1.5 (where c^(b+1) exceeds the double range at
+    b = 1100 and b = 2000): every point classifies or raises a package
+    error, never a ZeroDivisionError, an OverflowError, a bare ValueError
+    or a warning."""
     from bchwaves import a_max
 
+    points = [WaveParameters(b=b, a=0.001, E=0.0, c=c) for c in (2.0, 1.5)]
     for a_frac in (0.05, 0.5, 0.95):
         a = a_frac * a_max(b, 1.0)
         scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=1.0))
         for e_frac in (1e-3, 0.5, 0.999):
             E = scan.V_phi2 + e_frac * (scan.V_phi1 - scan.V_phi2)
-            try:
-                classify_stability(WaveParameters(b=b, a=a, E=E, c=1.0))
-            except BchWavesError:
-                pass
+            points.append(WaveParameters(b=b, a=a, E=E, c=1.0))
+    for params in points:
+        try:
+            classify_stability(params)
+        except BchWavesError:
+            pass

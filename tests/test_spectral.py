@@ -14,7 +14,7 @@ from bchwaves import fourier, spectral
 from bchwaves.invariants import delta_F1, delta_F2
 from bchwaves.spectral import (SECOND_VARIATION_SCALE, _block_eigenvalues,
                                _cosine_eigenvalues, _ground_state,
-                               _parity_blocks, operator_scale)
+                               _mode_ladder, _parity_blocks, operator_scale)
 
 
 def modes_to_grid(vec, coeffs):
@@ -41,8 +41,7 @@ def _coercivity_probe_loop(coeffs, profile, trials, seed, project):
                                     delta_F2(profile.mu, profile.dmu,
                                              profile.d2mu, b),
                                     profile.dmu), T)
-    M = min(n // 4, 128)
-    _, evecs = np.linalg.eigh(hill_matrix(coeffs, M))
+    _, evecs = np.linalg.eigh(hill_matrix(coeffs, n // 4))
     rng = np.random.default_rng(seed)
     candidates = [modes_to_grid(evecs[:, 0], coeffs), np.ones(n)]
     candidates += [fourier.random_smooth(n, rng, 1, n // 3)[0]
@@ -173,6 +172,44 @@ def test_inertia_invariance(ref_params, ref_profile, ref_coeffs):
 def test_unconverged_discretization_raises(ref_coeffs):
     with pytest.raises(DiscretizationNotConverged):
         periodic_spectrum(ref_coeffs, M=8)
+
+
+def test_mode_ladder():
+    assert _mode_ladder(64) == (16,)
+    assert _mode_ladder(128) == (32,)
+    assert _mode_ladder(256) == (64,)
+    assert _mode_ladder(512) == (64, 128)
+    assert _mode_ladder(2048) == (64, 128, 256, 512)
+
+
+@pytest.mark.parametrize("row, M", [(None, 64), (2, 128)])
+def test_ladder_stops_at_first_converged_rung(reference_points, ref_params,
+                                              row, M):
+    """Given no mode count, the reference wave stops at M = 64 and README
+    sweep row 2, whose check fails at 64, at M = 128 (N = 512); the
+    spectrum is then the one an explicit M gives."""
+    params = ref_params
+    if row is not None:
+        p = reference_points["sweep"][row]
+        params = WaveParameters(b=p["b"], a=p["a"], E=p["E"], c=p["c"])
+    coeffs = assemble_operator(synthesize_profile(params, 512))
+    spec = periodic_spectrum(coeffs)
+    assert spec.M == M
+    pinned = periodic_spectrum(coeffs, M=M)
+    assert np.array_equal(spec.eigenvalues, pinned.eigenvalues)
+    assert (spec.n_neg, spec.n_zero) == (pinned.n_neg, pinned.n_zero) == (1, 1)
+    if M > 64:
+        with pytest.raises(DiscretizationNotConverged):
+            periodic_spectrum(coeffs, M=M // 2)
+
+
+def test_ladder_refuses_at_its_top_rung(reference_points):
+    """README sweep row 5 fails the check at every rung up to N // 4."""
+    p = reference_points["sweep"][5]
+    params = WaveParameters(b=p["b"], a=p["a"], E=p["E"], c=p["c"])
+    coeffs = assemble_operator(synthesize_profile(params, 512))
+    with pytest.raises(DiscretizationNotConverged, match="from 64$"):
+        periodic_spectrum(coeffs)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
