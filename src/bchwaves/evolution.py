@@ -12,18 +12,18 @@ step classical RK4 on the rfft coefficients with the step chosen from the
 initial advective CFL bound, and positivity of m (membership in the
 admissible state space) is monitored every step.
 
-A stepped state carries its rfft coefficients and its grid fields m, u,
-m_x and u_x from one stacked inverse transform.  Those fields are the
-state's own m, the next step's first stage and the sampled diagnostics,
-so the coefficients never make an rfft(irfft(.)) round trip: a step
-takes 8 numpy FFT calls (one rfft at stage 1, one stacked irfft and one
-rfft at each of stages 2-4, one stacked irfft for the new state).
+A state holds its rfft half spectrum and the grid fields m, u, m_x and
+u_x of one stacked inverse transform, which a stepped state gets from its
+step.  They serve the state's m, the next step's first stage and the
+samples, so a step takes 8 numpy FFT calls (one rfft at stage 1, one
+stacked irfft and one rfft at each of stages 2-4, one stacked irfft for
+the new state) and an orbital-distance sample 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -36,24 +36,36 @@ _BLOWUP_GUARD = 1e6
 _NEWTON_MAXITER = 60
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class EvolutionState:
     """Momentum density on the grid at time t.  cfl is the advective
     number max|u - c| dt/dx of the step that produced the state (0 for
     initial data).
 
-    carried is None for a state built from a grid m.  A state made by
-    step (or by run_experiment) carries the pair (mh, G): mh is the half
-    spectrum of m and G the rows (m, u, m_x, u_x) of one stacked irfft of
-    [mh, mh/(1+k^2), ik mh, ik mh/(1+k^2)], with m the row G[0] itself.
-    Both are read-only.  step uses the pair only while m is G[0], so
-    dataclasses.replace(state, m=other) steps from other."""
+    spectrum, the rfft half spectrum of m, and fields, the grid rows m, u,
+    m_x, u_x of one stacked irfft of it, are read-only values of the
+    state, not dataclass fields.  A stepped state gets both from its step,
+    and its m is fields[0]; a state built from a grid m, or by
+    dataclasses.replace, derives them on first use."""
 
     t: float
     m: np.ndarray
     dx: float
     cfl: float = 0.0
-    carried: tuple | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        return _read_only(np.fft.rfft(self.m))
+
+    @cached_property
+    def fields(self) -> np.ndarray:
+        n = self.m.shape[-1]
+        return _read_only(_fields(self.spectrum, n, self.dx * n))
 
 
 @dataclass(frozen=True)
@@ -80,11 +92,19 @@ def reconstruct_velocity(m: np.ndarray, period: float) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
+def _field_symbols(n: int, period: float) -> np.ndarray:
+    """The read-only (4, n//2+1) stack [1, 1/(1+k^2), ik, ik/(1+k^2)]
+    that maps mh to the coefficients of m, u, m_x and u_x."""
+    _, deriv, _, helm = fourier.rfft_tools(n, period)
+    inv_helm = 1.0 / helm
+    return _read_only(np.array([np.ones_like(deriv), inv_helm, deriv,
+                                deriv * inv_helm]))
+
+
+@lru_cache(maxsize=16)
 def _step_symbols(n: int, period: float, frame_speed: float
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only half-spectrum symbols of one step: the (4, n//2+1) stack
-    [1, 1/(1+k^2), ik, ik/(1+k^2)] that maps mh to the coefficients of
-    m, u, m_x and u_x, the masked frame term c ik mask, and the 2/3 mask.
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only masked frame term c ik mask, and the 2/3 mask.
 
     The mask covers the whole right-hand side, the frame term c m_x
     included.  Left on the modes above N/3, that term alone can put dt
@@ -92,19 +112,14 @@ def _step_symbols(n: int, period: float, frame_speed: float
     stability limit 2 sqrt(2) (3.03 at b = 2, a = 0.1722, E = 0.0194,
     c = 1.378 and dt_safety 0.5); rounding noise on those modes then grows
     until m leaves the positive cone."""
-    _, deriv, mask, helm = fourier.rfft_tools(n, period)
-    inv_helm = 1.0 / helm
-    sym = np.array([np.ones_like(deriv), inv_helm, deriv, deriv * inv_helm])
-    frame = frame_speed * deriv * mask
-    for a in (sym, frame):
-        a.flags.writeable = False
-    return sym, frame, mask
+    _, deriv, mask, _ = fourier.rfft_tools(n, period)
+    return _read_only(frame_speed * deriv * mask), mask
 
 
-def _fields(mh: np.ndarray, sym: np.ndarray, n: int) -> np.ndarray:
+def _fields(mh: np.ndarray, n: int, period: float) -> np.ndarray:
     """m, u, m_x and u_x on the grid, as the rows of one stacked inverse
     transform of the coefficients mh."""
-    return np.fft.irfft(sym * mh, n=n, out=np.empty((sym.shape[0], n)))
+    return np.fft.irfft(_field_symbols(n, period) * mh, n=n, out=np.empty((4, n)))
 
 
 def _stage(mh: np.ndarray, fields, b: float, frame: np.ndarray,
@@ -118,23 +133,12 @@ def _stage(mh: np.ndarray, fields, b: float, frame: np.ndarray,
     return frame * mh - prodh
 
 
-def _carrying(t: float, mh: np.ndarray, n: int, dx: float, cfl: float,
-              sym: np.ndarray) -> EvolutionState:
-    """The state at time t with coefficients mh, carrying them and its
-    grid fields (read-only); its m is the row G[0]."""
-    grid = _fields(mh, sym, n)
-    mh.flags.writeable = False
-    grid.flags.writeable = False
-    rows = tuple(grid)
-    return EvolutionState(t=t, m=rows[0], dx=dx, cfl=cfl, carried=(mh, rows))
-
-
 def rhs(m: np.ndarray, period: float, b: float, frame_speed: float) -> np.ndarray:
     """Right-hand side c m_x - u m_x - b m u_x with dealiased products."""
     n = m.shape[-1]
-    sym, frame, mask = _step_symbols(n, period, frame_speed)
     mh = np.fft.rfft(m)
-    return np.fft.irfft(_stage(mh, _fields(mh, sym, n), b, frame, mask), n=n)
+    return np.fft.irfft(_stage(mh, _fields(mh, n, period), b,
+                               *_step_symbols(n, period, frame_speed)), n=n)
 
 
 def cfl_dt(m: np.ndarray, period: float, frame_speed: float,
@@ -151,34 +155,31 @@ def step(state: EvolutionState, dt: float, b: float,
     """One classical RK4 step in rfft space; aborts if m leaves the
     positive cone or exceeds the blow-up guard.
 
-    Stage 1 starts from the pair the state carries (see EvolutionState),
-    so the step takes 8 FFT calls; a state without one, or whose m is no
-    longer its G[0], first takes the rfft of m and one stacked irfft (10
-    calls).  The new state's stacked irfft gives the m that is checked,
-    and the fields that the next step's stage 1 reads."""
+    Stage 1 reads the state's spectrum and fields (see EvolutionState),
+    so the step takes 8 FFT calls, or 10 from a state that has not yet
+    derived them.  The new state gets both from the stacked irfft that
+    gives its m, which is the m checked here."""
     n = state.m.shape[-1]
     period = state.dx * n
-    sym, frame, mask = _step_symbols(n, period, frame_speed)
-    pair = state.carried
-    if pair is not None and state.m is pair[1][0]:
-        mh, fields = pair
-    else:
-        mh = np.fft.rfft(state.m)
-        fields = _fields(mh, sym, n)
-    k1 = _stage(mh, fields, b, frame, mask)
+    frame, mask = _step_symbols(n, period, frame_speed)
+    mh = state.spectrum
+    k1 = _stage(mh, state.fields, b, frame, mask)
     mh2 = mh + (0.5 * dt) * k1
-    k2 = _stage(mh2, _fields(mh2, sym, n), b, frame, mask)
+    k2 = _stage(mh2, _fields(mh2, n, period), b, frame, mask)
     mh3 = mh + (0.5 * dt) * k2
-    k3 = _stage(mh3, _fields(mh3, sym, n), b, frame, mask)
+    k3 = _stage(mh3, _fields(mh3, n, period), b, frame, mask)
     mh4 = mh + dt * k3
-    k4 = _stage(mh4, _fields(mh4, sym, n), b, frame, mask)
+    k4 = _stage(mh4, _fields(mh4, n, period), b, frame, mask)
     t = state.t + dt
-    u = fields[1]
+    u = state.fields[1]
     # max|u - c| without the temporary: rounding is monotone and odd, so
     # this is the same float
     speed = max(float(u.max()) - frame_speed, frame_speed - float(u.min()))
-    new = _carrying(t, mh + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4), n,
-                    state.dx, speed * dt / state.dx, sym)
+    mh_new = _read_only(mh + (dt / 6.0) * (k1 + 2.0 * (k2 + k3) + k4))
+    grid = _read_only(_fields(mh_new, n, period))
+    new = EvolutionState(t=t, m=grid[0], dx=state.dx, cfl=speed * dt / state.dx)
+    object.__setattr__(new, "spectrum", mh_new)
+    object.__setattr__(new, "fields", grid)
     m_min = float(new.m.min())
     if not m_min > 0.0:  # a NaN anywhere makes m_min NaN, which fails this too
         if np.isnan(m_min):
@@ -196,23 +197,24 @@ def h1_shift_distance(m: np.ndarray, ref: np.ndarray, period: float,
     return fourier.h1_norm(m - shifted, period)
 
 
-def orbital_distance(m: np.ndarray, ref: np.ndarray,
+def orbital_distance(mh: np.ndarray, refh: np.ndarray, n: int,
                      period: float) -> tuple[float, float]:
     """Distance to the group orbit of ref: minimize the H^1 norm of
-    m - ref(. - x0) over the shift x0.
+    m - ref(. - x0) over the shift x0, from mh and refh, the rfft half
+    spectra of m and ref on n points (n // 2 + 1 does not fix an odd n).
 
-    The H^1 cross-correlation is evaluated at all grid shifts by one
-    inverse rfft.  Its maximum is then refined by Newton iteration on the
+    The H^1 cross-correlation at all grid shifts is one inverse rfft, the
+    only FFT call.  Its maximum is then refined by Newton iteration on the
     trigonometric polynomial, with closed-form first and second
     derivatives; every iterate stays inside the bracket (j0 +- 1) dx
     around the grid maximum j0 (bisection when a Newton step would leave
-    it), until the step is at most 1e-13 T.  The distance at that shift
-    is summed directly over the half spectrum of m - ref(. - x0).
+    it), until the step is at most 1e-13 T.  The distance at that shift is
+    summed directly over the half spectrum of m - ref(. - x0).
     """
-    n = m.shape[-1]
+    if not mh.shape == refh.shape == (n // 2 + 1,):
+        raise ValueError(f"half spectra {mh.shape}, {refh.shape} for n = {n}")
     kr, _, _, helm = fourier.rfft_tools(n, period)
-    mh = np.fft.rfft(m) / n
-    gh = np.fft.rfft(ref) / n
+    mh, gh = mh / n, refh / n
     cross = mh * np.conj(gh)
     j0 = int(np.argmax(np.fft.irfft(helm * cross, n=n)))
     w = fourier.h1_weights(n, period)
@@ -296,15 +298,14 @@ def run_experiment(profile: WaveProfile, eps: float,
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
     n = N
-    mu = fourier.resample(profile.mu, n) if n != profile.N else profile.mu.copy()
-    mask = fourier.rfft_tools(n, period)[2]
-    mu = np.fft.irfft(np.fft.rfft(mu) * mask, n=n)
-
+    mu = fourier.resample(profile.mu, n) if n != profile.N else profile.mu
+    # the reference: the wave filtered to the 2/3 band, kept as its half
+    # spectrum for the samples and on the grid for the perturbation
+    muh = np.fft.rfft(mu) * fourier.rfft_tools(n, period)[2]
+    mu = np.fft.irfft(muh, n=n)
+    m0 = mu
     if eps > 0.0:
-        v = make_perturbation(mu, period, b, eps, mode=mode, seed=seed)
-        m0 = mu + v
-    else:
-        m0 = mu.copy()
+        m0 = mu + make_perturbation(mu, period, b, eps, mode=mode, seed=seed)
     if not float(np.min(m0)) > 0.0:  # also refuses NaN data
         raise PositivityLost("initial data leaves the positive cone or holds NaN")
 
@@ -314,13 +315,11 @@ def run_experiment(profile: WaveProfile, eps: float,
     dt = horizon / n_steps
     stride = max(n_steps // max(n_samples, 1), 1)
 
-    dx = period / n
-    state = _carrying(0.0, np.fft.rfft(m0), n, dx, 0.0,
-                      _step_symbols(n, dx * n, frame_speed)[0])
+    state = EvolutionState(t=0.0, m=m0, dx=period / n)
 
     def _invariants(state: EvolutionState) -> tuple[float, float, float]:
-        """E, F1 and F2 of a carried state, with m_x from its grid fields."""
-        mm, _, m_x, _ = state.carried[1]
+        """E, F1 and F2 of a state, with m_x from its grid fields."""
+        mm, _, m_x, _ = state.fields
         dens1, dens2 = invariant_densities(mm, m_x, b)
         return (fourier.grid_integral(mm, period),
                 fourier.grid_integral(dens1, period),
@@ -331,7 +330,6 @@ def run_experiment(profile: WaveProfile, eps: float,
     times, dE, dF1, dF2, rho_series = [], [], [], [], []
 
     def record(state: EvolutionState) -> None:
-        mm = state.m
         times.append(state.t)
         e, f1, f2 = _invariants(state)
         dE.append(abs(e - E0) / abs(E0))
@@ -339,8 +337,7 @@ def run_experiment(profile: WaveProfile, eps: float,
         dF2.append(abs(f2 - F2_0) / abs(F2_0))
         # the orbit contains all translates, so the same reference serves
         # both frames
-        ref_dist, _ = orbital_distance(mm, mu, period)
-        rho_series.append(ref_dist)
+        rho_series.append(orbital_distance(state.spectrum, muh, n, period)[0])
 
     record(state)
     outcome = "completed"

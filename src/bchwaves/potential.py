@@ -175,8 +175,10 @@ def _bracketed_root(f, lo: float, hi: float) -> float:
             else:  # inverse quadratic interpolation
                 d_pre = (f_pre - f_cur) / (x_pre - x_cur)
                 d_blk = (f_blk - f_cur) / (x_blk - x_cur)
-                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
-                         / (d_blk * d_pre * (f_blk - f_pre)))
+                den = d_blk * d_pre * (f_blk - f_pre)
+                # a product that underflows to 0 bisects, as brentq's inf does
+                s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre) / den
+                         if den else math.inf)
             if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
                 s_pre, s_cur = s_cur, s_try
             else:
@@ -225,11 +227,16 @@ def _critical_values(b: float, a: float, c: float) -> tuple:
     dg = lambda phi: _dg(phi, params)
     g_float = lambda phi: phi * _fpow(c - phi, b) - a
     lo, mid, hi = _BRACKET_EPS * c, c / (b + 1.0), c * (1.0 - _BRACKET_EPS)
-    # phi1 ~ a / c^b when small: at large b and c > 1 it can fall under lo
-    if g_float(lo) >= 0.0:
+    # phi1 ~ a / c^b when small, and g < 0 at a / (2 c^b): at large b and
+    # c > 1 that point lies below lo.  It is found by its log, because c^b
+    # can leave the double range where a / (2 c^b) does not
+    log_end = math.log(a) - math.log(2.0) - b * math.log(c)
+    if log_end < math.log(lo):
+        lo = math.exp(log_end)  # 0.0 where phi1 is below the double range
+    if not (lo > 0.0 and g_float(lo) < 0.0):
         raise ConvergenceFailure(
-            f"phi1 lies below {lo!r}, the lower end of the root scan's "
-            f"bracket")
+            f"phi1 lies below {max(lo, math.ulp(0.0))!r}, the lower end of "
+            f"the root scan's bracket")
     phi1 = _newton_polish(g, dg, _bracketed_root(g_float, lo, mid))
     phi2 = _newton_polish(g, dg, _bracketed_root(g_float, mid, hi))
     return (phi1, phi2, amax, eval_potential(phi1, params),

@@ -73,7 +73,9 @@ from .potential import (PotentialScan, WaveParameters, _bracketed_root, _cpow,
                         _float_potential, _potential, critical_points,
                         eval_potential, require_existence)
 
-# refuse synthesis when E is this close to the boundary of the well
+# refuse a point whose E is this close to the boundary of the well: its
+# turning points are not resolved (near phi1, where V' vanishes, the root
+# scan can stop at phi1 itself)
 _E_MARGIN_FLOOR = 1e-12
 # the crest is searched on (phi2, c (1 - _CREST_GAP)); a wave whose crest
 # lies closer to c is refused as near-peakon
@@ -188,6 +190,9 @@ def _polish_turning_points(params: WaveParameters | _Params, lo, hi) -> tuple:
 def turning_point_data(params: WaveParameters) -> TurningPointData:
     scan = require_existence(params)
     E, c = params.E, params.c
+    if min(E - scan.V_phi2, scan.V_phi1 - E) < _E_MARGIN_FLOOR:
+        raise NotInExistenceSet(
+            f"E within {_E_MARGIN_FLOOR} of the boundary of the existence set")
     V_float = _float_potential(params.b, params.a, c)
     P_float = lambda phi: E - V_float(phi)
 
@@ -561,9 +566,6 @@ def synthesize_profile(params: WaveParameters, N: int = 512) -> WaveProfile:
     if N < 64 or (N & (N - 1)) != 0:
         raise ValueError("N must be a power of two with N >= 64")
     tp = turning_point_data(params)
-    if min(params.E - tp.scan.V_phi2, tp.scan.V_phi1 - params.E) < _E_MARGIN_FLOOR:
-        raise NotInExistenceSet(
-            f"E within {_E_MARGIN_FLOOR} of the boundary of the existence set")
 
     a, b, c = params.a, params.b, params.c
     A = tp.amplitude

@@ -210,7 +210,7 @@ def test_criterion_10_oracle_equivalences(ref_params, ref_profile):
     mu = ref_profile.mu
     v = make_perturbation(mu, T, 2.0, 1e-3, seed=4)
     m = mu + v
-    rho, _ = orbital_distance(m, mu, T)
+    rho, _ = orbital_distance(np.fft.rfft(m), np.fft.rfft(mu), ref_profile.N, T)
     shifts = np.arange(4 * ref_profile.N) * (T / (4 * ref_profile.N))
     dists = np.array([h1_shift_distance(m, mu, T, s) for s in shifts])
     j = int(np.argmin(dists))

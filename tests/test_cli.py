@@ -150,13 +150,25 @@ def test_large_b_sweep_of_plain_floats(tmp_path):
         assert [r["status"] for r in csv.DictReader(fh)] == ["ok", "ok"]
 
 
-@pytest.mark.parametrize("b", [30.0, 50.0, 100.0])
-def test_classify_large_b(b, tmp_path):
-    a = 0.5 * a_max(b, 1.0)
-    scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=1.0))
+@pytest.mark.parametrize("b, a, c", [
+    *(pytest.param(b, 0.5 * a_max(b, 1.0), 1.0, id=repr(b))
+      for b in (30.0, 50.0, 100.0)),
+    *(pytest.param(b, 1e-3, 2.0, id=f"{b!r}-c2") for b in (50.0, 100.0))])
+def test_classify_large_b(b, a, c, tmp_path):
+    """Mid-well waves at large b classify, with the period of the shooting
+    oracle; at c = 2, phi1 ~ a / c^b lies below 1e-14 c (8.9e-19 at
+    b = 50, 7.9e-34 at b = 100)."""
+    from quadrature_oracle import period_by_shooting
+
+    scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=c))
     E = 0.5 * (scan.V_phi1 + scan.V_phi2)
     assert main(["classify", "--b", repr(b), "--a", repr(a), f"--E={E!r}",
-                 "--c", "1", "--out", str(tmp_path)]) == 0
+                 "--c", repr(c), "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "classify.json").read_text())
+    assert report["classification"] == "StableCriteriaMet"
+    T = report["jacobians"]["invariants"]["T"]
+    assert T == pytest.approx(period_by_shooting(WaveParameters(b, a, E, c)),
+                              rel=1e-12)
 
 
 def test_evolve_command(tmp_path):

@@ -181,7 +181,8 @@ def test_orbital_distance_exact_shift(ref_profile):
     mu = ref_profile.mu
     for frac in (0.1, 0.3, 0.77):
         shifted = fourier.circular_shift(mu, frac * T, T)
-        rho, x0 = orbital_distance(shifted, mu, T)
+        rho, x0 = orbital_distance(np.fft.rfft(shifted), np.fft.rfft(mu),
+                                   mu.size, T)
         assert rho < 1e-10
         assert x0 == pytest.approx(frac * T, abs=1e-6)
 
@@ -189,7 +190,8 @@ def test_orbital_distance_exact_shift(ref_profile):
 def test_orbital_distance_bounded_by_eps(ref_profile):
     T = ref_profile.T
     v = make_perturbation(ref_profile.mu, T, 2.0, 1e-3, seed=4)
-    rho, _ = orbital_distance(ref_profile.mu + v, ref_profile.mu, T)
+    rho, _ = orbital_distance(np.fft.rfft(ref_profile.mu + v),
+                              np.fft.rfft(ref_profile.mu), ref_profile.N, T)
     assert rho <= 1e-3 + 1e-12
 
 
@@ -197,30 +199,35 @@ def test_orbital_distance_shift_invariance(ref_profile):
     T = ref_profile.T
     v = make_perturbation(ref_profile.mu, T, 2.0, 1e-3, seed=4)
     m = ref_profile.mu + v
-    rho1, _ = orbital_distance(m, ref_profile.mu, T)
-    rho2, _ = orbital_distance(fourier.circular_shift(m, 1.2345, T),
-                               ref_profile.mu, T)
+    muh = np.fft.rfft(ref_profile.mu)
+    rho1, _ = orbital_distance(np.fft.rfft(m), muh, m.size, T)
+    rho2, _ = orbital_distance(
+        np.fft.rfft(fourier.circular_shift(m, 1.2345, T)), muh, m.size, T)
     assert abs(rho1 - rho2) < 1e-9
 
 
 def test_orbital_distance_brute_force_oracle(ref_profile):
     """Independent oracle: direct shifted-norm evaluations on a 4N scan,
-    locally refined by golden section on the same direct route."""
+    locally refined by golden section on the same direct route; on the
+    profile's grid and on an odd one (N = 511), whose half spectrum has
+    the length of N = 510's."""
     T = ref_profile.T
-    n = ref_profile.N
-    mu = ref_profile.mu
-    v = make_perturbation(mu, T, 2.0, 1e-3, seed=4)
-    m = mu + v
-    rho, _ = orbital_distance(m, mu, T)
+    for n in (ref_profile.N, 511):
+        mu = fourier.resample(ref_profile.mu, n)
+        v = make_perturbation(mu, T, 2.0, 1e-3, seed=4)
+        m = mu + v
+        rho, _ = orbital_distance(np.fft.rfft(m), np.fft.rfft(mu), n, T)
 
-    shifts = np.arange(4 * n) * (T / (4 * n))
-    dists = np.array([h1_shift_distance(m, mu, T, s) for s in shifts])
-    j = int(np.argmin(dists))
-    s_best = _golden_section_min(lambda s: h1_shift_distance(m, mu, T, s),
-                                 shifts[j] - T / (4 * n),
-                                 shifts[j] + T / (4 * n))
-    rho_brute = h1_shift_distance(m, mu, T, s_best)
-    assert abs(rho - rho_brute) < 1e-6
+        shifts = np.arange(4 * n) * (T / (4 * n))
+        dists = np.array([h1_shift_distance(m, mu, T, s) for s in shifts])
+        j = int(np.argmin(dists))
+        s_best = _golden_section_min(lambda s: h1_shift_distance(m, mu, T, s),
+                                     shifts[j] - T / (4 * n),
+                                     shifts[j] + T / (4 * n))
+        rho_brute = h1_shift_distance(m, mu, T, s_best)
+        assert abs(rho - rho_brute) < 1e-6
+    with pytest.raises(ValueError, match="n = 511"):
+        orbital_distance(np.fft.rfft(m)[:-1], np.fft.rfft(mu)[:-1], n, T)
 
 
 def test_frame_equivalence(ref_profile):
@@ -367,7 +374,7 @@ def test_orbital_distance_matches_golden_section(ref_profile, seed):
     mu = ref_profile.mu
     v = make_perturbation(mu, T, 2.0, 1e-3, seed=seed)
     m = fourier.circular_shift(mu + v, 0.3 * T, T)
-    rho, x0 = orbital_distance(m, mu, T)
+    rho, x0 = orbital_distance(np.fft.rfft(m), np.fft.rfft(mu), m.size, T)
     rho_gold, x0_gold = _orbital_distance_golden(m, mu, T)
     assert abs(rho - rho_gold) <= 1e-9
     assert x0 == pytest.approx(x0_gold, abs=1e-6)
@@ -420,7 +427,7 @@ def test_exact_waves_complete_one_period():
 
 @pytest.mark.parametrize("n, n_steps", [(512, 643), (511, 50)])
 def test_step_matches_ten_transforms(ref_profile, n, n_steps):
-    """The carried-state step against the ten-transform oracle, which
+    """The spectrum-holding step against the ten-transform oracle, which
     rebuilds the coefficients from m every step: one period of the
     benchmark's eps = 1e-3 member at N = 512 (643 steps), and 50 steps on
     an odd grid."""
@@ -450,15 +457,15 @@ def test_stepped_state_is_read_only(ref_profile):
                  ref_profile.params.b, ref_profile.params.c)
     with pytest.raises(ValueError):
         state.m[0] = 1.0
-    mh, rows = state.carried
-    with pytest.raises(ValueError):
-        mh[1] = 0.0
-    assert rows[0] is state.m
+    for derived in (state.spectrum, state.fields):
+        with pytest.raises(ValueError):
+            derived[0, ...] = 0.0
+    assert state.m.base is state.fields
 
 
 def test_replaced_state_steps_from_its_own_m(ref_profile):
-    """dataclasses.replace keeps the carried pair of the old m; step must
-    not use it for the new one, not even for a view of the carried rows."""
+    """dataclasses.replace makes a state whose spectrum and fields are
+    those of the new m, also when that m is a view of the old fields."""
     n = 256
     T, b, c = ref_profile.T, ref_profile.params.b, ref_profile.params.c
     m0 = _filtered_initial_data(ref_profile, n, 1e-3, 11)
@@ -521,3 +528,40 @@ def test_one_period_ladder_within_benchmark_bounds(ref_profile):
         else:
             assert diag.max_rho < 1e-6
     assert max(ratios) / min(ratios) < 3.0
+
+
+def test_sample_takes_one_transform(ref_profile, monkeypatch):
+    """An orbital-distance sample takes one numpy FFT call, and after the
+    2/3 filter run_experiment takes no rfft of the reference: the samples
+    read its half spectrum from the filter."""
+    from bchwaves import evolution
+
+    n = 256
+    mu = fourier.resample(ref_profile.mu, n)  # the filtered reference
+    mu = np.fft.irfft(np.fft.rfft(mu) * fourier.rfft_tools(n, ref_profile.T)[2], n=n)
+    calls = []
+
+    def counted(name):
+        fn = getattr(np.fft, name)
+
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.array_equal(a, mu)))
+            return fn(a, *args, **kwargs)
+        return wrapper
+
+    per_sample = []
+
+    def sample(*args):
+        before = len(calls)
+        out = orbital_distance(*args)
+        per_sample.append(len(calls) - before)
+        return out
+
+    for name in ("rfft", "irfft"):
+        monkeypatch.setattr(np.fft, name, counted(name))
+    monkeypatch.setattr(evolution, "orbital_distance", sample)
+    diag = run_experiment(ref_profile, eps=1e-3, horizon_periods=0.2, N=n,
+                          n_samples=10, seed=11)
+    assert diag.outcome == "completed"
+    assert per_sample == [1] * diag.rho.size
+    assert ("rfft", True) not in calls

@@ -374,3 +374,17 @@ def test_edges_of_the_region_classify_or_refuse_by_name(b):
             classify_stability(params)
         except BchWavesError:
             pass
+
+
+def test_det3_error_matches_minors():
+    """The cofactors from cross products of the rows against the nine
+    minors' determinants, on random 3x3 matrices of mixed scales."""
+    from bchwaves.invariants import _det3_error
+
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        m = rng.standard_normal((3, 3)) * 10.0 ** rng.uniform(-3, 3, (3, 3))
+        e = rng.uniform(0.0, 1.0, (3, 3)) * np.abs(m)
+        want = sum(abs(np.linalg.det(np.delete(np.delete(m, i, 0), j, 1))) * e[i, j]
+                   for i in range(3) for j in range(3))
+        assert _det3_error(m, e) == pytest.approx(want, rel=1e-14)

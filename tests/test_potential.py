@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bchwaves import (NotInExistenceSet, WaveParameters, a_max,
-                      critical_points, eval_g, eval_potential,
+from bchwaves import (ConvergenceFailure, NotInExistenceSet, WaveParameters,
+                      a_max, critical_points, eval_g, eval_potential,
                       existence_check)
 
 
@@ -193,7 +193,8 @@ def _brentq_roots(params):
     dP = lambda phi: -float(_dV(phi, params))
     root = lambda f, lo, hi: brentq(f, lo, hi, xtol=1e-15, rtol=9e-16)
     mid = c / (b + 1.0)
-    phi1 = _newton_polish(g, lambda p: _dg(p, params), root(g, _BRACKET_EPS * c, mid))
+    lo = min(_BRACKET_EPS * c, params.a / (2.0 * c**b))  # g(a / (2 c^b)) < 0
+    phi1 = _newton_polish(g, lambda p: _dg(p, params), root(g, lo, mid))
     phi2 = _newton_polish(g, lambda p: _dg(p, params),
                           root(g, mid, c * (1.0 - _BRACKET_EPS)))
     lo = _newton_polish(P, dP, root(P, phi1, phi2))
@@ -239,10 +240,14 @@ def test_bracketed_root_matches_brentq_steps():
     """On the same function the root finder takes brentq's steps."""
     from scipy.optimize import brentq
 
-    from bchwaves.potential import _bracketed_root
+    from bchwaves.potential import _bracketed_root, _fpow
 
+    # g at b = 200, a = 1e-300, c = 0.5 over phi2's bracket: the inverse
+    # quadratic step's denominator underflows to 0 there, and brentq bisects
+    g = lambda x: x * _fpow(0.5 - x, 200.0) - 1e-300
     for f, lo, hi in ((math.cos, 0.0, 2.0), (lambda x: x**3 - 2.0, 0.0, 4.0),
-                      (lambda x: math.exp(x) - 5.0, -3.0, 3.0)):
+                      (lambda x: math.exp(x) - 5.0, -3.0, 3.0),
+                      (g, 0.5 / 201.0, 0.5 * (1.0 - 1e-14))):
         assert _bracketed_root(f, lo, hi) == brentq(f, lo, hi, xtol=1e-15,
                                                     rtol=9e-16)
 
@@ -258,6 +263,21 @@ def test_bracketed_root_refuses_bad_brackets(monkeypatch):
     monkeypatch.setattr(potential, "_ROOT_MAXITER", 3)
     with pytest.raises(ConvergenceFailure, match="in 3 steps"):
         potential._bracketed_root(math.cos, 0.0, 2.0)
+
+
+def test_root_scan_where_the_powers_leave_the_double_range():
+    """Both roots are found where (c - phi)^b nearly underflows (b = 200,
+    a = 1e-300, c = 0.5: brentq's step in phi2's scan divides by an
+    underflowed 0, which raised ZeroDivisionError), and a phi1 below the
+    double range is refused by name."""
+    params = WaveParameters(b=200.0, a=1e-300, E=0.0, c=0.5)
+    scan = critical_points(params)
+    assert 0.0 < scan.phi1 < 0.5 / 201.0 < scan.phi2 < 0.5
+    for phi in (scan.phi1, scan.phi2):  # g changes sign within 1e-12 phi
+        ends = eval_g(np.array([phi * (1 - 1e-12), phi * (1 + 1e-12)]), params)
+        assert ends.min() < 0.0 < ends.max()
+    with pytest.raises(ConvergenceFailure, match="phi1 lies below"):
+        critical_points(WaveParameters(b=2.0, a=5e-324, E=0.0, c=1.0))
 
 
 def test_amax_finite_at_large_b():
