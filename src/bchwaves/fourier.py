@@ -127,17 +127,18 @@ def circular_shift(v: np.ndarray, shift: float, period: float) -> np.ndarray:
     return np.fft.irfft(np.fft.rfft(v) * np.exp(-1j * kr * shift), n=n)
 
 
-def random_smooth_coeffs(n: int, rng: np.random.Generator, count: int,
+def random_smooth_coeffs(rng: np.random.Generator, count: int,
                          kmax: int) -> np.ndarray:
-    """rfft half-spectrum coefficients, shape (count, n // 2 + 1), of count
+    """rfft coefficients on modes 0..kmax-1, shape (count, kmax), of count
     random real periodic fields with spectrum decaying like 1/(1 + k)^2 on
-    modes 1..kmax-1.  Row i holds what the i-th of count single-field draws
-    would give: real parts, imaginary parts, then the mean."""
+    modes 1..kmax-1; the higher modes are zero, so irfft(c, n=n) pads them.
+    Row i holds what the i-th of count single-field draws would give: real
+    parts, imaginary parts, then the mean."""
     z = rng.standard_normal((count, 2 * kmax - 1))
     decay = 1.0 / (1.0 + np.arange(1, kmax)) ** 2
-    c = np.zeros((count, n // 2 + 1), dtype=complex)
-    c.real[:, 1:kmax] = z[:, :kmax - 1] * decay
-    c.imag[:, 1:kmax] = z[:, kmax - 1:-1] * decay
+    c = np.zeros((count, kmax), dtype=complex)
+    c.real[:, 1:] = z[:, :kmax - 1] * decay
+    c.imag[:, 1:] = z[:, kmax - 1:-1] * decay
     c.real[:, 0] = z[:, -1]
     return c
 
@@ -146,7 +147,7 @@ def random_smooth(n: int, rng: np.random.Generator, count: int,
                   kmax: int) -> np.ndarray:
     """count random real periodic fields, shape (count, n): the inverse
     transforms of random_smooth_coeffs, each scaled to unit sup norm."""
-    v = np.fft.irfft(random_smooth_coeffs(n, rng, count, kmax), n=n)
+    v = np.fft.irfft(random_smooth_coeffs(rng, count, kmax), n=n)
     return v / np.max(np.abs(v), axis=-1, keepdims=True)
 
 

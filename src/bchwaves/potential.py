@@ -92,8 +92,12 @@ def _cpow(base, expo):
 
 def _potential(phi, params):
     """V(phi; a, c) without checks or casts: analytic in phi, a and c, so
-    it also takes the complex parameters of a complex step."""
-    return -0.5 * phi**2 + params.a / ((params.b - 1.0) * _cpow(params.c - phi, params.b - 1.0))
+    it also takes the complex parameters of a complex step.  The a-term is
+    one exp of logs, since (b - 1) (c - phi)^(b-1) overflows at large b
+    where its reciprocal times a does not."""
+    b = params.b
+    return -0.5 * phi**2 + params.a * np.exp(
+        -np.log(b - 1.0) - (b - 1.0) * np.log(params.c - phi))
 
 
 def eval_potential(phi, params: WaveParameters):
@@ -127,12 +131,17 @@ def _fpow(base: float, expo: float) -> float:
 def _float_potential(b: float, a: float, c: float):
     """V(phi; a, c) as a function of one Python float phi < c, by math: a
     root search evaluates it one point at a time, where numpy's per-call
-    cost would exceed the arithmetic.  V is +inf where (c - phi)^(b-1)
-    underflows (near c at large b), so a bracket end there keeps its sign."""
+    cost would exceed the arithmetic.  The a-term is formed as in
+    _potential; it is +inf where its exp overflows (near c at large b),
+    so a bracket end there keeps its sign."""
+    log_b1 = math.log(b - 1.0)
 
     def V(phi):
-        power = _fpow(c - phi, b - 1.0)
-        return -0.5 * phi**2 + a / ((b - 1.0) * power) if power else math.inf
+        try:
+            term = math.exp(-log_b1 - (b - 1.0) * math.log(c - phi))
+        except OverflowError:
+            return math.inf
+        return -0.5 * phi**2 + a * term
 
     return V
 

@@ -61,6 +61,11 @@ loses ~1e-12.  hill_matrix, the full matrix, stays as the reference the blocks
 are tested against.  (A collocation product of grid differentiation
 matrices is avoided deliberately: with even N its annihilated Nyquist mode
 produces a spurious eigenvalue at mean(r).)
+
+The coercivity probe's random directions depend only on the grid size N,
+the seed and the trial count, not on the wave: _probe_directions draws them
+once per such triple (a one-entry memo), so a run that probes many waves
+with one seed pays for the draw once.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ from .profile import WaveProfile
 
 SECOND_VARIATION_SCALE = -0.5
 # rows per block of probe directions; bounds the probe's working memory
-_PROBE_BLOCK = 128
+_PROBE_BLOCK = 64
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,6 +402,18 @@ def proof_identities(profile: WaveProfile,
         convention_scale=kappa)
 
 
+# one entry: the probe's random directions depend on the grid, the seed and
+# the trial count, not on the wave, so successive points share one draw
+@lru_cache(maxsize=1)
+def _probe_directions(n: int, seed: int, count: int) -> np.ndarray:
+    """Read-only rfft coefficients, shape (count, n // 3), of the probe's
+    count random directions: fourier.random_smooth_coeffs from a fresh
+    default_rng(seed) on the modes below n/3, where they are non-zero."""
+    c = fourier.random_smooth_coeffs(np.random.default_rng(seed), count, n // 3)
+    c.setflags(write=False)
+    return c
+
+
 def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
                      trials: int = 1000, seed: int = 0,
                      project: bool = True) -> ProbeReport:
@@ -409,13 +426,17 @@ def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
     negative direction.  With project=True each candidate is first
     projected onto the orthogonal complement of {dF1/dm, dF2/dm, mu_x},
     the constrained subspace where coercivity is claimed; a strictly
-    positive minimum certifies it at probe resolution only.
+    positive minimum certifies it at probe resolution only.  The random
+    fields depend only on (N, seed, trials), so they are drawn once per
+    such triple (_probe_directions) and shared by every wave probed with it.
 
     Candidates go in blocks of _PROBE_BLOCK rows, the first led by the two
     fixed ones.  One inverse FFT of a block's stacked rfft coefficients
     [c, ik c] gives the values v and the derivatives v', and the projection
-    acts on v' through the derivatives of the basis.  The quotient is
-    formed on the grid,
+    acts on v' through the derivatives of the basis.  Every candidate lives
+    on the modes below N/3 (the ground state on those up to N/4), so a
+    block writes only those columns and the rest stay zero.  The quotient
+    is formed on the grid,
 
         <L v, v> = (T/N) sum(p v'^2 + symmetric_r v^2),
         ||v||_{H^1}^2 = (T/N) sum(v^2 + v'^2),
@@ -426,35 +447,35 @@ def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
     so only the skip of rows with ||v||_{H^1}^2 <= 1e-20 uses it.
     """
     b, T, n = profile.params.b, profile.T, profile.N
-    deriv = fourier.rfft_tools(n, T)[1]
+    kmax = n // 3
+    deriv = fourier.rfft_tools(n, T)[1][:kmax]
     if project:
         dF1 = delta_F1(profile.mu, b)
         dF2 = delta_F2(profile.mu, profile.dmu, profile.d2mu, b)
         basis = np.array(fourier.orthonormalize((dF1, dF2, profile.dmu), T))
         d_basis = fourier.spectral_derivative(basis, T, 1)
 
-    fixed = np.zeros((2, n // 2 + 1), dtype=complex)
-    fixed[0] = _ground_state(coeffs, n // 4)[1]
+    fixed = np.zeros((2, kmax), dtype=complex)
+    fixed[0] = _ground_state(coeffs, n // 4)[1][:kmax]
     fixed[1, 0] = n  # the constant direction
+    drawn = _probe_directions(n, seed, max(trials - len(fixed), 0))
 
     # reused by every block: allocating them per block cost ~1/3 of the probe
-    pair_buf = np.empty((2, _PROBE_BLOCK, n // 2 + 1), dtype=complex)
+    pair_buf = np.zeros((2, _PROBE_BLOCK, n // 2 + 1), dtype=complex)
     vd_buf = np.empty((2, _PROBE_BLOCK, n))
 
-    rng = np.random.default_rng(seed)
-    n_total = len(fixed) + max(trials - len(fixed), 0)
+    n_total = len(fixed) + len(drawn)
     min_q = np.inf
     n_negative = 0
     evaluated = 0
     for start in range(0, n_total, _PROBE_BLOCK):
         stop = min(start + _PROBE_BLOCK, n_total)
-        c = fourier.random_smooth_coeffs(n, rng, stop - max(start, len(fixed)),
-                                         n // 3)
-        if start == 0:
-            c = np.concatenate([fixed, c])
         pair, vd = pair_buf[:, :stop - start], vd_buf[:, :stop - start]
-        pair[0] = c
-        np.multiply(c, deriv, out=pair[1])
+        c = pair[0, :, :kmax]
+        head = fixed[start:stop]
+        c[:len(head)] = head
+        c[len(head):] = drawn[max(start - len(fixed), 0):stop - len(fixed)]
+        np.multiply(c, deriv, out=pair[1, :, :kmax])
         v, dv = np.fft.irfft(pair, n=n, out=vd)
         sup = np.max(np.abs(v), axis=-1)
         if project:

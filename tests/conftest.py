@@ -11,7 +11,8 @@ from bchwaves import (WaveParameters, assemble_operator, critical_points,
 from bchwaves.invariants import restricted_invariants
 from bchwaves.potential import _critical_values
 from bchwaves.profile import turning_point_data
-from bchwaves.spectral import _cosine_eigenvalues, _parity_blocks
+from bchwaves.spectral import (_cosine_eigenvalues, _parity_blocks,
+                               _probe_directions)
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 B_VALUES = (1.5, 2.0, 2.5, 3.0, 4.0)
@@ -20,9 +21,10 @@ B_VALUES = (1.5, 2.0, 2.5, 3.0, 4.0)
 STEEPNESS_GUARD = 0.15
 
 
-# the one-entry memos of the per-point stages
+# the one-entry memos of the per-point stages, and the probe's directions
 POINT_MEMOS = (_critical_values, turning_point_data, synthesize_profile,
-               restricted_invariants, _parity_blocks, _cosine_eigenvalues)
+               restricted_invariants, _parity_blocks, _cosine_eigenvalues,
+               _probe_directions)
 
 
 @pytest.fixture(autouse=True)

@@ -171,6 +171,29 @@ def test_classify_large_b(b, a, c, tmp_path):
                               rel=1e-12)
 
 
+def test_classify_past_the_potential_overflow(tmp_path, capsys):
+    """b = 1020, a = 0.001, c = 2, mid-well: (b - 1) (c - phi)^(b-1)
+    exceeds the double range near phi1, where V's a-term does not.  At
+    N = 512 the steep profile is refused by name (its F2 routes disagree,
+    exit 3); at N = 1024 it classifies, with the period of the shooting
+    oracle.  Warnings are errors here, so neither run overflows."""
+    from quadrature_oracle import period_by_shooting
+
+    b, a, c = 1020.0, 1e-3, 2.0
+    scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=c))
+    E = 0.5 * (scan.V_phi1 + scan.V_phi2)
+    args = ["classify", "--b", repr(b), "--a", repr(a), f"--E={E!r}",
+            "--c", repr(c), "--out", str(tmp_path)]
+    assert main(args) == 3
+    assert "F2 routes disagree" in capsys.readouterr().err
+    assert main([*args, "--N", "1024"]) == 0
+    report = json.loads((tmp_path / "classify.json").read_text())
+    assert report["classification"] == "StableCriteriaMet"
+    T = report["jacobians"]["invariants"]["T"]
+    assert T == pytest.approx(period_by_shooting(WaveParameters(b, a, E, c)),
+                              rel=1e-12)
+
+
 def test_evolve_command(tmp_path):
     rc = main(["evolve", *REF, "--N", "128", "--eps", "1e-3",
                "--horizon-periods", "0.5", "--out", str(tmp_path)])

@@ -61,7 +61,7 @@ def test_spectral_derivative_skew_adjoint(n):
 
 
 def test_random_smooth_is_the_scaled_transform_of_its_coefficients():
-    coeffs = fourier.random_smooth_coeffs(256, np.random.default_rng(5), 4, 85)
+    coeffs = fourier.random_smooth_coeffs(np.random.default_rng(5), 4, 85)
     v = np.fft.irfft(coeffs, n=256)
     fields = fourier.random_smooth(256, np.random.default_rng(5), 4, 85)
     assert np.array_equal(fields, v / np.max(np.abs(v), axis=-1, keepdims=True))

@@ -352,7 +352,7 @@ def test_invariants_memo(ref_params):
             restricted_invariants(refused)
 
 
-@pytest.mark.parametrize("b", [28.0, 30.0, 50.0, 100.0, 150.0, 300.0, 1000.0,
+@pytest.mark.parametrize("b", [28.0, 30.0, 50.0, 100.0, 150.0, 300.0, 1000.0, 1020.0,
                                1100.0, 2000.0, 1.001, 1.01])
 def test_edges_of_the_region_classify_or_refuse_by_name(b):
     """Large b and b -> 1+, c = 1, a and E across the well, and a = 0.001,

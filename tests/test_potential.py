@@ -294,3 +294,25 @@ def test_float_potential_is_infinite_where_the_power_underflows():
     from bchwaves.potential import _float_potential
 
     assert _float_potential(30.0, 1e-3, 1.0)(1.0 - 1e-12) == math.inf
+
+
+def test_potential_where_its_denominator_overflows():
+    """At b = 1020, a = 0.001, c = 2, (b - 1) (c - phi1)^(b-1) exceeds the
+    double range while V(phi1) = a / that - phi1^2 / 2 is ~1.7e-313, a
+    subnormal.  The numpy and the float route both give it, against
+    mpmath at 30 digits, to the subnormal's spacing."""
+    import mpmath
+
+    from bchwaves.potential import _float_potential
+
+    b, a, c = 1020.0, 1e-3, 2.0
+    scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=c))
+    with mpmath.workdps(30):
+        phi = mpmath.mpf(scan.phi1)
+        want = float(mpmath.mpf(a) / ((b - 1) * (c - phi) ** (b - 1))
+                     - phi**2 / 2)
+    assert 1e-313 < want < 1e-312
+    params = WaveParameters(b=b, a=a, E=0.0, c=c)
+    for got in (scan.V_phi1, eval_potential(scan.phi1, params),
+                _float_potential(b, a, c)(scan.phi1)):
+        assert got == pytest.approx(want, rel=1e-9)

@@ -14,7 +14,8 @@ from bchwaves import fourier, spectral
 from bchwaves.invariants import delta_F1, delta_F2
 from bchwaves.spectral import (SECOND_VARIATION_SCALE, _block_eigenvalues,
                                _cosine_eigenvalues, _ground_state,
-                               _mode_ladder, _parity_blocks, operator_scale)
+                               _mode_ladder, _parity_blocks,
+                               _probe_directions, operator_scale)
 
 
 def modes_to_grid(vec, coeffs):
@@ -273,7 +274,7 @@ def test_kernel_direction_quotient(ref_profile, ref_coeffs):
 
 
 @pytest.mark.parametrize("project", [True, False])
-@pytest.mark.parametrize("trials", [1, 2, 300, 1000])
+@pytest.mark.parametrize("trials", [1, 2, 64, 65, 66, 67, 130, 300, 1000])
 def test_block_probe_matches_loop(ref_profile, ref_coeffs, trials, project):
     probe = coercivity_probe(ref_coeffs, ref_profile, trials=trials, seed=4,
                              project=project)
@@ -325,6 +326,29 @@ def test_block_probe_matches_loop_on_panel(panel_operators, project):
             coeffs, prof, 300, 3, project)
         assert (probe.trials, probe.n_negative) == (evaluated, n_negative)
         assert abs(probe.min_quotient - min_q) <= 1e-11 * abs(min_q)
+
+
+def test_probe_directions_memo(panel_operators):
+    """The probe's random directions are the generator's draws from a fresh
+    default_rng(seed), read-only, and drawn once per (N, seed, trials): a
+    probe of a second wave reuses them, and its report equals that of a
+    cold call, so nothing of the first wave carries over."""
+    want = fourier.random_smooth_coeffs(np.random.default_rng(5), 298, 512 // 3)
+    directions = _probe_directions(512, 5, 298)
+    assert np.array_equal(directions, want)
+    with pytest.raises(ValueError):
+        directions[0, 0] = 0.0
+
+    (prof1, coeffs1), (prof2, coeffs2) = panel_operators[:2]
+    _probe_directions.cache_clear()
+    coercivity_probe(coeffs1, prof1, trials=300, seed=5)
+    hits = _probe_directions.cache_info().hits
+    warm = coercivity_probe(coeffs2, prof2, trials=300, seed=5)
+    assert _probe_directions.cache_info().hits == hits + 1
+    _probe_directions.cache_clear()
+    cold = coercivity_probe(coeffs2, prof2, trials=300, seed=5)
+    assert _probe_directions.cache_info().misses == 1
+    assert warm == cold
 
 
 def _eigen_residual(C, lam, g):
