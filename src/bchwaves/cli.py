@@ -19,7 +19,6 @@ import itertools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -276,9 +275,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not done:
             writer.writerow(_SWEEP_COLUMNS)
             fh.flush()
-        with (ProcessPoolExecutor(max_workers=jobs)
-              if jobs > 1 and len(pending) > 1
-              else contextlib.nullcontext()) as pool:
+        executor = contextlib.nullcontext()
+        if jobs > 1 and len(pending) > 1:
+            # imported here: it loads multiprocessing, which would cost
+            # every other command set-up time and memory
+            from concurrent.futures import ProcessPoolExecutor
+            executor = ProcessPoolExecutor(max_workers=jobs)
+        with executor as pool:
             rows = pool.map(row_of, pending) if pool else map(row_of, pending)
             for row in rows:
                 writer.writerow(_row_to_csv(row))

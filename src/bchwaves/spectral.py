@@ -64,8 +64,10 @@ produces a spurious eigenvalue at mean(r).)
 
 The coercivity probe's random directions depend only on the grid size N,
 the seed and the trial count, not on the wave: _probe_directions draws them
-once per such triple (a one-entry memo), so a run that probes many waves
-with one seed pays for the draw once.
+and keeps their grid values and derivatives once per such triple (a
+one-entry memo), so a run that probes many waves with one seed pays for the
+draw and its inverse FFTs once, and each wave's probe is matrix products on
+those grids plus one inverse FFT for its two fixed rows.
 """
 
 from __future__ import annotations
@@ -403,15 +405,31 @@ def proof_identities(profile: WaveProfile,
 
 
 # one entry: the probe's random directions depend on the grid, the seed and
-# the trial count, not on the wave, so successive points share one draw
+# the trial count, not on the wave, so successive points share their grids
 @lru_cache(maxsize=1)
-def _probe_directions(n: int, seed: int, count: int) -> np.ndarray:
-    """Read-only rfft coefficients, shape (count, n // 3), of the probe's
-    count random directions: fourier.random_smooth_coeffs from a fresh
-    default_rng(seed) on the modes below n/3, where they are non-zero."""
-    c = fourier.random_smooth_coeffs(np.random.default_rng(seed), count, n // 3)
-    c.setflags(write=False)
-    return c
+def _probe_directions(n: int, seed: int, count: int
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only grids, shape (count, 2n), of the probe's count random
+    directions, and each one's sup norm.  Row i is [v_i, v_i'] with v_i' the
+    derivative at unit wavenumber spacing: the irfft of the coefficients c_i
+    of fourier.random_smooth_coeffs from a fresh default_rng(seed) on the
+    modes below n/3, where they are non-zero, and of 1j k c_i.  They are
+    drawn and transformed _PROBE_BLOCK rows at a time from one generator,
+    which gives the same rows as one draw of all count."""
+    kmax = n // 3
+    rng = np.random.default_rng(seed)
+    grids = np.empty((count, 2 * n))
+    sup = np.empty(count)
+    ik = 1j * np.arange(kmax)
+    for start in range(0, count, _PROBE_BLOCK):
+        rows = grids[start:start + _PROBE_BLOCK]
+        c = fourier.random_smooth_coeffs(rng, len(rows), kmax)
+        np.fft.irfft(np.stack([c, ik * c], axis=1), n=n,
+                     out=rows.reshape(len(rows), 2, n))
+        sup[start:start + len(rows)] = np.max(np.abs(rows[:, :n]), axis=-1)
+    grids.setflags(write=False)
+    sup.setflags(write=False)
+    return grids, sup
 
 
 def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
@@ -427,65 +445,76 @@ def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
     projected onto the orthogonal complement of {dF1/dm, dF2/dm, mu_x},
     the constrained subspace where coercivity is claimed; a strictly
     positive minimum certifies it at probe resolution only.  The random
-    fields depend only on (N, seed, trials), so they are drawn once per
-    such triple (_probe_directions) and shared by every wave probed with it.
+    fields depend only on (N, seed, trials), so their grids are built once
+    per such triple (_probe_directions) and shared by every wave probed
+    with it; a probe transforms only the two fixed rows (and, projecting,
+    the derivatives of the basis), in one inverse FFT.
 
-    Candidates go in blocks of _PROBE_BLOCK rows, the first led by the two
-    fixed ones.  One inverse FFT of a block's stacked rfft coefficients
-    [c, ik c] gives the values v and the derivatives v', and the projection
-    acts on v' through the derivatives of the basis.  Every candidate lives
-    on the modes below N/3 (the ground state on those up to N/4), so a
-    block writes only those columns and the rest stay zero.  The quotient
-    is formed on the grid,
+    Every candidate is a grid row [v, v'/s]: its values, and its derivative
+    at unit wavenumber spacing (s = 2 pi / T).  The projection acts on
+    both halves at once through the rows [u, u'/s] of the basis, and the
+    quotient is formed on the grid by one product with the (2N, 2) weights
+    W = (T/N) [[1, symmetric_r], [s^2, s^2 p]] of the squared row:
 
-        <L v, v> = (T/N) sum(p v'^2 + symmetric_r v^2),
         ||v||_{H^1}^2 = (T/N) sum(v^2 + v'^2),
+        <L v, v> = (T/N) sum(p v'^2 + symmetric_r v^2),
 
     which equals <apply_operator(v), v> because the spectral derivative is
-    skew-adjoint in the grid inner product.  Each row counts as scaled to
-    unit sup norm before projection; the quotient does not see the scale,
-    so only the skip of rows with ||v||_{H^1}^2 <= 1e-20 uses it.
+    skew-adjoint in the grid inner product.  Rows go in blocks of
+    _PROBE_BLOCK.  Each counts as scaled to unit sup norm before
+    projection; the quotient does not see the scale, so only the skip of
+    rows with ||v||_{H^1}^2 <= 1e-20 uses it.
     """
     b, T, n = profile.params.b, profile.T, profile.N
-    kmax = n // 3
-    deriv = fourier.rfft_tools(n, T)[1][:kmax]
+    s = 2.0 * np.pi / T
+    # derivative symbol at unit spacing, Nyquist zeroed as in
+    # fourier.spectral_derivative
+    k = np.arange(n // 2 + 1)
+    unit_deriv = 1j * np.where(2 * k == n, 0, k)
+
+    # one inverse FFT: the ground state and its derivative, the constant
+    # and its (zero) derivative, then the basis derivatives
+    spec = np.zeros((7 if project else 4, n // 2 + 1), dtype=complex)
+    spec[0] = _ground_state(coeffs, n // 4)[1]
+    spec[1] = spec[0] * unit_deriv
+    spec[2, 0] = n  # the constant direction
     if project:
         dF1 = delta_F1(profile.mu, b)
         dF2 = delta_F2(profile.mu, profile.dmu, profile.d2mu, b)
         basis = np.array(fourier.orthonormalize((dF1, dF2, profile.dmu), T))
-        d_basis = fourier.spectral_derivative(basis, T, 1)
+        spec[4:] = np.fft.rfft(basis) * unit_deriv
+    grids = np.fft.irfft(spec, n=n)
+    fixed = grids[:4].reshape(2, 2 * n)
+    if project:
+        rows_basis = np.hstack([basis, grids[4:]])
+    drawn, drawn_sup = _probe_directions(n, seed, max(trials - len(fixed), 0))
 
-    fixed = np.zeros((2, kmax), dtype=complex)
-    fixed[0] = _ground_state(coeffs, n // 4)[1][:kmax]
-    fixed[1, 0] = n  # the constant direction
-    drawn = _probe_directions(n, seed, max(trials - len(fixed), 0))
+    W = np.empty((2 * n, 2))
+    W[:n, 0] = 1.0
+    W[:n, 1] = coeffs.symmetric_r
+    W[n:, 0] = s * s
+    W[n:, 1] = (s * s) * coeffs.p
+    W *= T / n
 
-    # reused by every block: allocating them per block cost ~1/3 of the probe
-    pair_buf = np.zeros((2, _PROBE_BLOCK, n // 2 + 1), dtype=complex)
-    vd_buf = np.empty((2, _PROBE_BLOCK, n))
-
-    n_total = len(fixed) + len(drawn)
+    blocks = [(fixed, np.max(np.abs(fixed[:, :n]), axis=-1))]
+    blocks += [(drawn[i:i + _PROBE_BLOCK], drawn_sup[i:i + _PROBE_BLOCK])
+               for i in range(0, len(drawn), _PROBE_BLOCK)]
+    # reused by every block: allocating it per block made the probe ~1.4x slower
+    buf = np.empty((_PROBE_BLOCK, 2 * n))
     min_q = np.inf
     n_negative = 0
     evaluated = 0
-    for start in range(0, n_total, _PROBE_BLOCK):
-        stop = min(start + _PROBE_BLOCK, n_total)
-        pair, vd = pair_buf[:, :stop - start], vd_buf[:, :stop - start]
-        c = pair[0, :, :kmax]
-        head = fixed[start:stop]
-        c[:len(head)] = head
-        c[len(head):] = drawn[max(start - len(fixed), 0):stop - len(fixed)]
-        np.multiply(c, deriv, out=pair[1, :, :kmax])
-        v, dv = np.fft.irfft(pair, n=n, out=vd)
-        sup = np.max(np.abs(v), axis=-1)
+    for G, sup in blocks:
+        X = buf[:len(G)]
         if project:
-            coef = fourier.projection_coefficients(v, basis, T)
-            v -= coef @ basis
-            dv -= coef @ d_basis
-        vd *= vd
-        h1 = (T / n) * np.sum(vd, axis=(0, -1))
+            coef = fourier.projection_coefficients(G[:, :n], basis, T)
+            np.matmul(coef, rows_basis, out=X)
+            np.subtract(G, X, out=X)
+            X *= X
+        else:
+            np.multiply(G, G, out=X)
+        h1, quad = (X @ W).T
         keep = h1 > 1e-20 * sup**2
-        quad = (T / n) * (vd[1] @ coeffs.p + vd[0] @ coeffs.symmetric_r)
         q = quad[keep] / h1[keep]
         evaluated += q.size
         if q.size:

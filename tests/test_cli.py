@@ -423,6 +423,37 @@ def test_parallel_sweep_matches_serial(tmp_path):
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
 
 
+_SERIAL_SWEEP = """
+import sys
+
+import bchwaves.cli
+
+code = bchwaves.cli.main(["sweep", "--b", "2", "--c", "1", "--a-range",
+                          "0.06:0.12:2", "--E-frac-range", "0.5:0.5:1",
+                          "--N", "256", "--jobs", "1", "--out", sys.argv[1]])
+assert code == 0, code
+print("multiprocessing" in sys.modules)
+"""
+
+
+def test_serial_sweep_loads_no_process_pool(tmp_path):
+    """Importing the CLI and running a --jobs 1 sweep in a fresh process
+    loads no multiprocessing: only a sweep that uses a pool imports it."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import bchwaves
+
+    env = dict(os.environ, PYTHONPATH=str(Path(bchwaves.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", _SERIAL_SWEEP, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300,
+                          check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "False"
+
+
 # the README-grid rows of the benchmark reference that M = 64 Hill modes
 # against 32 leave unconverged at N = 512
 SWEEP_UNCONVERGED = (2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17, 23, 24, 25,

@@ -329,17 +329,35 @@ def test_block_probe_matches_loop_on_panel(panel_operators, project):
 
 
 def test_probe_directions_memo(panel_operators):
-    """The probe's random directions are the generator's draws from a fresh
-    default_rng(seed), read-only, and drawn once per (N, seed, trials): a
-    probe of a second wave reuses them, and its report equals that of a
-    cold call, so nothing of the first wave carries over."""
-    want = fourier.random_smooth_coeffs(np.random.default_rng(5), 298, 512 // 3)
-    directions = _probe_directions(512, 5, 298)
-    assert np.array_equal(directions, want)
-    with pytest.raises(ValueError):
-        directions[0, 0] = 0.0
+    """The memo holds the grids of the generator's draws from a fresh
+    default_rng(seed), built block by block: row i is the irfft of the i-th
+    coefficient row of one draw of all count next to the irfft of ik times
+    it, and sup is the sup norm of its first half; both are read-only.
+    trials <= 2 leaves no drawn direction.  The directions are built once
+    per (N, seed, trials): a probe of a second wave reuses them, and its
+    report equals that of a cold call, so nothing of the first wave
+    carries over."""
+    n = 512
+    for count in (1, 63, 64, 65, 298):
+        c = fourier.random_smooth_coeffs(np.random.default_rng(5), count, n // 3)
+        grids, sup = _probe_directions(n, 5, count)
+        assert grids.shape == (count, 2 * n)
+        assert np.array_equal(grids[:, :n], np.fft.irfft(c, n=n))
+        assert np.array_equal(grids[:, n:],
+                              np.fft.irfft(1j * np.arange(n // 3) * c, n=n))
+        assert np.array_equal(sup, np.max(np.abs(grids[:, :n]), axis=-1))
+        for a in (grids, sup):
+            with pytest.raises(ValueError):
+                a[0] = 0.0
 
     (prof1, coeffs1), (prof2, coeffs2) = panel_operators[:2]
+    for trials in (1, 2):
+        coercivity_probe(coeffs1, prof1, trials=trials, seed=5)
+        misses = _probe_directions.cache_info().misses
+        grids, sup = _probe_directions(n, 5, 0)
+        assert _probe_directions.cache_info().misses == misses
+        assert grids.shape == (0, 2 * n) and sup.shape == (0,)
+
     _probe_directions.cache_clear()
     coercivity_probe(coeffs1, prof1, trials=300, seed=5)
     hits = _probe_directions.cache_info().hits
@@ -349,6 +367,27 @@ def test_probe_directions_memo(panel_operators):
     cold = coercivity_probe(coeffs2, prof2, trials=300, seed=5)
     assert _probe_directions.cache_info().misses == 1
     assert warm == cold
+
+
+@pytest.mark.parametrize("project", [True, False])
+@pytest.mark.parametrize("trials", [300, 1000])
+def test_probe_transforms_only_its_fixed_rows(ref_profile, ref_coeffs,
+                                              monkeypatch, trials, project):
+    """With the directions' memo warm, a probe makes one inverse FFT: the
+    two fixed rows (and, projecting, the basis derivatives)."""
+    coercivity_probe(ref_coeffs, ref_profile, trials=trials, seed=1,
+                     project=project)
+    calls = []
+    irfft = np.fft.irfft
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return irfft(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", counted)
+    coercivity_probe(ref_coeffs, ref_profile, trials=trials, seed=1,
+                     project=project)
+    assert len(calls) == 1
 
 
 def _eigen_residual(C, lam, g):
