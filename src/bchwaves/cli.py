@@ -246,6 +246,9 @@ def _sweep_config_hash(args: argparse.Namespace) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {jobs}")
     points = _sweep_grid(args)
     out = _outdir(args)
     csv_path = out / "sweep.csv"
@@ -267,7 +270,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     # _sweep_row is looked up when the sweep runs, so a wrapper installed
     # on the module (e.g. a timing harness) sees every row
     row_of = functools.partial(_sweep_row, N=args.N, modes=args.modes)
-    jobs = args.jobs or os.cpu_count() or 1
 
     with open(csv_path, "a" if done else "w", newline="",
               encoding="utf-8") as fh:

@@ -39,8 +39,8 @@ from . import fourier
 from .errors import FDUnreliable, RouteMismatch
 from .potential import WaveParameters, _cpow
 from .profile import (_COMPLEX_STEP, _REL_TOL, ProfileResiduals, WaveProfile,
-                      _complex_steps, _complex_turning_points,
-                      _fixed_phase_derivatives, profile_residuals,
+                      _cheb_ends, _cheb_integral, _cheb_values, _complex_steps,
+                      _complex_turning_points, _samples, profile_residuals,
                       synthesize_profile, turning_point_data, wave_integral)
 
 CLASS_STABLE = "StableCriteriaMet"
@@ -200,6 +200,21 @@ def conserved_quantities(profile: WaveProfile,
     return F1_quad, F2_quad
 
 
+# one entry: the invariants' gradients and the family derivatives of one
+# point read it
+@lru_cache(maxsize=1)
+def _complex_step_table(params: WaveParameters) -> tuple:
+    """One point's complex-step work, in read-only arrays: the steps
+    a + ih, E + ih and c + ih, their turning points, and the wave_integral
+    table of the G, F1 and F2 rows under them."""
+    pc = _complex_steps(params)
+    tpc = _complex_turning_points(pc, turning_point_data(params))
+    quad = wave_integral(pc, (None, *_F1F2_integrands(pc)), tpc)
+    for arr in (*pc[1:], *tpc[:3], *quad):
+        arr.setflags(write=False)
+    return pc, tpc, quad
+
+
 # one entry: the Jacobians and the identities of one certificate share it
 @lru_cache(maxsize=1)
 def restricted_invariants(params: WaveParameters) -> InvariantSet:
@@ -211,9 +226,7 @@ def restricted_invariants(params: WaveParameters) -> InvariantSet:
     until values and gradients have both converged.  Each entry's error
     bound is the larger of its change over the last doubling and
     10 _REL_TOL times the entry."""
-    pc = _complex_steps(params)
-    tpc = _complex_turning_points(pc, turning_point_data(params))
-    value, previous, _ = wave_integral(pc, (None, *_F1F2_integrands(pc)), tpc)
+    value, previous, _ = _complex_step_table(params)[2]
     grad = value.imag / _COMPLEX_STEP
     err = np.maximum(np.abs(value.imag - previous.imag) / _COMPLEX_STEP,
                      10.0 * _REL_TOL * np.abs(grad))
@@ -380,7 +393,32 @@ class FamilyDerivatives:
 
 
 def family_derivatives(profile: WaveProfile) -> FamilyDerivatives:
-    mu_s, T_p = _fixed_phase_derivatives(profile)
+    """The map's parameter derivatives xi_p(theta) are the antiderivatives
+    of the G row of the invariants' complex-step table, at the level where
+    its imaginary parts converged (QuadratureFailure where they do not).
+    Differentiating xi(theta; p) = T(p) (1/2 - s) at fixed s gives
+
+        theta_p = (T_p (1/2 - s) - xi_p(theta)) / xi_theta(theta)
+
+    at the synthesis' own theta samples, with no second inversion; mu then
+    follows in closed form from phi = phi_min + A sin^2(theta), and the
+    even symmetry of every member of the family mirrors the half to the
+    grid."""
+    if profile.theta is None:
+        raise ValueError("derivatives need the samples of a synthesized profile")
+    params, theta, h = profile.params, profile.theta, _COMPLEX_STEP
+    pc, tpc, quad = _complex_step_table(params)
+    A_p = _cheb_integral(quad.coeffs[0].imag / h)
+    A_right, A_left = _cheb_ends(A_p)
+    xi_p = 0.25 * np.pi * (_cheb_values(A_p, 4.0 * theta / np.pi - 1.0) - A_left[:, None])
+    T_p = 0.5 * np.pi * (A_right - A_left)
+    s = np.arange(theta.size) / profile.N
+    G = _samples(theta, params, turning_point_data(params))[2]
+    theta_p = (T_p[:, None] * (0.5 - s) - xi_p) / G
+
+    phi_c = tpc.phi_min + tpc.amplitude * np.sin(theta + 1j * h * theta_p) ** 2
+    mu_p = (pc.a / _cpow(pc.c - phi_c, params.b)).imag / h
+    mu_s = np.concatenate([mu_p, mu_p[:, -2:0:-1]], axis=1)
     mu_grads = mu_s - (T_p[:, None] / profile.T) * profile.x * profile.dmu
     return FamilyDerivatives(
         profile=profile, mu_a=mu_grads[0], mu_E=mu_grads[1], mu_c=mu_grads[2],

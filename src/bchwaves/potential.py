@@ -246,6 +246,9 @@ def _critical_values(b: float, a: float, c: float) -> tuple:
         raise ConvergenceFailure(
             f"phi1 lies below {max(lo, math.ulp(0.0))!r}, the lower end of "
             f"the root scan's bracket")
+    if not g_float(hi) < 0.0:
+        raise ConvergenceFailure(
+            f"phi2 lies above {hi!r}, the upper end of the root scan's bracket")
     phi1 = _newton_polish(g, dg, _bracketed_root(g_float, lo, mid))
     phi2 = _newton_polish(g, dg, _bracketed_root(g_float, mid, hi))
     return (phi1, phi2, amax, eval_potential(phi1, params),

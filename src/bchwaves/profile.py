@@ -122,10 +122,8 @@ class WaveProfile:
     phi_min: float
     phi_max: float
     # how synthesis placed the samples: theta[j] solves x(theta) = j T / N
-    # for j = 0..N/2 on a half-period map fitted at map_nodes + 1
-    # Chebyshev-Lobatto points (None for a state not built by synthesis)
+    # for j = 0..N/2 (None for a state not built by synthesis)
     theta: np.ndarray | None = None
-    map_nodes: int | None = None
 
 
 @dataclass(frozen=True)
@@ -609,44 +607,7 @@ def synthesize_profile(params: WaveParameters, N: int = 512) -> WaveProfile:
         arr.setflags(write=False)
     return WaveProfile(params=params, T=T, N=N, x=x, phi=phi, dphi=dphi,
                        d2phi=d2phi, mu=mu, dmu=dmu, d2mu=d2mu,
-                       phi_min=tp.phi_min, phi_max=tp.phi_max, theta=theta,
-                       map_nodes=hp_map.coeff_integrand.size - 1)
-
-
-def _fixed_phase_derivatives(profile: WaveProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Derivatives in (a, E, c) of the synthesized mu at fixed phase
-    s = j / N, shape (3, N), and of the period, shape (3,), by complex step.
-
-    One complex-parameter half-period map per parameter is fitted on the
-    synthesis' Lobatto nodes.  Differentiating xi(theta; p) = T(p) (1/2 - s)
-    at fixed s gives
-
-        theta_p = (T_p (1/2 - s) - xi_p(theta)) / xi_theta(theta)
-
-    at the synthesis' own theta samples, with no second inversion; mu then
-    follows in closed form from phi = phi_min + A sin^2(theta).  The even
-    symmetry of every member of the family mirrors the half to the grid.
-    """
-    if profile.theta is None:
-        raise ValueError("derivatives need the samples of a synthesized profile")
-    params, theta = profile.params, profile.theta
-    tp = turning_point_data(params)
-    pc = _complex_steps(params)
-    tpc = _complex_turning_points(pc, tp)
-    h = _COMPLEX_STEP
-
-    G_c = _samples(_lobatto_theta(profile.map_nodes), pc, tpc)[2]
-    A_p = _cheb_integral(_cheb_fit(G_c.imag / h))
-    A_right, A_left = _cheb_ends(A_p)
-    xi_p = 0.25 * np.pi * (_cheb_values(A_p, 4.0 * theta / np.pi - 1.0) - A_left[:, None])
-    T_p = 0.5 * np.pi * (A_right - A_left)
-    s = np.arange(theta.size) / profile.N
-    G = _samples(theta, params, tp)[2]
-    theta_p = (T_p[:, None] * (0.5 - s) - xi_p) / G
-
-    phi_c = tpc.phi_min + tpc.amplitude * np.sin(theta + 1j * h * theta_p) ** 2
-    mu_p = (pc.a / _cpow(pc.c - phi_c, params.b)).imag / h
-    return np.concatenate([mu_p, mu_p[:, -2:0:-1]], axis=1), T_p
+                       phi_min=tp.phi_min, phi_max=tp.phi_max, theta=theta)
 
 
 def equilibrium_profile(b: float, a: float, c: float, N: int = 256,

@@ -8,7 +8,7 @@ import pytest
 
 from bchwaves import (WaveParameters, assemble_operator, critical_points,
                       synthesize_profile)
-from bchwaves.invariants import restricted_invariants
+from bchwaves.invariants import _complex_step_table, restricted_invariants
 from bchwaves.potential import _critical_values
 from bchwaves.profile import turning_point_data
 from bchwaves.spectral import (_cosine_eigenvalues, _parity_blocks,
@@ -23,8 +23,8 @@ STEEPNESS_GUARD = 0.15
 
 # the one-entry memos of the per-point stages, and the probe's directions
 POINT_MEMOS = (_critical_values, turning_point_data, synthesize_profile,
-               restricted_invariants, _parity_blocks, _cosine_eigenvalues,
-               _probe_directions)
+               _complex_step_table, restricted_invariants, _parity_blocks,
+               _cosine_eigenvalues, _probe_directions)
 
 
 @pytest.fixture(autouse=True)

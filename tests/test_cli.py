@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from bchwaves import (BchWavesError, CoefficientInconsistency, WaveParameters,
@@ -137,6 +138,33 @@ def test_every_package_error_is_a_named_refusal(error, tmp_path, capsys,
     prefix = {2: "domain error", 3: "numerical error"}.get(error.exit_code,
                                                            "error")
     assert capsys.readouterr().err == f"{prefix}: injected\n"
+
+
+def test_random_sweep_rows_refuse_by_name():
+    """60 seeded rows with b - 1 log-uniform in (1e-3, 100], c in
+    [0.01, 10], a log-uniform in [1e-40, 1) a_max and E-fractions in
+    (0.001, 0.999): every status is ok or names a package error, never a
+    bare ValueError."""
+    names = {cls.__name__ for cls in _error_classes()}
+    rng = np.random.default_rng(21)
+    for i in range(60):
+        b = 1.0 + 10.0 ** rng.uniform(-3.0, 2.0)
+        c = float(rng.uniform(0.01, 10.0))
+        a = 10.0 ** rng.uniform(-40.0, 0.0) * a_max(b, c)
+        point = {"index": i, "b": b, "a": a, "e_mode": "frac",
+                 "e_val": float(rng.uniform(0.001, 0.999)), "c": c}
+        status = cli._sweep_row(point, N=256, modes=64)["status"]
+        assert status == "ok" or status.split(":")[0] in names, status
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_sweep_rejects_jobs_below_one(jobs, tmp_path, capsys):
+    rc = main(["sweep", "--b", "2", "--a", "0.1", "--c", "1",
+               "--E-frac-range", "0.5:0.5:1", "--jobs", jobs,
+               "--out", str(tmp_path / "s")])
+    assert rc == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_large_b_sweep_of_plain_floats(tmp_path):

@@ -263,6 +263,37 @@ def test_quadrature_runs_through_wave_integral(ref_params, ref_profile, monkeypa
         assert len(calls) == 1
 
 
+def test_one_complex_step_table_per_certificate(ref_params, monkeypatch):
+    """The invariants and the family derivatives of a certificate read one
+    complex-step table: the complex turning points are polished once, and
+    the complex integrand is sampled at the reference wave's two Lobatto
+    levels (64 and 128) only."""
+    from bchwaves import (assemble_operator, coercivity_probe, invariants,
+                          periodic_spectrum, profile, proof_identities)
+
+    calls = {"turning points": 0, "samples": 0}
+    turning_points, samples = profile._complex_turning_points, profile._samples
+
+    def counted_turning_points(*args):
+        calls["turning points"] += 1
+        return turning_points(*args)
+
+    def counted_samples(theta, params, tp):
+        calls["samples"] += np.iscomplexobj(params.a)
+        return samples(theta, params, tp)
+
+    for module in (profile, invariants):
+        monkeypatch.setattr(module, "_complex_turning_points", counted_turning_points)
+        monkeypatch.setattr(module, "_samples", counted_samples)
+    classify_stability(ref_params, N=512)
+    prof = synthesize_profile(ref_params, 512)
+    coeffs = assemble_operator(prof)
+    periodic_spectrum(coeffs, M=128)
+    proof_identities(prof, coeffs)
+    coercivity_probe(coeffs, prof, trials=1000, seed=1)
+    assert calls == {"turning points": 1, "samples": 2}
+
+
 @pytest.mark.parametrize("p", ORACLE_POINTS, ids=ORACLE_IDS)
 def test_crest_derivatives_match_richardson(p):
     # differences of the crest values satisfy the closed-form identities
@@ -353,16 +384,18 @@ def test_invariants_memo(ref_params):
 
 
 @pytest.mark.parametrize("b", [28.0, 30.0, 50.0, 100.0, 150.0, 300.0, 1000.0, 1020.0,
-                               1100.0, 2000.0, 1.001, 1.01])
+                               1100.0, 2000.0, 1.001, 1.01, 2.0])
 def test_edges_of_the_region_classify_or_refuse_by_name(b):
-    """Large b and b -> 1+, c = 1, a and E across the well, and a = 0.001,
+    """Large b and b -> 1+, c = 1, a and E across the well, a = 0.001,
     E = 0 at c = 2 and c = 1.5 (where c^(b+1) exceeds the double range at
-    b = 1100 and b = 2000): every point classifies or raises a package
-    error, never a ZeroDivisionError, an OverflowError, a bare ValueError
-    or a warning."""
+    b = 1100 and b = 2000), and a = 1e-29, E = 0 at c = 1 (where phi2 lies
+    above the root scan's bracket at b = 2): every point classifies or
+    raises a package error, never a ZeroDivisionError, an OverflowError, a
+    bare ValueError or a warning."""
     from bchwaves import a_max
 
     points = [WaveParameters(b=b, a=0.001, E=0.0, c=c) for c in (2.0, 1.5)]
+    points.append(WaveParameters(b=b, a=1e-29, E=0.0, c=1.0))
     for a_frac in (0.05, 0.5, 0.95):
         a = a_frac * a_max(b, 1.0)
         scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=1.0))

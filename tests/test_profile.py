@@ -10,10 +10,10 @@ from bchwaves import (NotInExistenceSet, WaveParameters, critical_points,
                       profile_residuals, synthesize_profile, turning_points,
                       wave_integral)
 from bchwaves.potential import a_max
+from bchwaves.invariants import _complex_step_table
 from bchwaves.profile import (_COMPLEX_STEP, _INVERSION_TABLE,
                               _cheb_derivative, _cheb_fit, _cheb_integral,
-                              _cheb_values, _complex_steps,
-                              _complex_turning_points, _dct1,
+                              _cheb_values, _dct1,
                               _half_period_map, _invert_half_period,
                               _lobatto_theta, _noise_cut, _samples,
                               profile_header, turning_point_data,
@@ -325,15 +325,13 @@ def test_dct1_matches_scipy(shape):
 def test_cheb_values_matches_chebval(ref_profile):
     """The recurrence-row evaluation against numpy's chebval at the degrees
     synthesis uses, at its 257 theta samples: the reference wave's map
-    (level 128), its three parameter derivatives stacked, and a map of
-    degree 4097 from level 4096."""
+    (level 128), its three parameter derivatives from the invariants'
+    complex-step table, and a map of degree 4097 from level 4096."""
     t = 4.0 * ref_profile.theta / np.pi - 1.0
     params = ref_profile.params
-    tp = turning_point_data(params)
     series = [_half_period_map(wave_integral(params).coeffs[0, 0]).coeff_antideriv]
-    G_c = _samples(_lobatto_theta(ref_profile.map_nodes), _complex_steps(params),
-                   _complex_turning_points(_complex_steps(params), tp))[2]
-    series.append(_cheb_integral(_cheb_fit(G_c.imag / _COMPLEX_STEP)))
+    G_rows = _complex_step_table(params)[2].coeffs[0]
+    series.append(_cheb_integral(G_rows.imag / _COMPLEX_STEP))
     far = _well_point(6.0, 0.995, 1e-4)
     G = _samples(_lobatto_theta(4096), far, turning_point_data(far))[2]
     series.append(_half_period_map(_cheb_fit(G)).coeff_antideriv)
