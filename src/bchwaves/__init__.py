@@ -17,12 +17,10 @@ from .invariants import (CrestIdentityReport, InvariantSet, JacobianReport,
                          euler_lagrange_residual, family_derivatives,
                          multipliers, parameter_jacobians,
                          restricted_invariants)
-from .potential import (ExistenceResult, PotentialScan, WaveParameters, a_max,
-                        critical_points, eval_g, eval_potential,
-                        existence_check)
-from .profile import (ProfileResiduals, WaveProfile, equilibrium_profile,
-                      period, profile_residuals, synthesize_profile,
-                      turning_points, wave_integral, write_profile_csv)
+from .potential import (PotentialScan, WaveParameters, a_max, critical_points,
+                        eval_g, eval_potential, existence_check)
+from .profile import (ProfileResiduals, WaveProfile, period, profile_residuals,
+                      synthesize_profile, wave_integral, write_profile_csv)
 from .spectral import (SECOND_VARIATION_SCALE, OperatorCoefficients,
                        ProbeReport, ProofIdentityReport, SpectralReport,
                        apply_operator, assemble_operator, coercivity_probe,

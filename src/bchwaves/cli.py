@@ -357,8 +357,8 @@ class _CommandParser(argparse.ArgumentParser):
         return args, extra
 
 
-def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
-    """The parser; defaults (from --config) override every subcommand's."""
+def build_parser() -> argparse.ArgumentParser:
+    """The top parser, with one subparser per command in _COMMANDS."""
     parser = argparse.ArgumentParser(
         prog="bchwaves",
         description="Periodic traveling waves of the b-family Camassa-Holm "
@@ -371,7 +371,7 @@ def build_parser(defaults: dict | None = None) -> argparse.ArgumentParser:
         sub = subs.add_parser(name, help=help_text)
         for option in options:
             sub.add_argument(f"--{option}", **_OPTIONS[option])
-        sub.set_defaults(func=func, **(defaults or {}))
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -387,8 +387,14 @@ def main(argv: list[str] | None = None) -> int:
             print(f"config error: {args.command} has no option "
                   f"{', '.join(unknown)} (in {args.config})", file=sys.stderr)
             return 2
-        # parse again with the file as defaults: flags beat the file
-        args = build_parser(config).parse_args(argv)
+        # parse again with the file's values as flags, so that argparse
+        # checks them as it checks the command line; they go before the
+        # command line's own flags, so a flag still beats the file
+        flags = [f"--{key.replace('_', '-')}="
+                 + (value if isinstance(value, str) else json.dumps(value))
+                 for key, value in config.items()]
+        at = argv.index(args.command) + 1
+        args = build_parser().parse_args(argv[:at] + flags + argv[at:])
     try:
         return args.func(args)
     except _REFUSALS as exc:

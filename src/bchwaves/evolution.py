@@ -190,13 +190,6 @@ def step(state: EvolutionState, dt: float, b: float,
     return new
 
 
-def h1_shift_distance(m: np.ndarray, ref: np.ndarray, period: float,
-                      shift: float) -> float:
-    """Direct H^1 distance ||m - ref(. - shift)|| (oracle route)."""
-    shifted = fourier.circular_shift(ref, shift, period)
-    return fourier.h1_norm(m - shifted, period)
-
-
 def orbital_distance(mh: np.ndarray, refh: np.ndarray, n: int,
                      period: float) -> tuple[float, float]:
     """Distance to the group orbit of ref: minimize the H^1 norm of

@@ -120,13 +120,6 @@ def resample(v: np.ndarray, n_new: int) -> np.ndarray:
     return np.fft.irfft(c / (n / n_new), n=n_new)
 
 
-def circular_shift(v: np.ndarray, shift: float, period: float) -> np.ndarray:
-    """Evaluate v(x - shift) on the grid by a spectral phase shift."""
-    n = v.shape[-1]
-    kr = rfft_tools(n, period)[0]
-    return np.fft.irfft(np.fft.rfft(v) * np.exp(-1j * kr * shift), n=n)
-
-
 def random_smooth_coeffs(rng: np.random.Generator, count: int,
                          kmax: int) -> np.ndarray:
     """rfft coefficients on modes 0..kmax-1, shape (count, kmax), of count

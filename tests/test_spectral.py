@@ -6,16 +6,17 @@ import scipy.linalg
 
 from bchwaves import (DiscretizationNotConverged, WaveParameters,
                       apply_operator, assemble_operator, coercivity_probe,
-                      equilibrium_profile, family_derivatives, hill_matrix,
+                      family_derivatives, hill_matrix,
                       kernel_residual, multipliers, periodic_spectrum,
                       proof_identities, restricted_invariants,
                       synthesize_profile)
 from bchwaves import fourier, spectral
 from bchwaves.invariants import delta_F1, delta_F2
 from bchwaves.spectral import (SECOND_VARIATION_SCALE, _block_eigenvalues,
-                               _cosine_eigenvalues, _ground_state,
-                               _mode_ladder, _parity_blocks,
+                               _ground_state, _mode_ladder, _parity_blocks,
                                _probe_directions, operator_scale)
+
+from state_oracle import equilibrium_profile
 
 
 def modes_to_grid(vec, coeffs):
@@ -430,7 +431,7 @@ def test_parity_blocks_match_full_hill_matrix(panel_operators, ref_profile,
     tolerance."""
     for prof, coeffs in [*panel_operators, (ref_profile, ref_coeffs)]:
         full = np.linalg.eigvalsh(hill_matrix(coeffs, M))
-        blocks = _block_eigenvalues(*_parity_blocks(coeffs, M))
+        blocks = _block_eigenvalues(*_parity_blocks(coeffs, M)[:2])
         scale = operator_scale(coeffs)
         assert blocks.shape == full.shape
         assert np.max(np.abs(blocks[:M] - full[:M])) <= 1e-11 * scale
@@ -477,17 +478,20 @@ def test_one_cosine_block_solve_per_operator(ref_profile, ref_coeffs,
     periodic_spectrum(ref_coeffs, M=128)
     coercivity_probe(ref_coeffs, ref_profile, trials=16)
     assert sizes.count(129) == 1
-    assert _cosine_eigenvalues.cache_info().misses == 1
+    assert _parity_blocks.cache_info().misses == 1
     lam = _ground_state(ref_coeffs, 128)[0]
     assert lam == periodic_spectrum(ref_coeffs, M=128).eigenvalues[0]
 
 
 def test_parity_blocks_memo(ref_profile, ref_coeffs):
-    C, S = _parity_blocks(ref_coeffs, 64)
+    C, S, w = _parity_blocks(ref_coeffs, 64)
     assert C.shape == (65, 65) and S.shape == (64, 64)
     assert _parity_blocks(ref_coeffs, 64)[0] is C
     with pytest.raises(ValueError):
         C[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    assert np.array_equal(w, np.linalg.eigvalsh(C, UPLO="U"))
     # another operator object with equal coefficients has its own blocks
     twin = assemble_operator(ref_profile)
     assert twin != ref_coeffs
