@@ -2,7 +2,7 @@
 construction, orbital-stability criteria, periodic spectra of the second
 variation, and time evolution of the momentum density."""
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .errors import (BchWavesError, BlowUp, CoefficientInconsistency,
                      ConvergenceFailure, DiscretizationNotConverged,
@@ -25,6 +25,6 @@ from .spectral import (SECOND_VARIATION_SCALE, OperatorCoefficients,
                        ProbeReport, ProofIdentityReport, SpectralReport,
                        apply_operator, assemble_operator, coercivity_probe,
                        hill_matrix, kernel_residual, periodic_spectrum,
-                       proof_identities)
+                       proof_identities, theta_spectrum)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -13,8 +13,6 @@ import argparse
 import contextlib
 import csv
 import dataclasses
-import functools
-import hashlib
 import itertools
 import json
 import os
@@ -27,10 +25,11 @@ from . import __version__
 from .errors import BchWavesError
 from .evolution import run_experiment
 from .invariants import (CLASS_OUT_OF_SCOPE, classify_stability,
-                         conserved_quantities, parameter_jacobians)
+                         parameter_jacobians)
 from .potential import WaveParameters, critical_points
 from .profile import profile_header, synthesize_profile, write_profile_csv
-from .spectral import assemble_operator, periodic_spectrum, proof_identities
+from .spectral import (assemble_operator, periodic_spectrum, proof_identities,
+                       theta_spectrum)
 
 # what a command refuses: a package error, or bad input (exit code 2)
 _REFUSALS = (BchWavesError, ValueError)
@@ -164,19 +163,32 @@ _SWEEP_COLUMNS = ["index", "b", "a", "E", "c", "status", "T", "F1", "F2",
                   "n_neg", "n_zero", "classification"]
 
 
+def _range_values(text: str) -> list[float]:
+    """The COUNT values of a MIN:MAX:COUNT range; ValueError if malformed."""
+    lo, hi, count = text.split(":")
+    if int(count) < 1:
+        raise ValueError("range count must be positive")
+    return np.linspace(float(lo), float(hi), int(count)).tolist()
+
+
+def _range_option(text: str) -> str:
+    """argparse type of the range options: the text, once _range_values
+    takes it, so a malformed range is refused with its option's name."""
+    try:
+        _range_values(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"range must be MIN:MAX:COUNT with COUNT >= 1, got {text!r}") from None
+    return text
+
+
 def _parse_range(text: str | None, fallback: float | None) -> list[float]:
     if text is None:
         if fallback is None:
             raise ValueError("sweep needs either a range or a scalar for "
                              "each of b, a, E (or E-frac), c")
         return [fallback]
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ValueError(f"range must be MIN:MAX:COUNT, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
-    if count < 1:
-        raise ValueError("range count must be positive")
-    return np.linspace(lo, hi, count).tolist()
+    return _range_values(text)
 
 
 def _sweep_grid(args: argparse.Namespace) -> list[dict]:
@@ -192,7 +204,10 @@ def _sweep_grid(args: argparse.Namespace) -> list[dict]:
             for i, (b, a, ev, c) in enumerate(grid)]
 
 
-def _sweep_row(point: dict, N: int, modes: int | None) -> dict:
+def _sweep_row(point: dict) -> dict:
+    """One grid point's row: the Jacobians, and the inertia of the second
+    variation by Hill's method in theta (theta_spectrum), so no row builds
+    a uniform-grid profile."""
     row = {k: "" for k in _SWEEP_COLUMNS}
     row["index"] = point["index"]
     row["b"], row["a"], row["c"] = point["b"], point["a"], point["c"]
@@ -212,11 +227,9 @@ def _sweep_row(point: dict, N: int, modes: int | None) -> dict:
         row["E"] = E
         params = WaveParameters(b=point["b"], a=point["a"], E=E, c=point["c"])
         jac = parameter_jacobians(params)
-        prof = synthesize_profile(params, N)
+        spec = theta_spectrum(params)
         inv = jac.invariants
-        F1, F2 = conserved_quantities(prof, inv)
-        spec = periodic_spectrum(assemble_operator(prof), M=modes)
-        row.update({"status": "ok", "T": prof.T, "F1": F1, "F2": F2,
+        row.update({"status": "ok", "T": inv.T, "F1": inv.F1, "F2": inv.F2,
                     "omega1": inv.omega1, "omega2": inv.omega2,
                     "J_T_omega1": jac.J_T_omega1, "J_T_F1": jac.J_T_F1,
                     "J3": jac.J3, "theta": jac.theta, "n_neg": spec.n_neg,
@@ -235,14 +248,13 @@ def _row_to_csv(row: dict) -> list[str]:
     return out
 
 
-def _sweep_config_hash(args: argparse.Namespace) -> str:
-    """Hash of every option of the sweep except --out and --jobs, and of
-    the version."""
+def _sweep_config(args: argparse.Namespace) -> dict:
+    """Every option of the sweep except --out and --jobs, and the version:
+    the manifest stores it, and a sweep resumes only under the same one."""
     config = {k: v for k, v in _config_echo(args).items()
               if k not in ("out", "jobs")}
     config["version"] = __version__
-    payload = json.dumps(config, sort_keys=True)
-    return hashlib.sha256(payload.encode()).hexdigest()
+    return config
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -253,7 +265,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     out = _outdir(args)
     csv_path = out / "sweep.csv"
     manifest_path = out / "sweep.manifest.json"
-    cfg_hash = _sweep_config_hash(args)
+    config = _sweep_config(args)
 
     done = 0
     if manifest_path.exists() and csv_path.exists():
@@ -262,14 +274,11 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         # a run can stop after writing a row but before counting it, so the
         # CSV is cut back to the header and the rows counted
         size = manifest.get("csv_bytes", 0)
-        if (manifest.get("config_hash") == cfg_hash
+        if (manifest.get("config") == config
                 and 0 < size <= csv_path.stat().st_size):
             done = int(manifest.get("rows_done", 0))
             os.truncate(csv_path, size)
     pending = points[done:]
-    # _sweep_row is looked up when the sweep runs, so a wrapper installed
-    # on the module (e.g. a timing harness) sees every row
-    row_of = functools.partial(_sweep_row, N=args.N, modes=args.modes)
 
     with open(csv_path, "a" if done else "w", newline="",
               encoding="utf-8") as fh:
@@ -284,13 +293,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             from concurrent.futures import ProcessPoolExecutor
             executor = ProcessPoolExecutor(max_workers=jobs)
         with executor as pool:
-            rows = pool.map(row_of, pending) if pool else map(row_of, pending)
+            # _sweep_row is looked up when the sweep runs, so a wrapper
+            # installed on the module (e.g. a timing harness) sees every row
+            rows = (pool.map(_sweep_row, pending) if pool
+                    else map(_sweep_row, pending))
             for row in rows:
                 writer.writerow(_row_to_csv(row))
                 fh.flush()
                 done += 1
                 _write_json(manifest_path,
-                            {"config_hash": cfg_hash, "rows_done": done,
+                            {"config": config, "rows_done": done,
                              "rows_total": len(points), "csv_bytes": fh.tell()})
     print(f"sweep: {done}/{len(points)} rows -> {csv_path}")
     return 0
@@ -320,12 +332,13 @@ _OPTIONS = {
     "perturbation": dict(choices=("raw", "constrained"), default="raw"),
     "seed": dict(type=int, default=0),
     "jobs": dict(type=int),
-    "b-range": dict(help="MIN:MAX:COUNT"),
-    "a-range": dict(),
-    "E-range": dict(),
-    "E-frac-range": dict(help="energies as fractions of the well "
+    "b-range": dict(type=_range_option, metavar="MIN:MAX:COUNT"),
+    "a-range": dict(type=_range_option, metavar="MIN:MAX:COUNT"),
+    "E-range": dict(type=_range_option, metavar="MIN:MAX:COUNT"),
+    "E-frac-range": dict(type=_range_option, metavar="MIN:MAX:COUNT",
+                         help="energies as fractions of the well "
                               "(V(phi2), V(phi1))"),
-    "c-range": dict(),
+    "c-range": dict(type=_range_option, metavar="MIN:MAX:COUNT"),
 }
 
 _COMMON = ("b", "a", "E", "c", "N", "out", "config")
@@ -340,8 +353,8 @@ _COMMANDS = {
                _COMMON + ("dt-safety", "frame", "eps", "horizon-periods",
                           "perturbation", "seed")),
     "sweep": (cmd_sweep, "classify over a parameter grid",
-              _COMMON + ("modes", "jobs", "seed", "b-range", "a-range",
-                         "E-range", "E-frac-range", "c-range")),
+              ("b", "a", "E", "c", "out", "config", "jobs", "seed",
+               "b-range", "a-range", "E-range", "E-frac-range", "c-range")),
 }
 
 
@@ -379,8 +392,17 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     args = build_parser().parse_args(argv)
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            config = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                config = json.load(fh)
+        except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
+            print(f"config error: cannot read {args.config}: {exc}",
+                  file=sys.stderr)
+            return 2
+        if not isinstance(config, dict):
+            print(f"config error: {args.config} does not hold a JSON "
+                  f"object of option values", file=sys.stderr)
+            return 2
         known = set(vars(args)) - {"func", "config", "command"}
         unknown = sorted(set(config) - known)
         if unknown:

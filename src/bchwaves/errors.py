@@ -53,7 +53,9 @@ class FDUnreliable(NumericalFailure):
 
 
 class CoefficientInconsistency(NumericalFailure):
-    """Assembled Sturm-Liouville coefficients violate self-adjointness."""
+    """Assembled Sturm-Liouville coefficients violate self-adjointness, or,
+    in theta, miss the translation kernel or give a mass matrix that is not
+    positive definite."""
 
 
 class DiscretizationNotConverged(NumericalFailure):

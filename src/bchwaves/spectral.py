@@ -1,5 +1,5 @@
-"""Second-variation operator: assembly, periodic spectrum, proof identities,
-and the constrained coercivity probe.
+"""Second-variation operator: assembly, periodic spectrum (on the grid and in
+theta), proof identities, and the constrained coercivity probe.
 
 The operator is the Hessian of the conserved combination
 omega1 F1 + omega2 F2 - E at the wave, scaled so that its leading
@@ -62,6 +62,33 @@ are tested against.  (A collocation product of grid differentiation
 matrices is avoided deliberately: with even N its annihilated Nyquist mode
 produces a spurious eigenvalue at mean(r).)
 
+theta_spectrum computes the same spectrum by Hill's method in the
+quadrature variable theta of profile.py (Deconinck & Kutz, J. Comput.
+Phys. 219, 2006; Boyd, Chebyshev and Fourier Spectral Methods, 2001, on
+mapped coordinates), with no uniform-grid profile.  On the half period
+dx = G dtheta, and the even and odd eigenfunctions are those of the pencil
+
+    -(P v_theta)_theta + G symmetric_r v = lambda G v,   P = p / G,
+
+on theta in (0, pi/2) with Neumann and Dirichlet ends: the cosine block
+over cos(2 k theta), k = 0..K, and the sine block over sin(2 k theta),
+k = 1..K.  In the cosine moments hat f[m] = Integral[f cos(2 m theta),
+{theta, 0, pi/2}] they are Toeplitz-plus-Hankel in d = |j - k|, s = j + k:
+
+    cosine: A = 2 j k (Phat[d] - Phat[s]) + (1/2) (Grhat[d] + Grhat[s]),
+            B = (1/2) (Ghat[d] + Ghat[s]),
+    sine:   the same with the signs of the [s] terms flipped.
+
+p and symmetric_r come in closed form from phi(theta), E - V and G, by the
+formula assemble_operator uses (_sturm_liouville).  Each block is reduced
+to standard form by the Cholesky factor of its mass matrix B and solved
+by eigvalsh.
+
+Which command reads which route: sweep rows take their inertia from
+theta_spectrum; spectrum, the benchmark's certificate and the probe's
+ground state use the grid route (periodic_spectrum, _parity_blocks), which
+is also the theta route's test oracle.
+
 The coercivity probe's random directions depend only on the grid size N,
 the seed and the trial count, not on the wave: _probe_directions draws them
 and keeps their grid values and derivatives once per such triple (a
@@ -78,10 +105,13 @@ from functools import lru_cache
 import numpy as np
 
 from . import fourier
-from .errors import CoefficientInconsistency, DiscretizationNotConverged
+from .errors import (CoefficientInconsistency, DiscretizationNotConverged,
+                     RouteMismatch)
 from .invariants import (Multipliers, delta_F1, delta_F2, family_derivatives,
-                         multipliers, restricted_invariants)
-from .profile import WaveProfile
+                         invariant_densities, multipliers,
+                         restricted_invariants)
+from .potential import WaveParameters, _cpow
+from .profile import WaveProfile, _samples, turning_point_data
 
 SECOND_VARIATION_SCALE = -0.5
 # rows per block of probe directions; bounds the probe's working memory
@@ -104,6 +134,10 @@ class OperatorCoefficients:
 
 @dataclass(frozen=True)
 class SpectralReport:
+    """kernel_residual is ||L mu_x|| / ||mu_x|| on the grid route and the
+    translation mode's eigenvalue |lambda| on the theta route; M is the
+    Hill mode count, of the grid (M) or of theta (K)."""
+
     eigenvalues: np.ndarray
     n_neg: int
     n_zero: int
@@ -133,17 +167,21 @@ class ProbeReport:
     projected: bool
 
 
-def _raw_hessian_r(profile: WaveProfile, mults: Multipliers) -> np.ndarray:
-    """Multiplication part R of the raw Hessian of E - w1 F1 - w2 F2,
-    i.e. Hess = -p_raw d^2 - q_raw d + R with p_raw = -2 w2/(b^2 mu^(2+1/b))."""
-    b = profile.params.b
-    mu, mux, muxx = profile.mu, profile.dmu, profile.d2mu
+def _sturm_liouville(mu: np.ndarray, mux2: np.ndarray, muxx: np.ndarray,
+                     b: float, mults: Multipliers) -> tuple[np.ndarray, np.ndarray]:
+    """p and symmetric_r at samples of mu, mu_x^2 and mu_xx: the one formula
+    of the grid route (assemble_operator) and the theta route
+    (theta_spectrum).  symmetric_r is SECOND_VARIATION_SCALE times the
+    multiplication part R of the raw Hessian of E - w1 F1 - w2 F2,
+    Hess = -p_raw d^2 - q_raw d + R with p_raw = -2 w2/(b^2 mu^(2+1/b))."""
     s = 1.0 / b
     w1, w2 = mults.omega1, mults.omega2
-    return (w1 * (b - 1.0) / b**2 * mu ** (s - 2.0)
-            + w2 * ((2.0 * b + 1.0) * (3.0 * b + 1.0) / b**4 * mux**2 * mu ** (-s - 4.0)
-                    - 2.0 * (2.0 * b + 1.0) / b**3 * muxx * mu ** (-s - 3.0)
-                    - (b + 1.0) / b**2 * mu ** (-s - 2.0)))
+    p = w2 / (b**2 * mu ** (2.0 + s))
+    raw_r = (w1 * (b - 1.0) / b**2 * mu ** (s - 2.0)
+             + w2 * ((2.0 * b + 1.0) * (3.0 * b + 1.0) / b**4 * mux2 * mu ** (-s - 4.0)
+                     - 2.0 * (2.0 * b + 1.0) / b**3 * muxx * mu ** (-s - 3.0)
+                     - (b + 1.0) / b**2 * mu ** (-s - 2.0)))
+    return p, SECOND_VARIATION_SCALE * raw_r
 
 
 def assemble_operator(profile: WaveProfile) -> OperatorCoefficients:
@@ -155,9 +193,8 @@ def assemble_operator(profile: WaveProfile) -> OperatorCoefficients:
     s = 1.0 / b
     w2 = mults.omega2
 
-    p = w2 / (b**2 * mu ** (2.0 + s))
+    p, symmetric_r = _sturm_liouville(mu, mux**2, profile.d2mu, b, mults)
     q = -w2 * (2.0 * b + 1.0) * mux / (b**3 * mu ** (3.0 + s))
-    symmetric_r = -0.5 * _raw_hessian_r(profile, mults)
 
     dp = fourier.spectral_derivative(p, profile.T, 1)
     scale = max(float(np.max(np.abs(dp))), float(np.max(np.abs(q))), 1e-300)
@@ -251,8 +288,12 @@ def _ground_state(coeffs: OperatorCoefficients, M: int) -> tuple[float, np.ndarr
 
 def operator_scale(coeffs: OperatorCoefficients) -> float:
     """Magnitude of the low-lying spectrum: p k1^2 + |r| scale."""
-    k1 = 2.0 * np.pi / coeffs.T
-    return float(np.max(coeffs.p) * k1**2 + np.max(np.abs(coeffs.symmetric_r)))
+    return _operator_scale(coeffs.p, coeffs.symmetric_r, coeffs.T)
+
+
+def _operator_scale(p: np.ndarray, symmetric_r: np.ndarray, T: float) -> float:
+    k1 = 2.0 * np.pi / T
+    return float(np.max(p) * k1**2 + np.max(np.abs(symmetric_r)))
 
 
 def kernel_residual(coeffs: OperatorCoefficients) -> float:
@@ -325,6 +366,135 @@ def periodic_spectrum(coeffs: OperatorCoefficients, M: int | None = None) -> Spe
     return SpectralReport(eigenvalues=evals[:M].copy(), n_neg=n_neg,
                           n_zero=n_zero, n_pos=n_pos, tau=tau,
                           kernel_residual=kres, M=M, op_scale=scale)
+
+
+# ---------------------------------------------------------------------------
+# Hill's method in theta
+# ---------------------------------------------------------------------------
+
+# the mode counts theta_spectrum tries, in order, and its midpoint nodes per
+# mode
+_THETA_LADDER = (16, 32, 64, 128, 256)
+_THETA_NODES_PER_MODE = 4
+
+
+def _theta_samples(params: WaveParameters, n: int) -> tuple[np.ndarray, ...]:
+    """p, symmetric_r, G, mu and mu_x^2 at the n midpoint nodes
+    theta_i = (i + 1/2) pi / (2n) of (0, pi/2), in closed form from
+    phi(theta), E - V and G (profile._samples): on the wave
+    phi_x^2 = 2 (E - V), phi_xx = phi - mu and mu = a / (c - phi)^b, so
+
+        mu_x^2 = phi_x^2 (b mu / (c - phi))^2,
+        mu_xx = b mu / (c - phi) (phi_xx + (b + 1) phi_x^2 / (c - phi))."""
+    theta = (np.arange(n) + 0.5) * (0.5 * np.pi / n)
+    phi, P, G = _samples(theta, params, turning_point_data(params))
+    b = params.b
+    u = params.c - phi
+    mu = params.a / _cpow(u, b)
+    phi_x2 = 2.0 * P
+    mux2 = phi_x2 * (b * mu / u) ** 2
+    muxx = b * mu / u * (phi - mu + (b + 1.0) * phi_x2 / u)
+    p, symmetric_r = _sturm_liouville(mu, mux2, muxx, b, multipliers(params))
+    return p, symmetric_r, G, mu, mux2
+
+
+def _cosine_moments(rows: np.ndarray, count: int) -> np.ndarray:
+    """Integral[f cos(2 m theta), {theta, 0, pi/2}], m < count, for each row
+    f of samples at the midpoint nodes: the midpoint rule, which is one
+    DCT-II, taken as the rfft of the rows' even extension."""
+    n = rows.shape[-1]
+    spec = np.fft.rfft(np.concatenate([rows, rows[:, ::-1]], axis=-1))[:, :count]
+    shift = np.exp(-0.5j * np.pi / n * np.arange(count))
+    return (0.25 * np.pi / n) * (spec * shift).real
+
+
+def _standard_form(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """L^-1 A L^-T for the Cholesky factor L of B: the symmetric matrix whose
+    eigenvalues are those of the pencil (A, B).  L^-1 is lower triangular,
+    so the leading m x m sub-block of the result is the standard form of
+    the leading sub-blocks of A and B."""
+    try:
+        L_inv = np.linalg.inv(np.linalg.cholesky(B))
+    except np.linalg.LinAlgError as exc:
+        raise CoefficientInconsistency(
+            "theta mass matrix is not positive definite") from exc
+    return L_inv @ A @ L_inv.T
+
+
+def _theta_blocks(moments: np.ndarray, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Standard forms of the pencil's cosine block over cos(2 k theta),
+    k = 0..K, and its sine block over sin(2 k theta), k = 1..K, from the
+    cosine moments of the rows P = p / G, G symmetric_r and G (see the
+    module docstring)."""
+    k = np.arange(K + 1)
+    hat_d = moments[:, np.abs(k[:, None] - k[None, :])]
+    hat_s = moments[:, k[:, None] + k[None, :]]
+    plus, minus = hat_d + hat_s, hat_d - hat_s
+    stiff = 2.0 * k[:, None] * k[None, :]
+    cosine = _standard_form(stiff * minus[0] + 0.5 * plus[1], 0.5 * plus[2])
+    sine = _standard_form((stiff * plus[0] + 0.5 * minus[1])[1:, 1:],
+                          0.5 * minus[2, 1:, 1:])
+    return cosine, sine
+
+
+def theta_spectrum(params: WaveParameters) -> SpectralReport:
+    """Sorted periodic eigenvalues and the inertia counts by Hill's method
+    in the quadrature variable theta: no uniform-grid profile is built.
+
+    The mode counts of _THETA_LADDER are tried in turn, each sampled afresh
+    at 4 K midpoint nodes; the first whose lowest five eigenvalues agree
+    with those at K // 2 (the rung below, or the leading sub-blocks at the
+    first rung) to 1e-6 max(scale, 1) is reported, and past the last the
+    point is refused with DiscretizationNotConverged.  The lowest sine
+    eigenvalue is the translation mode mu_x; it must vanish to that same
+    tolerance (CoefficientInconsistency otherwise) and sets the zero
+    tolerance tau = max(1e-8 scale, 10 |lambda|), which kernel_residual
+    reports.  F1 and F2 by the midpoint rule on the same nodes must agree
+    with the Clenshaw-Curtis values of restricted_invariants to 1e-5
+    relative (RouteMismatch otherwise).  scale is operator_scale's on the
+    nodes, with the period of restricted_invariants.
+    """
+    inv = restricted_invariants(params)
+    below = None
+    for K in _THETA_LADDER:
+        n = _THETA_NODES_PER_MODE * K
+        p, symmetric_r, G, mu, mux2 = _theta_samples(params, n)
+        scale = _operator_scale(p, symmetric_r, inv.T)
+        cosine, sine = _theta_blocks(
+            _cosine_moments(np.stack([p / G, G * symmetric_r, G]), 2 * K + 1), K)
+        w_sine = np.linalg.eigvalsh(sine, UPLO="U")
+        evals = np.sort(np.concatenate([np.linalg.eigvalsh(cosine, UPLO="U"),
+                                        w_sine]))
+        if below is None:
+            below = _block_eigenvalues(cosine[:K // 2 + 1, :K // 2 + 1],
+                                       sine[:K // 2, :K // 2])
+        move = float(np.max(np.abs(evals[:5] - below[:5])))
+        tol = 1e-6 * max(scale, 1.0)
+        if move <= tol:
+            break
+        below = evals
+    else:
+        raise DiscretizationNotConverged(
+            f"lowest theta eigenvalues moved by {move!r} when modes doubled "
+            f"from {K // 2}")
+
+    kernel = abs(float(w_sine[0]))
+    if kernel > tol:
+        raise CoefficientInconsistency(
+            f"translation mode eigenvalue {float(w_sine[0])!r} exceeds {tol!r}")
+    densities = invariant_densities(mu, np.sqrt(mux2), params.b)
+    for name, density, quad in zip(("F1", "F2"), densities, (inv.F1, inv.F2)):
+        midpoint = (np.pi / n) * float(np.sum(density * G))
+        if abs(midpoint - quad) > 1e-5 * abs(quad):
+            raise RouteMismatch(f"{name} routes disagree: theta midpoint "
+                                f"{midpoint!r} vs quadrature {quad!r}")
+
+    tau = max(1e-8 * scale, 10.0 * kernel)
+    n_neg = int(np.sum(evals < -tau))
+    n_zero = int(np.sum(np.abs(evals) <= tau))
+    return SpectralReport(eigenvalues=evals[:K].copy(), n_neg=n_neg,
+                          n_zero=n_zero, n_pos=int(evals.size - n_neg - n_zero),
+                          tau=tau, kernel_residual=kernel, M=K, op_scale=scale)
 
 
 def _minor(g1: np.ndarray, g2: np.ndarray, i: int, j: int) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bchwaves import (BchWavesError, CoefficientInconsistency, WaveParameters,
-                      a_max, cli, critical_points)
+                      __version__, a_max, cli, critical_points, spectral)
 from bchwaves.cli import main
 
 REF = ["--b", "2", "--a", "0.1", "--E", "0.09", "--c", "1"]
@@ -101,16 +101,24 @@ def test_spectrum_coefficient_inconsistency_exit_code(tmp_path, capsys,
 
 
 def test_sweep_coefficient_inconsistency_row(tmp_path, monkeypatch):
-    monkeypatch.setattr(cli, "assemble_operator",
-                        _raise_coefficient_inconsistency)
+    """Coefficients whose symmetric_r is off by 1e-3 shift the translation
+    mode's eigenvalue by 1e-3: the theta route's kernel check refuses the
+    row by name, and the sweep goes on."""
+    sturm_liouville = spectral._sturm_liouville
+
+    def shifted(*args):
+        p, symmetric_r = sturm_liouville(*args)
+        return p, symmetric_r + 1e-3
+
+    monkeypatch.setattr(spectral, "_sturm_liouville", shifted)
     out = tmp_path / "s"
     rc = main(["sweep", "--b", "2", "--c", "1", "--a-range", "0.1:0.1:1",
-               "--E-range", "0.09:0.09:1", "--N", "256", "--modes", "64",
-               "--jobs", "1", "--out", str(out)])
+               "--E-range", "0.09:0.09:1", "--jobs", "1", "--out", str(out)])
     assert rc == 0
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 2
-    assert ",CoefficientInconsistency: coefficient check failed," in lines[1]
+    assert (",CoefficientInconsistency: translation mode eigenvalue "
+            in lines[1])
 
 
 def _error_classes(base=BchWavesError):
@@ -132,7 +140,7 @@ def test_every_package_error_is_a_named_refusal(error, tmp_path, capsys,
     monkeypatch.setattr(cli, "parameter_jacobians", fail)
     monkeypatch.setattr(cli, "classify_stability", fail)
     row = cli._sweep_row({"index": 0, "b": 2.0, "a": 0.1, "e_mode": "abs",
-                          "e_val": 0.09, "c": 1.0}, N=256, modes=64)
+                          "e_val": 0.09, "c": 1.0})
     assert row["status"] == f"{error.__name__}: injected"
     assert main(["classify", *REF, "--out", str(tmp_path)]) == error.exit_code
     prefix = {2: "domain error", 3: "numerical error"}.get(error.exit_code,
@@ -153,8 +161,22 @@ def test_random_sweep_rows_refuse_by_name():
         a = 10.0 ** rng.uniform(-40.0, 0.0) * a_max(b, c)
         point = {"index": i, "b": b, "a": a, "e_mode": "frac",
                  "e_val": float(rng.uniform(0.001, 0.999)), "c": c}
-        status = cli._sweep_row(point, N=256, modes=64)["status"]
+        status = cli._sweep_row(point)["status"]
         assert status == "ok" or status.split(":")[0] in names, status
+
+
+def test_sweep_row_builds_no_grid_profile():
+    """A sweep row reads its inertia from Hill's method in theta: it
+    synthesizes no uniform-grid profile and builds no grid Hill block."""
+    from bchwaves.profile import _synthesized
+    from bchwaves.spectral import _parity_blocks
+
+    row = cli._sweep_row({"index": 0, "b": 2.0, "a": 0.1, "e_mode": "abs",
+                          "e_val": 0.09, "c": 1.0})
+    assert row["status"] == "ok"
+    assert (row["n_neg"], row["n_zero"]) == (1, 1)
+    assert _synthesized.cache_info().misses == 0
+    assert _parity_blocks.cache_info().misses == 0
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])
@@ -246,8 +268,7 @@ def test_evolve_rejects_zero_dt_safety(tmp_path, capsys):
 
 def test_sweep_and_determinism(tmp_path):
     args = ["sweep", "--b", "2", "--c", "1", "--a-range", "0.06:0.12:2",
-            "--E-frac-range", "0.3:0.6:2", "--N", "256", "--modes", "64",
-            "--jobs", "1"]
+            "--E-frac-range", "0.3:0.6:2", "--jobs", "1"]
     out1 = tmp_path / "s1"
     out2 = tmp_path / "s2"
     assert main([*args, "--out", str(out1)]) == 0
@@ -263,8 +284,7 @@ def test_sweep_and_determinism(tmp_path):
 def test_sweep_skips_outside_points(tmp_path):
     out = tmp_path / "s"
     rc = main(["sweep", "--b", "2", "--c", "1", "--a-range", "0.1:0.2:2",
-               "--E-range", "0.09:0.09:1", "--N", "256", "--modes", "64",
-               "--jobs", "1", "--out", str(out)])
+               "--E-range", "0.09:0.09:1", "--jobs", "1", "--out", str(out)])
     assert rc == 0
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 3
@@ -275,8 +295,7 @@ def test_sweep_skips_outside_points(tmp_path):
 
 
 _RESUME_ARGS = ["sweep", "--b", "2", "--c", "1", "--a-range", "0.06:0.12:2",
-                "--E-frac-range", "0.3:0.6:2", "--N", "256", "--modes", "64",
-                "--jobs", "1"]
+                "--E-frac-range", "0.3:0.6:2", "--jobs", "1"]
 
 
 def _interrupt(out, csv_rows, rows_done):
@@ -306,26 +325,55 @@ def test_sweep_resume(tmp_path):
 
 
 def test_sweep_resume_needs_same_config(tmp_path):
+    """The manifest echoes every option but --out and --jobs, and the
+    version; a sweep whose options differ in any (here --seed, which no
+    row reads) starts again from the first row."""
     out = tmp_path / "s"
     assert main([*_RESUME_ARGS, "--out", str(out)]) == 0
+    manifest = json.loads((out / "sweep.manifest.json").read_text())
+    assert manifest["config"] == {
+        "command": "sweep", "b": 2.0, "a": None, "E": None, "c": 1.0,
+        "seed": 0, "b_range": None, "a_range": "0.06:0.12:2",
+        "E_range": None, "E_frac_range": "0.3:0.6:2", "c_range": None,
+        "version": __version__}
+    assert "config_hash" not in manifest
     _interrupt(out, 2, rows_done=2)
     (out / "sweep.csv").write_bytes(
         (out / "sweep.csv").read_bytes().replace(b",ok,", b",stale,"))
-    args = [*_RESUME_ARGS, "--N", "128"]
+    args = [*_RESUME_ARGS, "--seed", "1"]
     assert main([*args, "--out", str(out)]) == 0
     fresh = tmp_path / "fresh"
     assert main([*args, "--out", str(fresh)]) == 0
     assert (out / "sweep.csv").read_bytes() == (fresh / "sweep.csv").read_bytes()
     assert b"stale" not in (out / "sweep.csv").read_bytes()
+    manifest = json.loads((out / "sweep.manifest.json").read_text())
+    assert manifest["config"]["seed"] == 1
+
+
+def test_sweep_does_not_resume_a_hashed_manifest(tmp_path):
+    """A 0.2.0 manifest holds a hash of the config, not the config: it is
+    not resumed."""
+    out = tmp_path / "s"
+    assert main([*_RESUME_ARGS, "--out", str(out)]) == 0
+    _interrupt(out, 2, rows_done=2)
+    (out / "sweep.csv").write_bytes(
+        (out / "sweep.csv").read_bytes().replace(b",ok,", b",stale,"))
+    manifest = json.loads((out / "sweep.manifest.json").read_text())
+    manifest["config_hash"] = "0" * 64
+    del manifest["config"]
+    (out / "sweep.manifest.json").write_text(json.dumps(manifest))
+    assert main([*_RESUME_ARGS, "--out", str(out)]) == 0
+    assert b"stale" not in (out / "sweep.csv").read_bytes()
+    assert json.loads((out / "sweep.manifest.json").read_text())["rows_done"] == 4
 
 
 def test_sweep_resume_needs_same_version(tmp_path, monkeypatch):
     """A manifest written by another version is not resumed: a sweep begun
-    under 0.1.0, whose sweep fixed M = 64 where no --modes was given,
-    starts again from the first row."""
-    args = [a for a in _RESUME_ARGS if a not in ("--modes", "64")]
+    under 0.2.0, whose rows read the grid spectrum, starts again from the
+    first row."""
+    args = _RESUME_ARGS
     out = tmp_path / "s"
-    monkeypatch.setattr(cli, "__version__", "0.1.0")
+    monkeypatch.setattr(cli, "__version__", "0.2.0")
     assert main([*args, "--out", str(out)]) == 0
     _interrupt(out, 2, rows_done=2)
     (out / "sweep.csv").write_bytes(
@@ -339,21 +387,23 @@ def test_sweep_resume_needs_same_version(tmp_path, monkeypatch):
 
 
 def test_sweep_refuses_modes_beyond_the_grid(tmp_path, capsys):
-    """--modes 200 on a 256-point grid: spectrum exits with code 2, and a
-    sweep records the same refusal, by name, in every row."""
+    """--modes 200 on a 256-point grid: spectrum exits with code 2.  A
+    sweep solves in theta and has no grid, so it refuses --modes and --N
+    as options it does not take (exit 2), before writing anything."""
     rc = main(["spectrum", *REF, "--N", "256", "--modes", "200",
                "--out", str(tmp_path)])
     assert rc == 2
     assert "mode count exceeds the coefficient grid" in capsys.readouterr().err
     out = tmp_path / "s"
-    assert main(["sweep", "--b", "2", "--c", "1", "--a-range", "0.06:0.12:2",
-                 "--E-frac-range", "0.3:0.6:2", "--N", "256", "--modes",
-                 "200", "--jobs", "1", "--out", str(out)]) == 0
-    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
-    assert len(rows) == 4
-    assert all(r["status"] == "ValueError: mode count exceeds the "
-               "coefficient grid" for r in rows)
+    for extra in (["--modes", "200"], ["--N", "256"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--b", "2", "--c", "1", "--a-range", "0.06:0.12:2",
+                  "--E-frac-range", "0.3:0.6:2", *extra, "--jobs", "1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert (f"unrecognized arguments: {' '.join(extra)}"
+                in capsys.readouterr().err)
+    assert not out.exists()
 
 
 def test_config_file_with_flag_override(tmp_path):
@@ -416,6 +466,44 @@ def test_config_file_values_are_checked(tmp_path, capsys, command, config,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", [None, "{bad", "[1]", "5"],
+                         ids=["missing", "bad-json", "list", "number"])
+def test_config_file_unreadable_is_refused(tmp_path, capsys, content):
+    """A --config file that is missing, is not JSON or holds no JSON
+    object is refused with exit code 2, naming the file, before the
+    command runs."""
+    cfg = tmp_path / "run.json"
+    if content is not None:
+        cfg.write_text(content)
+    out = tmp_path / "out"
+    rc = main(["classify", *REF, "--config", str(cfg), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(cfg) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("option", ["b-range", "a-range", "E-range",
+                                    "E-frac-range", "c-range"])
+@pytest.mark.parametrize("value", ["5", "1:2", "1:2:0", "1:2:x", "a:2:3"])
+def test_sweep_range_is_checked_by_argparse(tmp_path, capsys, option, value):
+    """A malformed MIN:MAX:COUNT, as a flag or from --config, is refused by
+    argparse with the option's name (exit 2), not as a domain error."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({option.replace("-", "_"): value}))
+    for extra in ([f"--{option}", value], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--b", "2", "--a", "0.1", "--E", "0.09", "--c",
+                  "1", *extra, "--jobs", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument --{option}: range must be MIN:MAX:COUNT" in err
+        assert "domain error" not in err
+    assert not out.exists()
+
+
 _COMMON = {"b", "a", "E", "c", "N", "out", "config"}
 _COMMAND_OPTIONS = {
     "profile": _COMMON,
@@ -423,8 +511,8 @@ _COMMAND_OPTIONS = {
     "spectrum": _COMMON | {"modes", "format"},
     "evolve": _COMMON | {"dt-safety", "frame", "eps", "horizon-periods",
                          "perturbation", "seed"},
-    "sweep": _COMMON | {"modes", "jobs", "seed", "b-range", "a-range",
-                        "E-range", "E-frac-range", "c-range"},
+    "sweep": _COMMON - {"N"} | {"jobs", "seed", "b-range", "a-range",
+                               "E-range", "E-frac-range", "c-range"},
 }
 _ALL_OPTIONS = set().union(*_COMMAND_OPTIONS.values())
 
@@ -464,7 +552,7 @@ def test_benchmark_sweep_argv_parses(tmp_path):
 
 def test_parallel_sweep_matches_serial(tmp_path):
     args = ["sweep", "--b", "2", "--c", "1", "--a-range", "0.06:0.12:2",
-            "--E-frac-range", "0.3:0.6:2", "--N", "256", "--modes", "64"]
+            "--E-frac-range", "0.3:0.6:2"]
     serial = tmp_path / "serial"
     parallel = tmp_path / "parallel"
     assert main([*args, "--jobs", "1", "--out", str(serial)]) == 0
@@ -479,15 +567,17 @@ import bchwaves.cli
 
 code = bchwaves.cli.main(["sweep", "--b", "2", "--c", "1", "--a-range",
                           "0.06:0.12:2", "--E-frac-range", "0.5:0.5:1",
-                          "--N", "256", "--jobs", "1", "--out", sys.argv[1]])
+                          "--jobs", "1", "--out", sys.argv[1]])
 assert code == 0, code
-print("multiprocessing" in sys.modules)
+print("hashlib" in sys.modules, "multiprocessing" in sys.modules)
 """
 
 
 def test_serial_sweep_loads_no_process_pool(tmp_path):
     """Importing the CLI and running a --jobs 1 sweep in a fresh process
-    loads no multiprocessing: only a sweep that uses a pool imports it."""
+    loads no multiprocessing: only a sweep that uses a pool imports it.
+    Nor does it load hashlib (and the OpenSSL it maps): the manifest
+    stores the sweep's config, not a hash of it."""
     import os
     import subprocess
     import sys
@@ -500,45 +590,35 @@ def test_serial_sweep_loads_no_process_pool(tmp_path):
                           capture_output=True, text=True, env=env, timeout=300,
                           check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip().splitlines()[-1] == "False"
+    assert proc.stdout.strip().splitlines()[-1] == "False False"
 
 
-# the README-grid rows of the benchmark reference that M = 64 Hill modes
-# against 32 leave unconverged at N = 512
-SWEEP_UNCONVERGED = (2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17, 23, 24, 25,
-                     26, 33, 34, 35, 44)
-# those that the mode ladder leaves unconverged at its top rung, M = 128
-# against 64
-SWEEP_UNCONVERGED_LADDER = (5, 6, 7, 8, 16, 17)
+def test_sweep_failure_set(tmp_path):
+    """The README sweep (the argv of the benchmark's sweep workload) fails
+    no row: all 72 are ok, and each agrees with the high-precision
+    reference as the benchmark's own check_sweep holds it, in T, F1, F2,
+    omega1, both signs, the classification and the inertia that
+    {T, omega1} calls for.  (On the grid route six of them fail; see
+    test_spectral.py::test_grid_failure_set_ladder.)"""
+    import importlib.util
+    from pathlib import Path
 
+    benchmarks = Path(__file__).resolve().parents[1] / "benchmarks"
+    spec = importlib.util.spec_from_file_location("checks",
+                                                  benchmarks / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    grid = json.loads((benchmarks / "reference.json").read_text())["sweep"]
 
-def _assert_sweep_failure_set(reference_points, modes, unconverged):
-    """Every benchmark sweep row through the sweep's row function: exactly
-    the given rows fail, all with DiscretizationNotConverged, and every
-    other row has one negative direction and a simple kernel."""
-    rows = [cli._sweep_row({"index": i, "b": p["b"], "a": p["a"],
-                            "e_mode": "abs", "e_val": p["E"], "c": p["c"]},
-                           N=512, modes=modes)
-            for i, p in enumerate(reference_points["sweep"])]
-    failed = tuple(r["index"] for r in rows if r["status"] != "ok")
-    assert failed == unconverged
-    for r in rows:
-        if r["status"] == "ok":
-            assert (r["n_neg"], r["n_zero"]) == (1, 1)
-        else:
-            assert r["status"].startswith("DiscretizationNotConverged")
-
-
-def test_sweep_failure_set(reference_points):
-    """At a pinned M = 64, the rows of SWEEP_UNCONVERGED fail."""
-    _assert_sweep_failure_set(reference_points, 64, SWEEP_UNCONVERGED)
-
-
-def test_sweep_failure_set_ladder(reference_points):
-    """With no mode count the ladder decides M, and only the rows of
-    SWEEP_UNCONVERGED_LADDER fail."""
-    _assert_sweep_failure_set(reference_points, None,
-                              SWEEP_UNCONVERGED_LADDER)
+    out = tmp_path / "s"
+    assert main(["sweep", "--b", "2", "--c", "1", "--a-range", "0.02:0.13:8",
+                 "--E-frac-range", "0.1:0.9:9", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    done = json.loads((out / "sweep.manifest.json").read_text())["rows_done"]
+    assert [r["status"] for r in rows] == ["ok"] * 72
+    assert checks.check_sweep(rows, grid, done) == ([], 0)
 
 
 _NUMPY_ONLY = """
@@ -555,8 +635,8 @@ codes = [
     bchwaves.cli.main(["classify", *ref]),
     bchwaves.cli.main(["spectrum", *ref]),
     bchwaves.cli.main(["sweep", "--b", "2", "--c", "1", "--a-range",
-                       "0.1:0.1:1", "--E-frac-range", "0.5:0.5:1", "--N",
-                       "256", "--jobs", "1", "--out", out]),
+                       "0.1:0.1:1", "--E-frac-range", "0.5:0.5:1", "--jobs",
+                       "1", "--out", out]),
     bchwaves.cli.main(["evolve", *ref, "--horizon-periods", "0.05"]),
 ]
 assert codes == [0, 0, 0, 0], codes

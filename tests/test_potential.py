@@ -171,7 +171,7 @@ def test_critical_points_scan_once_per_sweep_row(e_mode, e_val, status):
 
     _critical_values.cache_clear()
     row = _sweep_row({"index": 0, "b": 2.0, "a": 0.1, "e_mode": e_mode,
-                      "e_val": e_val, "c": 1.0}, N=256, modes=64)
+                      "e_val": e_val, "c": 1.0})
     assert row["status"].split(":")[0] == status
     assert _critical_values.cache_info().misses == 1
 

@@ -398,8 +398,7 @@ def test_turning_points_once_per_point(ref_params):
 
     turning_point_data.cache_clear()
     row = _sweep_row({"index": 0, "b": ref_params.b, "a": ref_params.a,
-                      "e_mode": "abs", "e_val": ref_params.E, "c": ref_params.c},
-                     N=512, modes=64)
+                      "e_mode": "abs", "e_val": ref_params.E, "c": ref_params.c})
     assert row["status"] == "ok"
     assert turning_point_data.cache_info().misses == 1
 

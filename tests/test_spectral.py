@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from bchwaves import (DiscretizationNotConverged, WaveParameters,
-                      apply_operator, assemble_operator, coercivity_probe,
+from bchwaves import (CoefficientInconsistency, DiscretizationNotConverged,
+                      RouteMismatch, WaveParameters, apply_operator,
+                      assemble_operator, coercivity_probe,
                       family_derivatives, hill_matrix,
                       kernel_residual, multipliers, periodic_spectrum,
                       proof_identities, restricted_invariants,
-                      synthesize_profile)
+                      synthesize_profile, theta_spectrum)
 from bchwaves import fourier, spectral
 from bchwaves.invariants import delta_F1, delta_F2
 from bchwaves.spectral import (SECOND_VARIATION_SCALE, _block_eigenvalues,
@@ -499,3 +500,161 @@ def test_parity_blocks_memo(ref_profile, ref_coeffs):
     assert np.array_equal(_parity_blocks(twin, 64)[0], C)
     with pytest.raises(ValueError):
         _parity_blocks(ref_coeffs, 400)
+
+
+# ---------------------------------------------------------------------------
+# Hill's method in theta, against the grid route as its oracle
+# ---------------------------------------------------------------------------
+
+# the README-grid rows of the benchmark reference that the grid route leaves
+# unconverged at N = 512: at a pinned M = 64 (against 32), and at the top
+# rung of its ladder, M = 128 (against 64)
+GRID_UNCONVERGED_64 = (2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17, 23, 24,
+                       25, 26, 33, 34, 35, 44)
+GRID_UNCONVERGED_LADDER = (5, 6, 7, 8, 16, 17)
+
+
+def _wave(point: dict) -> WaveParameters:
+    return WaveParameters(b=point["b"], a=point["a"], E=point["E"],
+                          c=point["c"])
+
+
+def _theta_points(reference_points, ref_params):
+    """The 86 points (the reference wave, the 13 panel points and the 72
+    README sweep rows), each with its sweep row index (None off the
+    sweep) and the inertia {T, omega1} calls for."""
+    yield ref_params, None, (1, 1)
+    rows = [(p, None) for p in reference_points["panel"]]
+    rows += [(p, i) for i, p in enumerate(reference_points["sweep"])]
+    for point, row in rows:
+        J1 = float(point["J_T_omega1"])
+        yield _wave(point), row, (1, 1) if J1 > 0.0 else (2, 1)
+
+
+def _assert_grid_failure_set(reference_points, modes, unconverged):
+    """Every README sweep row through the grid route at N = 512: exactly
+    the given rows fail, all with DiscretizationNotConverged, and every
+    other row has one negative direction and a simple kernel."""
+    failed = []
+    for i, point in enumerate(reference_points["sweep"]):
+        coeffs = assemble_operator(synthesize_profile(_wave(point), 512))
+        try:
+            spec = periodic_spectrum(coeffs, M=modes)
+        except DiscretizationNotConverged:
+            failed.append(i)
+            continue
+        assert (spec.n_neg, spec.n_zero) == (1, 1)
+    assert tuple(failed) == unconverged
+
+
+def test_grid_failure_set_at_64_modes(reference_points):
+    """At a pinned M = 64, the rows of GRID_UNCONVERGED_64 fail."""
+    _assert_grid_failure_set(reference_points, 64, GRID_UNCONVERGED_64)
+
+
+def test_grid_failure_set_ladder(reference_points):
+    """With no mode count the grid ladder decides M, and only the rows of
+    GRID_UNCONVERGED_LADDER fail."""
+    _assert_grid_failure_set(reference_points, None, GRID_UNCONVERGED_LADDER)
+
+
+def test_theta_spectrum_matches_grid(reference_points, ref_params):
+    """At the 86 points the theta route gives the inertia {T, omega1} calls
+    for; wherever the grid ladder converges (N = 512), it has the grid's
+    inertia and its lowest five eigenvalues agree with the grid's to
+    1e-10 max(scale, 1).  The rows the grid refuses converge in theta, at
+    K <= 128, with inertia (1, 1).  The translation mode's eigenvalue is
+    rounding: at most 1e-13 max(scale, 1)."""
+    grid_refused = []
+    for params, row, inertia in _theta_points(reference_points, ref_params):
+        theta = theta_spectrum(params)
+        bound = max(theta.op_scale, 1.0)
+        assert (theta.n_neg, theta.n_zero) == inertia, params
+        assert theta.kernel_residual <= 1e-13 * bound
+        assert theta.M <= 128
+        try:
+            grid = periodic_spectrum(
+                assemble_operator(synthesize_profile(params, 512)))
+        except DiscretizationNotConverged:
+            grid_refused.append(row)
+            continue
+        assert (grid.n_neg, grid.n_zero) == inertia
+        assert (np.max(np.abs(theta.eigenvalues[:5] - grid.eigenvalues[:5]))
+                <= 1e-10 * bound), params
+    assert tuple(grid_refused) == GRID_UNCONVERGED_LADDER
+
+
+def _theta_block_eigenvalues(params, K):
+    """Sorted eigenvalues of the cosine and the sine block at K modes, each
+    sampled as theta_spectrum's rung K samples it, and the largest
+    eigenvalue magnitude."""
+    p, symmetric_r, G, _, _ = spectral._theta_samples(params, 4 * K)
+    cosine, sine = spectral._theta_blocks(spectral._cosine_moments(
+        np.stack([p / G, G * symmetric_r, G]), 2 * K + 1), K)
+    blocks = (np.linalg.eigvalsh(cosine, UPLO="U"),
+              np.linalg.eigvalsh(sine, UPLO="U"))
+    return blocks, max(float(np.max(np.abs(w))) for w in blocks)
+
+
+def test_theta_galerkin_monotonicity(reference_points, ref_params):
+    """Rayleigh-Ritz on nested bases: each eigenvalue of either block at K
+    modes is at least the same eigenvalue at 2K, up to rounding
+    (16 eps times the largest eigenvalue at 2K), at the 86 points for
+    K = 16, 32, 64, though every rung samples its moments afresh."""
+    eps = np.finfo(float).eps
+    for params, _, _ in _theta_points(reference_points, ref_params):
+        coarse, _ = _theta_block_eigenvalues(params, 16)
+        for K in (32, 64, 128):
+            fine, norm = _theta_block_eigenvalues(params, K)
+            for w_coarse, w_fine in zip(coarse, fine):
+                assert np.all(w_fine[:w_coarse.size]
+                              <= w_coarse + 16.0 * eps * norm), (params, K)
+            coarse = fine
+
+
+def test_theta_route_mismatch_is_refused(ref_params, monkeypatch):
+    """An F1 density off by 1e-4 relative: the theta midpoint rule
+    disagrees with the Clenshaw-Curtis value, and the point is refused."""
+    densities = spectral.invariant_densities
+
+    def corrupted(*args):
+        F1, F2 = densities(*args)
+        return F1 * (1.0 + 1e-4), F2
+
+    monkeypatch.setattr(spectral, "invariant_densities", corrupted)
+    with pytest.raises(RouteMismatch, match="^F1 routes disagree"):
+        theta_spectrum(ref_params)
+
+
+def test_theta_kernel_check(ref_params, monkeypatch):
+    """Coefficients whose symmetric_r is off by 1e-3 shift every
+    eigenvalue by 1e-3, the translation mode's too: refused."""
+    sturm_liouville = spectral._sturm_liouville
+
+    def shifted(*args):
+        p, symmetric_r = sturm_liouville(*args)
+        return p, symmetric_r + 1e-3
+
+    monkeypatch.setattr(spectral, "_sturm_liouville", shifted)
+    with pytest.raises(CoefficientInconsistency, match="translation mode"):
+        theta_spectrum(ref_params)
+
+
+def test_theta_mass_matrix_not_positive_is_refused(ref_params, monkeypatch):
+    """A mass matrix whose Cholesky factorisation fails (here, of -G) is a
+    named refusal, not a LinAlgError."""
+    moments = spectral._cosine_moments
+    monkeypatch.setattr(spectral, "_cosine_moments",
+                        lambda rows, count: moments(rows, count)
+                        * np.array([[1.0], [1.0], [-1.0]]))
+    with pytest.raises(CoefficientInconsistency, match="not positive definite"):
+        theta_spectrum(ref_params)
+
+
+def test_theta_ladder_refuses_past_its_cap(ref_params, monkeypatch):
+    """A ladder that stops at K = 8 does not resolve the reference wave,
+    which the full ladder stops at K = 32."""
+    assert theta_spectrum(ref_params).M == 32
+    monkeypatch.setattr(spectral, "_THETA_LADDER", (4, 8))
+    with pytest.raises(DiscretizationNotConverged, match="from 4$"):
+        theta_spectrum(ref_params)
