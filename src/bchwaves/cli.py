@@ -28,8 +28,7 @@ from .invariants import (CLASS_OUT_OF_SCOPE, classify_stability,
                          parameter_jacobians)
 from .potential import WaveParameters, critical_points
 from .profile import profile_header, synthesize_profile, write_profile_csv
-from .spectral import (assemble_operator, periodic_spectrum, proof_identities,
-                       theta_spectrum)
+from .spectral import assemble_operator, proof_identities, theta_spectrum
 
 # what a command refuses: a package error, or bad input (exit code 2)
 _REFUSALS = (BchWavesError, ValueError)
@@ -105,10 +104,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
     params = _params_from(args)
+    # theta first: a point it refuses is never synthesized
+    spec = theta_spectrum(params)
     prof = synthesize_profile(params, args.N)
-    coeffs = assemble_operator(prof)
-    spec = periodic_spectrum(coeffs, M=args.modes)
-    ids = proof_identities(prof, coeffs=coeffs)
+    ids = proof_identities(prof, coeffs=assemble_operator(prof))
     out = _outdir(args)
     payload = {
         "spectrum": spec,
@@ -322,8 +321,6 @@ _OPTIONS = {
     "out": dict(default="."),
     "config": dict(help="JSON file of option defaults (flags override; "
                         "unknown keys are refused)"),
-    "modes": dict(type=int, help="pins the Hill mode count (default: the "
-                                 "spectrum's convergence check picks it)"),
     "format": dict(choices=("csv", "json"), default="csv"),
     "dt-safety": dict(type=float, default=0.5),
     "frame": dict(choices=("traveling", "lab"), default="traveling"),
@@ -348,7 +345,7 @@ _COMMANDS = {
     "profile": (cmd_profile, "synthesize a wave profile", _COMMON),
     "classify": (cmd_classify, "stability classification report", _COMMON),
     "spectrum": (cmd_spectrum, "periodic spectrum and identities",
-                 _COMMON + ("modes", "format")),
+                 _COMMON + ("format",)),
     "evolve": (cmd_evolve, "time-evolve a perturbed wave",
                _COMMON + ("dt-safety", "frame", "eps", "horizon-periods",
                           "perturbation", "seed")),
@@ -356,6 +353,11 @@ _COMMANDS = {
               ("b", "a", "E", "c", "out", "config", "jobs", "seed",
                "b-range", "a-range", "E-range", "E-frac-range", "c-range")),
 }
+
+# options that set one parameter: a command that takes a whole group accepts
+# at most one of it, from the command line and --config together
+_EXCLUSIVE = (("b", "b-range"), ("a", "a-range"), ("c", "c-range"),
+              ("E", "E-range", "E-frac-range"))
 
 
 class _CommandParser(argparse.ArgumentParser):
@@ -382,8 +384,13 @@ def build_parser() -> argparse.ArgumentParser:
                                  parser_class=_CommandParser)
     for name, (func, help_text, options) in _COMMANDS.items():
         sub = subs.add_parser(name, help=help_text)
+        container = {}
+        for group in (g for g in _EXCLUSIVE if set(g) <= set(options)):
+            container |= dict.fromkeys(group,
+                                       sub.add_mutually_exclusive_group())
         for option in options:
-            sub.add_argument(f"--{option}", **_OPTIONS[option])
+            container.get(option, sub).add_argument(f"--{option}",
+                                                    **_OPTIONS[option])
         sub.set_defaults(func=func)
     return parser
 

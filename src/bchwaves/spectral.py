@@ -48,16 +48,15 @@ k = 1..M, each a Toeplitz-plus-Hankel matrix in d = |j - k|, s = j + k:
 Their eigenvalues together are those of H.  _parity_blocks builds both,
 and solves C, once per operator and mode count (a one-entry memo);
 periodic_spectrum reads C's eigenvalues and solves S, and their leading
-sub-blocks for its convergence check, and the probe takes its ground
-state from C at M = N // 4 by inverse iteration, shifted by the lowest
-of those eigenvalues.  The mode count is chosen here
-alone: given none, periodic_spectrum climbs from M = 64 by doubling to
-N // 4 and stops at the first M that passes its check.  The blocks are
-graded, their diagonal growing like kt^2 toward the bottom right, so they
-are solved from the upper triangle, whose tridiagonal reduction starts
-from that corner: the lowest eigenvalue then agrees with a long-double
-Rayleigh quotient to ~1e-14 relative, where the full matrix ordered -M..M
-loses ~1e-12.  hill_matrix, the full matrix, stays as the reference the blocks
+sub-blocks, which are the blocks at M // 2, for its convergence check,
+and the probe takes its ground state from C at M = N // 4 by inverse
+iteration, shifted by the lowest of those eigenvalues.  The caller
+gives M; periodic_spectrum tries no other.  The blocks are graded, their
+diagonal growing like kt^2 toward the bottom right, so they are solved
+from the upper triangle, whose tridiagonal reduction starts from that
+corner: the lowest eigenvalue then agrees with a long-double Rayleigh
+quotient to ~1e-14 relative, where the full matrix ordered -M..M loses
+~1e-12.  hill_matrix, the full matrix, stays as the reference the blocks
 are tested against.  (A collocation product of grid differentiation
 matrices is avoided deliberately: with even N its annihilated Nyquist mode
 produces a spurious eigenvalue at mean(r).)
@@ -84,10 +83,10 @@ formula assemble_operator uses (_sturm_liouville).  Each block is reduced
 to standard form by the Cholesky factor of its mass matrix B and solved
 by eigvalsh.
 
-Which command reads which route: sweep rows take their inertia from
-theta_spectrum; spectrum, the benchmark's certificate and the probe's
-ground state use the grid route (periodic_spectrum, _parity_blocks), which
-is also the theta route's test oracle.
+Both routes certify convergence by one halving rule (_halving_move) and
+count the inertia at one zero tolerance (_inertia_report).  spectrum and
+sweep rows read theta_spectrum; the benchmark's certificate (M = 128) and
+the probe's ground state read the grid route, the theta route's oracle.
 
 The coercivity probe's random directions depend only on the grid size N,
 the seed and the trial count, not on the wave: _probe_directions draws them
@@ -134,9 +133,11 @@ class OperatorCoefficients:
 
 @dataclass(frozen=True)
 class SpectralReport:
-    """kernel_residual is ||L mu_x|| / ||mu_x|| on the grid route and the
-    translation mode's eigenvalue |lambda| on the theta route; M is the
-    Hill mode count, of the grid (M) or of theta (K)."""
+    """Either Hill route's spectrum (_inertia_report): the lowest M sorted
+    eigenvalues, and the inertia of all at the zero tolerance tau.  In
+    theta (theta_spectrum: spectrum, sweep) M is K and kernel_residual the
+    translation mode's |lambda|; on the grid (periodic_spectrum) M is the
+    grid mode count and kernel_residual ||L mu_x|| / ||mu_x||."""
 
     eigenvalues: np.ndarray
     n_neg: int
@@ -305,67 +306,58 @@ def kernel_residual(coeffs: OperatorCoefficients) -> float:
     return float(np.max(np.abs(apply_operator(coeffs, mux)))) / denom
 
 
-def _mode_ladder(n: int) -> tuple[int, ...]:
-    """Hill mode counts periodic_spectrum tries, in order, when none is
-    given for an n-point grid: 64, 128, ... below n // 4, then n // 4 (for
-    n < 256, n // 4 alone)."""
-    top = n // 4
-    rungs = []
-    M = 64
-    while M < top:
-        rungs.append(M)
-        M *= 2
-    return (*rungs, top)
-
-
 def _block_eigenvalues(C: np.ndarray, S: np.ndarray) -> np.ndarray:
     """Sorted eigenvalues of the Hill matrix with parity blocks C and S."""
     return np.sort(np.concatenate([np.linalg.eigvalsh(C, UPLO="U"),
                                    np.linalg.eigvalsh(S, UPLO="U")]))
 
 
-def periodic_spectrum(coeffs: OperatorCoefficients, M: int | None = None) -> SpectralReport:
-    """Sorted periodic eigenvalues and the inertia counts, from the parity
-    blocks of the Hill matrix.
+def _halving_move(evals: np.ndarray, below: np.ndarray,
+                  scale: float) -> tuple[float, float]:
+    """The halving rule of both Hill routes: how far the lowest five sorted
+    eigenvalues moved from half the mode count (below) to the full one
+    (evals), and the tolerance 1e-6 max(scale, 1) a converged one meets."""
+    return (float(np.max(np.abs(evals[:5] - below[:5]))),
+            1e-6 * max(scale, 1.0))
 
-    Convergence is certified by halving the mode count: the lowest five
-    eigenvalues at M must agree with those at M // 2.  An explicit M is the
-    one mode count tried.  With M=None the counts of _mode_ladder are tried
-    in turn, each checked against the one below it, and the first that
-    passes is reported; the last refuses like an explicit M.  The zero
-    tolerance scales with the achieved kernel residual so that a genuinely
-    degenerate pair is reported as such rather than silently split.
-    """
-    rungs = _mode_ladder(coeffs.p.shape[0]) if M is None else (M,)
-    # the check compares the lowest five eigenvalues with the 2(M//2) + 1 at
-    # M//2, so it needs M >= 4
-    if rungs[0] < 4:
-        raise ValueError(f"Hill mode count must be at least 4, got {rungs[0]}")
-    scale = operator_scale(coeffs)
-    below = None
-    for M in rungs:
-        C, S, w = _parity_blocks(coeffs, M)
-        evals = np.sort(np.concatenate([w, np.linalg.eigvalsh(S, UPLO="U")]))
-        if below is None:
-            below = _block_eigenvalues(C[:M // 2 + 1, :M // 2 + 1],
-                                       S[:M // 2, :M // 2])
-        move = float(np.max(np.abs(evals[:5] - below[:5])))
-        if move <= 1e-6 * max(scale, 1.0):
-            break
-        # the rungs double, so this rung is the next one's half
-        below = evals
-    else:
-        raise DiscretizationNotConverged(
-            f"lowest eigenvalues moved by {move!r} when modes doubled from {M // 2}")
 
-    kres = kernel_residual(coeffs)
-    tau = max(1e-8 * scale, 10.0 * kres)
+def _inertia_report(evals: np.ndarray, kernel: float, M: int,
+                    scale: float) -> SpectralReport:
+    """The report of both Hill routes on sorted eigenvalues at M modes: the
+    lowest M, and the inertia at tau = max(1e-8 scale, 10 kernel), which
+    scales with the translation kernel's residual so that a genuinely
+    degenerate pair is reported as such rather than silently split."""
+    tau = max(1e-8 * scale, 10.0 * kernel)
     n_neg = int(np.sum(evals < -tau))
     n_zero = int(np.sum(np.abs(evals) <= tau))
-    n_pos = int(evals.size - n_neg - n_zero)
     return SpectralReport(eigenvalues=evals[:M].copy(), n_neg=n_neg,
-                          n_zero=n_zero, n_pos=n_pos, tau=tau,
-                          kernel_residual=kres, M=M, op_scale=scale)
+                          n_zero=n_zero, n_pos=int(evals.size - n_neg - n_zero),
+                          tau=tau, kernel_residual=kernel, M=M, op_scale=scale)
+
+
+def periodic_spectrum(coeffs: OperatorCoefficients, M: int) -> SpectralReport:
+    """Sorted periodic eigenvalues over modes -M..M and the inertia counts,
+    from the parity blocks of the Hill matrix.
+
+    Convergence is certified by the halving rule (_halving_move): the
+    lowest five eigenvalues at M must agree with those of the leading
+    sub-blocks, the blocks at M // 2, or the point is refused with
+    DiscretizationNotConverged.  The zero tolerance scales with the grid
+    kernel residual (_inertia_report).
+    """
+    # the check compares the lowest five eigenvalues with the 2(M//2) + 1 at
+    # M//2, so it needs M >= 4
+    if M < 4:
+        raise ValueError(f"Hill mode count must be at least 4, got {M}")
+    scale = operator_scale(coeffs)
+    C, S, w = _parity_blocks(coeffs, M)
+    evals = np.sort(np.concatenate([w, np.linalg.eigvalsh(S, UPLO="U")]))
+    below = _block_eigenvalues(C[:M // 2 + 1, :M // 2 + 1], S[:M // 2, :M // 2])
+    move, tol = _halving_move(evals, below, scale)
+    if move <= tol:
+        return _inertia_report(evals, kernel_residual(coeffs), M, scale)
+    raise DiscretizationNotConverged(
+        f"lowest eigenvalues moved by {move!r} when modes doubled from {M // 2}")
 
 
 # ---------------------------------------------------------------------------
@@ -442,15 +434,14 @@ def theta_spectrum(params: WaveParameters) -> SpectralReport:
     in the quadrature variable theta: no uniform-grid profile is built.
 
     The mode counts of _THETA_LADDER are tried in turn, each sampled afresh
-    at 4 K midpoint nodes; the first whose lowest five eigenvalues agree
-    with those at K // 2 (the rung below, or the leading sub-blocks at the
-    first rung) to 1e-6 max(scale, 1) is reported, and past the last the
+    at 4 K midpoint nodes; the first that passes the halving rule
+    (_halving_move) against K // 2 (the rung below, or the leading
+    sub-blocks at the first rung) is reported, and past the last the
     point is refused with DiscretizationNotConverged.  The lowest sine
-    eigenvalue is the translation mode mu_x; it must vanish to that same
-    tolerance (CoefficientInconsistency otherwise) and sets the zero
-    tolerance tau = max(1e-8 scale, 10 |lambda|), which kernel_residual
-    reports.  F1 and F2 by the midpoint rule on the same nodes must agree
-    with the Clenshaw-Curtis values of restricted_invariants to 1e-5
+    eigenvalue is the translation mode mu_x; it must vanish to the rule's
+    tolerance (CoefficientInconsistency otherwise), and its |lambda| is the
+    kernel residual of _inertia_report.  F1 and F2 by the midpoint rule on
+    the same nodes must agree with the Clenshaw-Curtis values of restricted_invariants to 1e-5
     relative (RouteMismatch otherwise).  scale is operator_scale's on the
     nodes, with the period of restricted_invariants.
     """
@@ -468,8 +459,7 @@ def theta_spectrum(params: WaveParameters) -> SpectralReport:
         if below is None:
             below = _block_eigenvalues(cosine[:K // 2 + 1, :K // 2 + 1],
                                        sine[:K // 2, :K // 2])
-        move = float(np.max(np.abs(evals[:5] - below[:5])))
-        tol = 1e-6 * max(scale, 1.0)
+        move, tol = _halving_move(evals, below, scale)
         if move <= tol:
             break
         below = evals
@@ -489,12 +479,7 @@ def theta_spectrum(params: WaveParameters) -> SpectralReport:
             raise RouteMismatch(f"{name} routes disagree: theta midpoint "
                                 f"{midpoint!r} vs quadrature {quad!r}")
 
-    tau = max(1e-8 * scale, 10.0 * kernel)
-    n_neg = int(np.sum(evals < -tau))
-    n_zero = int(np.sum(np.abs(evals) <= tau))
-    return SpectralReport(eigenvalues=evals[:K].copy(), n_neg=n_neg,
-                          n_zero=n_zero, n_pos=int(evals.size - n_neg - n_zero),
-                          tau=tau, kernel_residual=kernel, M=K, op_scale=scale)
+    return _inertia_report(evals, kernel, K, scale)
 
 
 def _minor(g1: np.ndarray, g2: np.ndarray, i: int, j: int) -> float:

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from bchwaves import (BchWavesError, CoefficientInconsistency, WaveParameters,
 from bchwaves.cli import main
 
 REF = ["--b", "2", "--a", "0.1", "--E", "0.09", "--c", "1"]
+# the README sweep, the argv of the benchmark's sweep workload
+_README_SWEEP = ["sweep", "--b", "2", "--c", "1", "--a-range", "0.02:0.13:8",
+                 "--E-frac-range", "0.1:0.9:9", "--jobs", "1"]
 
 
 def test_profile_command(tmp_path, capsys):
@@ -66,25 +70,67 @@ def test_spectrum_command(tmp_path):
     assert len(lines) == payload["spectrum"]["M"] + 1
 
 
+def _assert_modes_unrecognized(modes, tmp_path, capsys):
+    """spectrum has no --modes (the theta route picks its own mode count):
+    argparse refuses it (exit 2) before anything is written."""
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", *REF, "--N", "256", "--modes", modes,
+              "--out", str(out)])
+    assert exc.value.code == 2
+    assert (f"unrecognized arguments: --modes {modes}"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
 def test_spectrum_unconverged_exit_code(tmp_path, capsys):
-    rc = main(["spectrum", *REF, "--N", "256", "--modes", "8",
-               "--out", str(tmp_path)])
-    assert rc == 3
-    assert "numerical error" in capsys.readouterr().err
+    _assert_modes_unrecognized("8", tmp_path, capsys)
 
 
 def test_spectrum_rejects_nonpositive_modes(tmp_path, capsys):
-    rc = main(["spectrum", *REF, "--N", "256", "--modes", "0",
-               "--out", str(tmp_path)])
-    assert rc == 2
-    assert "mode count" in capsys.readouterr().err
+    _assert_modes_unrecognized("0", tmp_path, capsys)
 
 
 def test_spectrum_rejects_too_few_modes(tmp_path, capsys):
-    rc = main(["spectrum", *REF, "--N", "256", "--modes", "2",
-               "--out", str(tmp_path)])
-    assert rc == 2
-    assert "mode count" in capsys.readouterr().err
+    _assert_modes_unrecognized("2", tmp_path, capsys)
+
+
+def test_spectrum_theta_refusal_writes_nothing(tmp_path, capsys, monkeypatch):
+    """A point the theta route refuses (here, by a ladder capped at K = 8)
+    exits 3 before it is synthesized, and no spectrum.json is written."""
+    from bchwaves.profile import _synthesized
+
+    monkeypatch.setattr(spectral, "_THETA_LADDER", (4, 8))
+    rc = main(["spectrum", *REF, "--out", str(tmp_path)])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical error: lowest theta eigenvalues moved by ")
+    assert _synthesized.cache_info().misses == 0
+    assert not (tmp_path / "spectrum.json").exists()
+
+
+def test_spectrum_agrees_with_sweep(tmp_path):
+    """At the 72 README sweep rows (six of which the grid route refuses at
+    N = 512), spectrum exits 0; its spectrum.json holds the eigenvalues,
+    n_neg, n_zero and M of theta_spectrum bit for bit, and its inertia is
+    the sweep row's."""
+    out = tmp_path / "s"
+    assert main([*_README_SWEEP, "--out", str(out)]) == 0
+    with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 72
+    for row in rows:
+        wave = [f"--{k}={row[k]}" for k in ("b", "a", "E", "c")]
+        assert main(["spectrum", *wave, "--out", str(out)]) == 0, row["index"]
+        got = json.loads((out / "spectrum.json").read_text())["spectrum"]
+        want = spectral.theta_spectrum(WaveParameters(
+            b=float(row["b"]), a=float(row["a"]), E=float(row["E"]),
+            c=float(row["c"])))
+        assert got["eigenvalues"] == want.eigenvalues.tolist()
+        assert ((got["n_neg"], got["n_zero"], got["M"])
+                == (want.n_neg, want.n_zero, want.M))
+        assert (got["n_neg"], got["n_zero"]) == (int(row["n_neg"]),
+                                                 int(row["n_zero"]))
 
 
 def _raise_coefficient_inconsistency(*args, **kwargs):
@@ -387,13 +433,10 @@ def test_sweep_resume_needs_same_version(tmp_path, monkeypatch):
 
 
 def test_sweep_refuses_modes_beyond_the_grid(tmp_path, capsys):
-    """--modes 200 on a 256-point grid: spectrum exits with code 2.  A
-    sweep solves in theta and has no grid, so it refuses --modes and --N
-    as options it does not take (exit 2), before writing anything."""
-    rc = main(["spectrum", *REF, "--N", "256", "--modes", "200",
-               "--out", str(tmp_path)])
-    assert rc == 2
-    assert "mode count exceeds the coefficient grid" in capsys.readouterr().err
+    """spectrum and sweep solve in theta and take no --modes, and a sweep
+    has no grid either: each refuses --modes (and the sweep --N) as an
+    option it does not take (exit 2), before writing anything."""
+    _assert_modes_unrecognized("200", tmp_path, capsys)
     out = tmp_path / "s"
     for extra in (["--modes", "200"], ["--N", "256"]):
         with pytest.raises(SystemExit) as exc:
@@ -446,14 +489,15 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,config,named", [
-    ("spectrum", {"N": 512.5}, "--N"), ("spectrum", {"modes": 64.0}, "--modes"),
+    ("spectrum", {"N": 512.5}, "--N"), ("spectrum", {"modes": 64.0}, "modes"),
     ("spectrum", {"format": "xml"}, "--format"),
     ("evolve", {"seed": 1.5}, "--seed"), ("classify", {"N": None}, "--N"),
     ("sweep", {"a_range": 5}, "MIN:MAX:COUNT"), ("sweep", {"jobs": 1.5}, "--jobs")])
 def test_config_file_values_are_checked(tmp_path, capsys, command, config,
                                         named):
     """A file value is checked as its flag would be, and refused (exit 2)
-    before the command writes anything."""
+    before the command writes anything; so is a key the command does not
+    define (spectrum's former --modes)."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -504,11 +548,46 @@ def test_sweep_range_is_checked_by_argparse(tmp_path, capsys, option, value):
     assert not out.exists()
 
 
+# a value of each sweep option that sets a parameter
+_SWEEP_VALUES = {"b": "2", "a": "0.1", "E": "0.09", "c": "1",
+                 "b-range": "2:3:2", "a-range": "0.05:0.06:2",
+                 "E-range": "0.05:0.09:2", "E-frac-range": "0.5:0.5:1",
+                 "c-range": "1:1.5:2"}
+
+
+@pytest.mark.parametrize("first, second", [
+    ("b", "b-range"), ("a", "a-range"), ("c", "c-range"), ("E", "E-range"),
+    ("E", "E-frac-range"), ("E-range", "E-frac-range")])
+def test_sweep_refuses_two_values_of_one_parameter(tmp_path, capsys, first,
+                                                   second):
+    """Two options that set the same parameter (a scalar and its range, or
+    the two energy ranges) would leave one of them silently unused while
+    the manifest records both: the sweep refuses them (exit 2), naming
+    both, before it writes anything, also when the first comes from
+    --config."""
+    out = tmp_path / "out"
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({first.replace("-", "_"): _SWEEP_VALUES[first]}))
+    # one value for each parameter the pair does not set
+    others = [arg for k in ("b", "a", "E", "c")
+              if k not in (first.split("-")[0], second.split("-")[0])
+              for arg in (f"--{k}", _SWEEP_VALUES[k])]
+    for given in ([f"--{first}", _SWEEP_VALUES[first]], ["--config", str(cfg)]):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *others, *given, f"--{second}",
+                  _SWEEP_VALUES[second], "--jobs", "1", "--out", str(out)])
+        assert exc.value.code == 2
+        named = re.search(r"argument (\S+): not allowed with argument (\S+)",
+                          capsys.readouterr().err)
+        assert named and set(named.groups()) == {f"--{first}", f"--{second}"}
+    assert not out.exists()
+
+
 _COMMON = {"b", "a", "E", "c", "N", "out", "config"}
 _COMMAND_OPTIONS = {
     "profile": _COMMON,
     "classify": _COMMON,
-    "spectrum": _COMMON | {"modes", "format"},
+    "spectrum": _COMMON | {"format"},
     "evolve": _COMMON | {"dt-safety", "frame", "eps", "horizon-periods",
                          "perturbation", "seed"},
     "sweep": _COMMON - {"N"} | {"jobs", "seed", "b-range", "a-range",
@@ -599,7 +678,7 @@ def test_sweep_failure_set(tmp_path):
     reference as the benchmark's own check_sweep holds it, in T, F1, F2,
     omega1, both signs, the classification and the inertia that
     {T, omega1} calls for.  (On the grid route six of them fail; see
-    test_spectral.py::test_grid_failure_set_ladder.)"""
+    test_spectral.py::test_grid_failure_set_at_128_modes.)"""
     import importlib.util
     from pathlib import Path
 
@@ -611,9 +690,7 @@ def test_sweep_failure_set(tmp_path):
     grid = json.loads((benchmarks / "reference.json").read_text())["sweep"]
 
     out = tmp_path / "s"
-    assert main(["sweep", "--b", "2", "--c", "1", "--a-range", "0.02:0.13:8",
-                 "--E-frac-range", "0.1:0.9:9", "--jobs", "1",
-                 "--out", str(out)]) == 0
+    assert main([*_README_SWEEP, "--out", str(out)]) == 0
     with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     done = json.loads((out / "sweep.manifest.json").read_text())["rows_done"]

@@ -14,10 +14,15 @@ from bchwaves import (CoefficientInconsistency, DiscretizationNotConverged,
 from bchwaves import fourier, spectral
 from bchwaves.invariants import delta_F1, delta_F2
 from bchwaves.spectral import (SECOND_VARIATION_SCALE, _block_eigenvalues,
-                               _ground_state, _mode_ladder, _parity_blocks,
+                               _ground_state, _parity_blocks,
                                _probe_directions, operator_scale)
 
 from state_oracle import equilibrium_profile
+
+
+def _wave(point: dict) -> WaveParameters:
+    return WaveParameters(b=point["b"], a=point["a"], E=point["E"],
+                          c=point["c"])
 
 
 def modes_to_grid(vec, coeffs):
@@ -156,7 +161,7 @@ def test_kernel_residual(ref_coeffs):
 
 
 def test_trichotomy_reference(ref_coeffs):
-    spec = periodic_spectrum(ref_coeffs)
+    spec = periodic_spectrum(ref_coeffs, M=64)
     assert (spec.n_neg, spec.n_zero) == (1, 1)
     # translation eigenvalue sits within tau of zero
     assert np.min(np.abs(spec.eigenvalues)) <= spec.tau
@@ -177,42 +182,31 @@ def test_unconverged_discretization_raises(ref_coeffs):
         periodic_spectrum(ref_coeffs, M=8)
 
 
-def test_mode_ladder():
-    assert _mode_ladder(64) == (16,)
-    assert _mode_ladder(128) == (32,)
-    assert _mode_ladder(256) == (64,)
-    assert _mode_ladder(512) == (64, 128)
-    assert _mode_ladder(2048) == (64, 128, 256, 512)
-
-
 @pytest.mark.parametrize("row, M", [(None, 64), (2, 128)])
 def test_ladder_stops_at_first_converged_rung(reference_points, ref_params,
                                               row, M):
-    """Given no mode count, the reference wave stops at M = 64 and README
-    sweep row 2, whose check fails at 64, at M = 128 (N = 512); the
-    spectrum is then the one an explicit M gives."""
+    """On the mode counts 64, 128 at N = 512, the halving check passes
+    first at M = 64 for the reference wave, and at M = 128 for README
+    sweep row 2, whose check fails at 64; both with inertia (1, 1)."""
     params = ref_params
     if row is not None:
-        p = reference_points["sweep"][row]
-        params = WaveParameters(b=p["b"], a=p["a"], E=p["E"], c=p["c"])
+        params = _wave(reference_points["sweep"][row])
     coeffs = assemble_operator(synthesize_profile(params, 512))
-    spec = periodic_spectrum(coeffs)
-    assert spec.M == M
-    pinned = periodic_spectrum(coeffs, M=M)
-    assert np.array_equal(spec.eigenvalues, pinned.eigenvalues)
-    assert (spec.n_neg, spec.n_zero) == (pinned.n_neg, pinned.n_zero) == (1, 1)
+    spec = periodic_spectrum(coeffs, M=M)
+    assert spec.M == M and spec.eigenvalues.shape == (M,)
+    assert (spec.n_neg, spec.n_zero) == (1, 1)
     if M > 64:
-        with pytest.raises(DiscretizationNotConverged):
+        with pytest.raises(DiscretizationNotConverged, match="from 32$"):
             periodic_spectrum(coeffs, M=M // 2)
 
 
 def test_ladder_refuses_at_its_top_rung(reference_points):
-    """README sweep row 5 fails the check at every rung up to N // 4."""
-    p = reference_points["sweep"][5]
-    params = WaveParameters(b=p["b"], a=p["a"], E=p["E"], c=p["c"])
-    coeffs = assemble_operator(synthesize_profile(params, 512))
+    """README sweep row 5 fails the halving check at M = 128 = N // 4, the
+    largest mode count of an N = 512 grid."""
+    coeffs = assemble_operator(synthesize_profile(
+        _wave(reference_points["sweep"][5]), 512))
     with pytest.raises(DiscretizationNotConverged, match="from 64$"):
-        periodic_spectrum(coeffs)
+        periodic_spectrum(coeffs, M=128)
 
 
 @pytest.mark.parametrize("M", [1, 2, 3])
@@ -268,7 +262,7 @@ def test_coercivity_probe(ref_profile, ref_coeffs):
 
 
 def test_kernel_direction_quotient(ref_profile, ref_coeffs):
-    spec = periodic_spectrum(ref_coeffs)
+    spec = periodic_spectrum(ref_coeffs, M=64)
     q = (fourier.l2_inner(apply_operator(ref_coeffs, ref_profile.dmu),
                           ref_profile.dmu, ref_profile.T)
          / fourier.h1_norm_sq(ref_profile.dmu, ref_profile.T))
@@ -507,16 +501,11 @@ def test_parity_blocks_memo(ref_profile, ref_coeffs):
 # ---------------------------------------------------------------------------
 
 # the README-grid rows of the benchmark reference that the grid route leaves
-# unconverged at N = 512: at a pinned M = 64 (against 32), and at the top
-# rung of its ladder, M = 128 (against 64)
+# unconverged at N = 512: at M = 64 (against 32), and at M = 128 = N // 4
+# (against 64)
 GRID_UNCONVERGED_64 = (2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17, 23, 24,
                        25, 26, 33, 34, 35, 44)
-GRID_UNCONVERGED_LADDER = (5, 6, 7, 8, 16, 17)
-
-
-def _wave(point: dict) -> WaveParameters:
-    return WaveParameters(b=point["b"], a=point["a"], E=point["E"],
-                          c=point["c"])
+GRID_UNCONVERGED_128 = (5, 6, 7, 8, 16, 17)
 
 
 def _theta_points(reference_points, ref_params):
@@ -548,20 +537,29 @@ def _assert_grid_failure_set(reference_points, modes, unconverged):
 
 
 def test_grid_failure_set_at_64_modes(reference_points):
-    """At a pinned M = 64, the rows of GRID_UNCONVERGED_64 fail."""
+    """At M = 64, the rows of GRID_UNCONVERGED_64 fail."""
     _assert_grid_failure_set(reference_points, 64, GRID_UNCONVERGED_64)
 
 
-def test_grid_failure_set_ladder(reference_points):
-    """With no mode count the grid ladder decides M, and only the rows of
-    GRID_UNCONVERGED_LADDER fail."""
-    _assert_grid_failure_set(reference_points, None, GRID_UNCONVERGED_LADDER)
+def test_grid_failure_set_at_128_modes(reference_points):
+    """At M = 128, only the rows of GRID_UNCONVERGED_128 fail."""
+    _assert_grid_failure_set(reference_points, 128, GRID_UNCONVERGED_128)
+
+
+def _grid_spectrum(params):
+    """The grid oracle at N = 512: M = 64, else M = 128.  Its M = 128 check
+    compares against the M = 64 blocks, which are the leading sub-blocks."""
+    coeffs = assemble_operator(synthesize_profile(params, 512))
+    try:
+        return periodic_spectrum(coeffs, M=64)
+    except DiscretizationNotConverged:
+        return periodic_spectrum(coeffs, M=128)
 
 
 def test_theta_spectrum_matches_grid(reference_points, ref_params):
     """At the 86 points the theta route gives the inertia {T, omega1} calls
-    for; wherever the grid ladder converges (N = 512), it has the grid's
-    inertia and its lowest five eigenvalues agree with the grid's to
+    for; wherever the grid oracle (_grid_spectrum) converges, it has the
+    grid's inertia and its lowest five eigenvalues agree with the grid's to
     1e-10 max(scale, 1).  The rows the grid refuses converge in theta, at
     K <= 128, with inertia (1, 1).  The translation mode's eigenvalue is
     rounding: at most 1e-13 max(scale, 1)."""
@@ -573,15 +571,14 @@ def test_theta_spectrum_matches_grid(reference_points, ref_params):
         assert theta.kernel_residual <= 1e-13 * bound
         assert theta.M <= 128
         try:
-            grid = periodic_spectrum(
-                assemble_operator(synthesize_profile(params, 512)))
+            grid = _grid_spectrum(params)
         except DiscretizationNotConverged:
             grid_refused.append(row)
             continue
         assert (grid.n_neg, grid.n_zero) == inertia
         assert (np.max(np.abs(theta.eigenvalues[:5] - grid.eigenvalues[:5]))
                 <= 1e-10 * bound), params
-    assert tuple(grid_refused) == GRID_UNCONVERGED_LADDER
+    assert tuple(grid_refused) == GRID_UNCONVERGED_128
 
 
 def _theta_block_eigenvalues(params, K):
