@@ -2,7 +2,7 @@
 construction, orbital-stability criteria, periodic spectra of the second
 variation, and time evolution of the momentum density."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .errors import (BchWavesError, BlowUp, CoefficientInconsistency,
                      ConvergenceFailure, DiscretizationNotConverged,
@@ -14,8 +14,7 @@ from .evolution import (EvolutionState, RunDiagnostics, cfl_dt,
 from .invariants import (CrestIdentityReport, InvariantSet, JacobianReport,
                          Multipliers, StabilityReport, crest_identities,
                          classify_stability, conserved_quantities,
-                         euler_lagrange_residual, family_derivatives,
-                         multipliers, parameter_jacobians,
+                         family_derivatives, multipliers, parameter_jacobians,
                          restricted_invariants)
 from .potential import (PotentialScan, WaveParameters, a_max, critical_points,
                         eval_g, eval_potential, existence_check)

@@ -24,8 +24,7 @@ import numpy as np
 from . import __version__
 from .errors import BchWavesError
 from .evolution import run_experiment
-from .invariants import (CLASS_OUT_OF_SCOPE, classify_stability,
-                         parameter_jacobians)
+from .invariants import CLASS_OUT_OF_SCOPE, parameter_jacobians
 from .potential import WaveParameters, critical_points
 from .profile import profile_header, synthesize_profile, write_profile_csv
 from .spectral import assemble_operator, proof_identities, theta_spectrum
@@ -88,15 +87,12 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
-    params = _params_from(args)
-    report = classify_stability(params, N=args.N)
+    jac = parameter_jacobians(_params_from(args))
     out = _outdir(args)
-    payload = dataclasses.asdict(report)
-    payload["config"] = _config_echo(args)
-    payload["version"] = __version__
-    _write_json(out / "classify.json", payload)
-    jac = report.jacobians
-    print(f"classification: {report.classification} "
+    _write_json(out / "classify.json",
+                {"classification": jac.classification, "jacobians": jac,
+                 "config": _config_echo(args), "version": __version__})
+    print(f"classification: {jac.classification} "
           f"(J_T_omega1={_fmt(jac.J_T_omega1)}, J_T_F1={_fmt(jac.J_T_F1)}, "
           f"J3={_fmt(jac.J3)}, theta={_fmt(jac.theta)})")
     return 0
@@ -204,9 +200,10 @@ def _sweep_grid(args: argparse.Namespace) -> list[dict]:
 
 
 def _sweep_row(point: dict) -> dict:
-    """One grid point's row: the Jacobians, and the inertia of the second
-    variation by Hill's method in theta (theta_spectrum), so no row builds
-    a uniform-grid profile."""
+    """One grid point's row: the Jacobians, as classify reads them, and
+    the inertia of the second variation by Hill's method in theta
+    (theta_spectrum), so no row builds a uniform-grid profile; a point
+    theta_spectrum refuses fails, whatever its Jacobians."""
     row = {k: "" for k in _SWEEP_COLUMNS}
     row["index"] = point["index"]
     row["b"], row["a"], row["c"] = point["b"], point["a"], point["c"]
@@ -338,20 +335,21 @@ _OPTIONS = {
     "c-range": dict(type=_range_option, metavar="MIN:MAX:COUNT"),
 }
 
-_COMMON = ("b", "a", "E", "c", "N", "out", "config")
+_POINT = ("b", "a", "E", "c", "out", "config")
+_COMMON = _POINT + ("N",)
 
 # each subcommand: its function, its help and the options it reads
 _COMMANDS = {
     "profile": (cmd_profile, "synthesize a wave profile", _COMMON),
-    "classify": (cmd_classify, "stability classification report", _COMMON),
+    "classify": (cmd_classify, "stability classification report", _POINT),
     "spectrum": (cmd_spectrum, "periodic spectrum and identities",
                  _COMMON + ("format",)),
     "evolve": (cmd_evolve, "time-evolve a perturbed wave",
                _COMMON + ("dt-safety", "frame", "eps", "horizon-periods",
                           "perturbation", "seed")),
     "sweep": (cmd_sweep, "classify over a parameter grid",
-              ("b", "a", "E", "c", "out", "config", "jobs", "seed",
-               "b-range", "a-range", "E-range", "E-frac-range", "c-range")),
+              _POINT + ("jobs", "seed", "b-range", "a-range", "E-range",
+                        "E-frac-range", "c-range")),
 }
 
 # options that set one parameter: a command that takes a whole group accepts

@@ -54,12 +54,13 @@ class FDUnreliable(NumericalFailure):
 
 class CoefficientInconsistency(NumericalFailure):
     """Assembled Sturm-Liouville coefficients violate self-adjointness, or,
-    in theta, miss the translation kernel or give a mass matrix that is not
-    positive definite."""
+    in theta, are not finite, miss the translation kernel or give a mass
+    matrix that is not positive definite."""
 
 
 class DiscretizationNotConverged(NumericalFailure):
-    """Low eigenvalues still move when the mode count is doubled."""
+    """Low eigenvalues still move when the mode count is doubled, or, in
+    theta, the zero tolerance counts an inertia that no wave has."""
 
 
 class PositivityLost(NumericalFailure):

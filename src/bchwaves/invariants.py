@@ -38,10 +38,10 @@ import numpy as np
 from . import fourier
 from .errors import FDUnreliable, RouteMismatch
 from .potential import WaveParameters, _cpow
-from .profile import (_COMPLEX_STEP, _REL_TOL, ProfileResiduals, WaveProfile,
-                      _cheb_ends, _cheb_integral, _cheb_values, _complex_steps,
-                      _complex_turning_points, _samples, profile_residuals,
-                      synthesize_profile, turning_point_data, wave_integral)
+from .profile import (_COMPLEX_STEP, _REL_TOL, WaveProfile, _cheb_ends,
+                      _cheb_integral, _cheb_values, _complex_steps,
+                      _complex_turning_points, _samples, synthesize_profile,
+                      turning_point_data, wave_integral)
 
 CLASS_STABLE = "StableCriteriaMet"
 CLASS_DEGENERATE = "TrichotomyCase_ii"
@@ -108,11 +108,12 @@ class CrestIdentityReport:
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """The Jacobians, their classification, and F1 and F2 that the grid
+    route of conserved_quantities agreed with."""
+
     params: WaveParameters
     classification: str
     jacobians: JacobianReport
-    el_residual: float
-    profile_res: ProfileResiduals
     F1: float
     F2: float
 
@@ -150,20 +151,6 @@ def invariant_densities(m: np.ndarray, dm: np.ndarray,
                         b: float) -> tuple[np.ndarray, np.ndarray]:
     """Integrands of F1 and F2 at the density m with derivative dm."""
     return m ** (1.0 / b), (dm**2 / (b**2 * m**2) + 1.0) * m ** (-1.0 / b)
-
-
-def euler_lagrange_residual(profile: WaveProfile,
-                            omega1: float | None = None,
-                            omega2: float | None = None) -> float:
-    """Sup-norm residual of the stationarity equation
-    1 - omega1 dF1/dm - omega2 dF2/dm = 0 on the profile grid."""
-    b = profile.params.b
-    mults = multipliers(profile.params)
-    w1 = mults.omega1 if omega1 is None else omega1
-    w2 = mults.omega2 if omega2 is None else omega2
-    resid = (1.0 - w1 * delta_F1(profile.mu, b)
-             - w2 * delta_F2(profile.mu, profile.dmu, profile.d2mu, b))
-    return float(np.max(np.abs(resid)))
 
 
 def _F1F2_integrands(params) -> tuple:
@@ -364,17 +351,14 @@ def crest_identities(params: WaveParameters) -> CrestIdentityReport:
 
 
 def classify_stability(params: WaveParameters, N: int = 512) -> StabilityReport:
-    """Full classification bundle: profile synthesis and its residuals,
-    stationarity residual, invariants and Jacobians."""
+    """parameter_jacobians, cross-checked by conserved_quantities on the
+    N-point profile (RouteMismatch where its grid F1 or F2 disagrees); the
+    classify command reads parameter_jacobians alone."""
     profile = synthesize_profile(params, N)
-    res = profile_residuals(profile)
-    el = euler_lagrange_residual(profile)
     jac = parameter_jacobians(params)
     F1, F2 = conserved_quantities(profile, jac.invariants)
-    return StabilityReport(
-        params=params, classification=jac.classification,
-        jacobians=jac, el_residual=el,
-        profile_res=res, F1=F1, F2=F2)
+    return StabilityReport(params=params, classification=jac.classification,
+                           jacobians=jac, F1=F1, F2=F2)
 
 
 # ---------------------------------------------------------------------------

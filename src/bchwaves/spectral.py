@@ -84,7 +84,8 @@ to standard form by the Cholesky factor of its mass matrix B and solved
 by eigvalsh.
 
 Both routes certify convergence by one halving rule (_halving_move) and
-count the inertia at one zero tolerance (_inertia_report).  spectrum and
+count the inertia at one zero tolerance (_inertia_report); only theta,
+which sees waves alone, refuses an inertia no wave has.  spectrum and
 sweep rows read theta_spectrum; the benchmark's certificate (M = 128) and
 the probe's ground state read the grid route, the theta route's oracle.
 
@@ -368,6 +369,9 @@ def periodic_spectrum(coeffs: OperatorCoefficients, M: int) -> SpectralReport:
 # mode
 _THETA_LADDER = (16, 32, 64, 128, 256)
 _THETA_NODES_PER_MODE = 4
+# (n_neg, n_zero) on a wave: mu_x has two zeros a period, so by Sturm
+# oscillation 0 is the second or third periodic eigenvalue, simple or double
+_WAVE_INERTIAS = ((1, 1), (2, 1), (1, 2))
 
 
 def _theta_samples(params: WaveParameters, n: int) -> tuple[np.ndarray, ...]:
@@ -377,16 +381,22 @@ def _theta_samples(params: WaveParameters, n: int) -> tuple[np.ndarray, ...]:
     phi_x^2 = 2 (E - V), phi_xx = phi - mu and mu = a / (c - phi)^b, so
 
         mu_x^2 = phi_x^2 (b mu / (c - phi))^2,
-        mu_xx = b mu / (c - phi) (phi_xx + (b + 1) phi_x^2 / (c - phi))."""
+        mu_xx = b mu / (c - phi) (phi_xx + (b + 1) phi_x^2 / (c - phi)).
+    """
     theta = (np.arange(n) + 0.5) * (0.5 * np.pi / n)
     phi, P, G = _samples(theta, params, turning_point_data(params))
     b = params.b
     u = params.c - phi
     mu = params.a / _cpow(u, b)
     phi_x2 = 2.0 * P
-    mux2 = phi_x2 * (b * mu / u) ** 2
-    muxx = b * mu / u * (phi - mu + (b + 1.0) * phi_x2 / u)
-    p, symmetric_r = _sturm_liouville(mu, mux2, muxx, b, multipliers(params))
+    # at large b, mu^(-1/b - 4) can overflow: refused below, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        mux2 = phi_x2 * (b * mu / u) ** 2
+        muxx = b * mu / u * (phi - mu + (b + 1.0) * phi_x2 / u)
+        p, symmetric_r = _sturm_liouville(mu, mux2, muxx, b, multipliers(params))
+    if not all(np.isfinite(f).all() for f in (p, symmetric_r, G)):
+        raise CoefficientInconsistency(
+            "theta coefficients p, symmetric_r or G are not finite")
     return p, symmetric_r, G, mu, mux2
 
 
@@ -437,13 +447,14 @@ def theta_spectrum(params: WaveParameters) -> SpectralReport:
     at 4 K midpoint nodes; the first that passes the halving rule
     (_halving_move) against K // 2 (the rung below, or the leading
     sub-blocks at the first rung) is reported, and past the last the
-    point is refused with DiscretizationNotConverged.  The lowest sine
-    eigenvalue is the translation mode mu_x; it must vanish to the rule's
-    tolerance (CoefficientInconsistency otherwise), and its |lambda| is the
-    kernel residual of _inertia_report.  F1 and F2 by the midpoint rule on
-    the same nodes must agree with the Clenshaw-Curtis values of restricted_invariants to 1e-5
-    relative (RouteMismatch otherwise).  scale is operator_scale's on the
-    nodes, with the period of restricted_invariants.
+    point is refused with DiscretizationNotConverged, as is an inertia no
+    wave has (_WAVE_INERTIAS).  Non-finite coefficients, and a translation
+    mode mu_x (the lowest sine eigenvalue) that does not vanish to the
+    rule's tolerance, are refused with CoefficientInconsistency; that
+    |lambda| is the kernel residual of _inertia_report.  F1 and F2 by the midpoint rule on the same nodes must agree with the
+    Clenshaw-Curtis values of restricted_invariants to 1e-5 relative
+    (RouteMismatch otherwise).  scale is operator_scale's on the nodes,
+    with the period of restricted_invariants.
     """
     inv = restricted_invariants(params)
     below = None
@@ -472,14 +483,18 @@ def theta_spectrum(params: WaveParameters) -> SpectralReport:
     if kernel > tol:
         raise CoefficientInconsistency(
             f"translation mode eigenvalue {float(w_sine[0])!r} exceeds {tol!r}")
+    report = _inertia_report(evals, kernel, K, scale)
+    if (report.n_neg, report.n_zero) not in _WAVE_INERTIAS:
+        raise DiscretizationNotConverged(
+            f"theta inertia ({report.n_neg}, {report.n_zero}) is not a "
+            f"wave's at tau = {report.tau!r}")
     densities = invariant_densities(mu, np.sqrt(mux2), params.b)
     for name, density, quad in zip(("F1", "F2"), densities, (inv.F1, inv.F2)):
         midpoint = (np.pi / n) * float(np.sum(density * G))
         if abs(midpoint - quad) > 1e-5 * abs(quad):
             raise RouteMismatch(f"{name} routes disagree: theta midpoint "
                                 f"{midpoint!r} vs quadrature {quad!r}")
-
-    return _inertia_report(evals, kernel, K, scale)
+    return report
 
 
 def _minor(g1: np.ndarray, g2: np.ndarray, i: int, j: int) -> float:

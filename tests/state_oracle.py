@@ -1,7 +1,8 @@
-"""Exactly known states and direct routes that the package's evolution and
-spectra are checked against: the constant solution at the well bottom,
-the spectral shift of a grid field, and the H^1 distance to a shifted
-reference evaluated directly at one shift."""
+"""Exactly known states and direct routes that the package's evolution,
+spectra and profiles are checked against: the constant solution at the
+well bottom, the spectral shift of a grid field, the H^1 distance to a
+shifted reference evaluated directly at one shift, and the residual of
+the stationarity equation on a profile grid."""
 
 from __future__ import annotations
 
@@ -9,7 +10,9 @@ import math
 
 import numpy as np
 
-from bchwaves import WaveParameters, WaveProfile, critical_points, fourier
+from bchwaves import (WaveParameters, WaveProfile, critical_points, fourier,
+                      multipliers)
+from bchwaves.invariants import delta_F1, delta_F2
 from bchwaves.potential import _cpow
 
 
@@ -50,3 +53,17 @@ def h1_shift_distance(m: np.ndarray, ref: np.ndarray, period: float,
                       shift: float) -> float:
     """Direct H^1 distance ||m - ref(. - shift)||."""
     return fourier.h1_norm(m - circular_shift(ref, shift, period), period)
+
+
+def euler_lagrange_residual(profile: WaveProfile,
+                            omega1: float | None = None,
+                            omega2: float | None = None) -> float:
+    """Sup-norm residual of the stationarity equation
+    1 - omega1 dF1/dm - omega2 dF2/dm = 0 on the profile grid."""
+    b = profile.params.b
+    mults = multipliers(profile.params)
+    w1 = mults.omega1 if omega1 is None else omega1
+    w2 = mults.omega2 if omega2 is None else omega2
+    resid = (1.0 - w1 * delta_F1(profile.mu, b)
+             - w2 * delta_F2(profile.mu, profile.dmu, profile.d2mu, b))
+    return float(np.max(np.abs(resid)))

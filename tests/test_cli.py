@@ -44,17 +44,32 @@ def test_profile_missing_parameter(tmp_path, capsys):
 
 
 def test_classify_command(tmp_path, capsys):
-    rc = main(["classify", *REF, "--N", "256", "--out", str(tmp_path)])
+    """classify decides from the quadrature alone: it synthesizes no grid
+    profile, builds no grid Hill block and takes no --N."""
+    from bchwaves.profile import _synthesized
+    from bchwaves.spectral import _parity_blocks
+
+    rc = main(["classify", *REF, "--out", str(tmp_path)])
     assert rc == 0
     payload = json.loads((tmp_path / "classify.json").read_text())
+    assert set(payload) == {"classification", "jacobians", "config",
+                            "version"}
     assert payload["classification"] == "StableCriteriaMet"
     assert payload["jacobians"]["J_T_omega1"] > 0
     assert "theta" in payload["jacobians"]
-    assert payload["config"]["N"] == 256
+    assert {"T", "F1", "F2", "grad_T"} <= set(payload["jacobians"]["invariants"])
     # the echo holds only what classify reads
-    assert set(payload["config"]) == {"b", "a", "E", "c", "N", "out",
-                                      "command"}
+    assert set(payload["config"]) == {"b", "a", "E", "c", "out", "command"}
     assert "StableCriteriaMet" in capsys.readouterr().out
+    assert _synthesized.cache_info().misses == 0
+    assert _parity_blocks.cache_info().misses == 0
+
+    out = tmp_path / "n"
+    with pytest.raises(SystemExit) as exc:
+        main(["classify", *REF, "--N", "256", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --N 256" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_spectrum_command(tmp_path):
@@ -113,7 +128,8 @@ def test_spectrum_agrees_with_sweep(tmp_path):
     """At the 72 README sweep rows (six of which the grid route refuses at
     N = 512), spectrum exits 0; its spectrum.json holds the eigenvalues,
     n_neg, n_zero and M of theta_spectrum bit for bit, and its inertia is
-    the sweep row's."""
+    the sweep row's.  classify exits 0 there too, with the sweep row's
+    classification, J_T_omega1, J_T_F1 and J3 bit for bit."""
     out = tmp_path / "s"
     assert main([*_README_SWEEP, "--out", str(out)]) == 0
     with open(out / "sweep.csv", newline="", encoding="utf-8") as fh:
@@ -131,6 +147,11 @@ def test_spectrum_agrees_with_sweep(tmp_path):
                 == (want.n_neg, want.n_zero, want.M))
         assert (got["n_neg"], got["n_zero"]) == (int(row["n_neg"]),
                                                  int(row["n_zero"]))
+        assert main(["classify", *wave, "--out", str(out)]) == 0, row["index"]
+        got = json.loads((out / "classify.json").read_text())
+        assert got["classification"] == row["classification"]
+        for key in ("J_T_omega1", "J_T_F1", "J3"):
+            assert got["jacobians"][key] == float(row[key]), (row["index"], key)
 
 
 def _raise_coefficient_inconsistency(*args, **kwargs):
@@ -184,7 +205,6 @@ def test_every_package_error_is_a_named_refusal(error, tmp_path, capsys,
         raise error("injected")
 
     monkeypatch.setattr(cli, "parameter_jacobians", fail)
-    monkeypatch.setattr(cli, "classify_stability", fail)
     row = cli._sweep_row({"index": 0, "b": 2.0, "a": 0.1, "e_mode": "abs",
                           "e_val": 0.09, "c": 1.0})
     assert row["status"] == f"{error.__name__}: injected"
@@ -198,7 +218,8 @@ def test_random_sweep_rows_refuse_by_name():
     """60 seeded rows with b - 1 log-uniform in (1e-3, 100], c in
     [0.01, 10], a log-uniform in [1e-40, 1) a_max and E-fractions in
     (0.001, 0.999): every status is ok or names a package error, never a
-    bare ValueError."""
+    bare ValueError, and every ok row has the inertia {T, omega1} calls
+    for: (1, 1) where it is positive, (2, 1) where it is negative."""
     names = {cls.__name__ for cls in _error_classes()}
     rng = np.random.default_rng(21)
     for i in range(60):
@@ -207,8 +228,12 @@ def test_random_sweep_rows_refuse_by_name():
         a = 10.0 ** rng.uniform(-40.0, 0.0) * a_max(b, c)
         point = {"index": i, "b": b, "a": a, "e_mode": "frac",
                  "e_val": float(rng.uniform(0.001, 0.999)), "c": c}
-        status = cli._sweep_row(point)["status"]
+        row = cli._sweep_row(point)
+        status = row["status"]
         assert status == "ok" or status.split(":")[0] in names, status
+        if status == "ok":
+            inertia = (1, 1) if row["J_T_omega1"] > 0.0 else (2, 1)
+            assert (row["n_neg"], row["n_zero"]) == inertia, point
 
 
 def test_sweep_row_builds_no_grid_profile():
@@ -267,27 +292,30 @@ def test_classify_large_b(b, a, c, tmp_path):
                               rel=1e-12)
 
 
-def test_classify_past_the_potential_overflow(tmp_path, capsys):
+def test_classify_past_the_potential_overflow(tmp_path):
     """b = 1020, a = 0.001, c = 2, mid-well: (b - 1) (c - phi)^(b-1)
-    exceeds the double range near phi1, where V's a-term does not.  At
-    N = 512 the steep profile is refused by name (its F2 routes disagree,
-    exit 3); at N = 1024 it classifies, with the period of the shooting
-    oracle.  Warnings are errors here, so neither run overflows."""
+    exceeds the double range near phi1, where V's a-term does not.
+    classify reads the quadrature alone and classifies it, with the
+    period of the shooting oracle.  The grid cross-check of
+    classify_stability refuses the steep profile by name at N = 512 (its
+    F2 routes disagree) and classifies it at N = 1024.  Warnings are
+    errors here, so no run overflows."""
+    from bchwaves import RouteMismatch, classify_stability
     from quadrature_oracle import period_by_shooting
 
     b, a, c = 1020.0, 1e-3, 2.0
     scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=c))
     E = 0.5 * (scan.V_phi1 + scan.V_phi2)
-    args = ["classify", "--b", repr(b), "--a", repr(a), f"--E={E!r}",
-            "--c", repr(c), "--out", str(tmp_path)]
-    assert main(args) == 3
-    assert "F2 routes disagree" in capsys.readouterr().err
-    assert main([*args, "--N", "1024"]) == 0
+    params = WaveParameters(b, a, E, c)
+    assert main(["classify", "--b", repr(b), "--a", repr(a), f"--E={E!r}",
+                 "--c", repr(c), "--out", str(tmp_path)]) == 0
     report = json.loads((tmp_path / "classify.json").read_text())
     assert report["classification"] == "StableCriteriaMet"
     T = report["jacobians"]["invariants"]["T"]
-    assert T == pytest.approx(period_by_shooting(WaveParameters(b, a, E, c)),
-                              rel=1e-12)
+    assert T == pytest.approx(period_by_shooting(params), rel=1e-12)
+    with pytest.raises(RouteMismatch, match="^F2 routes disagree"):
+        classify_stability(params, N=512)
+    assert classify_stability(params, N=1024).classification == "StableCriteriaMet"
 
 
 def test_evolve_command(tmp_path):
@@ -491,13 +519,16 @@ def test_config_file_unknown_key(tmp_path, capsys):
 @pytest.mark.parametrize("command,config,named", [
     ("spectrum", {"N": 512.5}, "--N"), ("spectrum", {"modes": 64.0}, "modes"),
     ("spectrum", {"format": "xml"}, "--format"),
-    ("evolve", {"seed": 1.5}, "--seed"), ("classify", {"N": None}, "--N"),
+    ("evolve", {"seed": 1.5}, "--seed"),
+    # classify takes no --N: the key is refused as one it does not define
+    pytest.param("classify", {"N": 256}, "classify has no option N",
+                 id="classify-config4---N"),
     ("sweep", {"a_range": 5}, "MIN:MAX:COUNT"), ("sweep", {"jobs": 1.5}, "--jobs")])
 def test_config_file_values_are_checked(tmp_path, capsys, command, config,
                                         named):
     """A file value is checked as its flag would be, and refused (exit 2)
     before the command writes anything; so is a key the command does not
-    define (spectrum's former --modes)."""
+    define (spectrum's former --modes, classify's former --N)."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -586,7 +617,7 @@ def test_sweep_refuses_two_values_of_one_parameter(tmp_path, capsys, first,
 _COMMON = {"b", "a", "E", "c", "N", "out", "config"}
 _COMMAND_OPTIONS = {
     "profile": _COMMON,
-    "classify": _COMMON,
+    "classify": _COMMON - {"N"},
     "spectrum": _COMMON | {"format"},
     "evolve": _COMMON | {"dt-safety", "frame", "eps", "horizon-periods",
                          "perturbation", "seed"},
@@ -706,10 +737,10 @@ import bchwaves.cli
 from bchwaves import fourier
 
 out = sys.argv[1]
-ref = ["--b", "2", "--a", "0.1", "--E", "0.09", "--c", "1", "--N", "256",
-       "--out", out]
+wave = ["--b", "2", "--a", "0.1", "--E", "0.09", "--c", "1", "--out", out]
+ref = [*wave, "--N", "256"]
 codes = [
-    bchwaves.cli.main(["classify", *ref]),
+    bchwaves.cli.main(["classify", *wave]),
     bchwaves.cli.main(["spectrum", *ref]),
     bchwaves.cli.main(["sweep", "--b", "2", "--c", "1", "--a-range",
                        "0.1:0.1:1", "--E-frac-range", "0.5:0.5:1", "--jobs",

@@ -6,12 +6,14 @@ import scipy.linalg
 
 from bchwaves import (CoefficientInconsistency, DiscretizationNotConverged,
                       RouteMismatch, WaveParameters, apply_operator,
-                      assemble_operator, coercivity_probe,
+                      assemble_operator, coercivity_probe, critical_points,
                       family_derivatives, hill_matrix,
-                      kernel_residual, multipliers, periodic_spectrum,
-                      proof_identities, restricted_invariants,
-                      synthesize_profile, theta_spectrum)
+                      kernel_residual, multipliers, parameter_jacobians,
+                      periodic_spectrum, proof_identities,
+                      restricted_invariants, synthesize_profile,
+                      theta_spectrum)
 from bchwaves import fourier, spectral
+from bchwaves.cli import main
 from bchwaves.invariants import delta_F1, delta_F2
 from bchwaves.spectral import (SECOND_VARIATION_SCALE, _block_eigenvalues,
                                _ground_state, _parity_blocks,
@@ -655,3 +657,48 @@ def test_theta_ladder_refuses_past_its_cap(ref_params, monkeypatch):
     monkeypatch.setattr(spectral, "_THETA_LADDER", (4, 8))
     with pytest.raises(DiscretizationNotConverged, match="from 4$"):
         theta_spectrum(ref_params)
+
+
+def _mid_well(b, a, c, frac=0.5):
+    """The wave at energy fraction frac of the well, as a sweep row's
+    --E-frac-range places it."""
+    scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=c))
+    return WaveParameters(b=b, a=a, c=c,
+                          E=scan.V_phi2 + frac * (scan.V_phi1 - scan.V_phi2))
+
+
+def _assert_spectrum_refused(params, tmp_path, capsys, message):
+    """spectrum exits 3 at params, naming message, and writes nothing."""
+    out = tmp_path / "out"
+    wave = [f"--{k}={getattr(params, k)!r}" for k in ("b", "a", "E", "c")]
+    assert main(["spectrum", *wave, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("numerical error: ") and message in err
+    assert not (out / "spectrum.json").exists()
+
+
+@pytest.mark.parametrize("params", [
+    pytest.param(_mid_well(2.0, 1.4814814814814815e-05, 1.0), id="b2-small-a"),
+    pytest.param(_mid_well(50.0, 1e-3, 2.0), id="b50-c2"),
+    pytest.param(_mid_well(100.0, 1e-3, 2.0), id="b100-c2")])
+def test_theta_refuses_an_impossible_inertia(params, tmp_path, capsys):
+    """mu_x has two zeros a period, so by Sturm oscillation 0 is the second
+    or third periodic eigenvalue: (1, 1), (2, 1) and (1, 2) are the only
+    inertias of a wave.  At these points the zero tolerance, 1e-8 of an
+    operator scale of 3e7 to 1.5e25, counts three or more eigenvalues as
+    zero and none as negative, though the Jacobians classify: refused."""
+    assert parameter_jacobians(params).classification == "StableCriteriaMet"
+    with pytest.raises(DiscretizationNotConverged,
+                       match=r"^theta inertia \(0, \d+\) is not a wave's"):
+        theta_spectrum(params)
+    _assert_spectrum_refused(params, tmp_path, capsys, "theta inertia (0, ")
+
+
+def test_theta_refuses_non_finite_coefficients(tmp_path, capsys):
+    """b = 1020, a = 0.001, c = 2, mid-well: mu^(-1/b - 4) overflows near
+    the trough.  The theta route refuses the coefficients by name before
+    any transform, and no warning is raised (warnings are errors here)."""
+    params = _mid_well(1020.0, 1e-3, 2.0)
+    with pytest.raises(CoefficientInconsistency, match="not finite"):
+        theta_spectrum(params)
+    _assert_spectrum_refused(params, tmp_path, capsys, "not finite")
