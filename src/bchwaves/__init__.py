@@ -2,7 +2,7 @@
 construction, orbital-stability criteria, periodic spectra of the second
 variation, and time evolution of the momentum density."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .errors import (BchWavesError, BlowUp, CoefficientInconsistency,
                      ConvergenceFailure, DiscretizationNotConverged,

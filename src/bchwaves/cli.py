@@ -22,12 +22,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import BchWavesError
+from .errors import BchWavesError, RouteMismatch
 from .evolution import run_experiment
 from .invariants import CLASS_OUT_OF_SCOPE, parameter_jacobians
 from .potential import WaveParameters, critical_points
 from .profile import profile_header, synthesize_profile, write_profile_csv
-from .spectral import assemble_operator, proof_identities, theta_spectrum
+from .spectral import (IDENTITY_BOUNDS, assemble_operator, proof_identities,
+                       theta_spectrum)
 
 # what a command refuses: a package error, or bad input (exit code 2)
 _REFUSALS = (BchWavesError, ValueError)
@@ -104,6 +105,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
     spec = theta_spectrum(params)
     prof = synthesize_profile(params, args.N)
     ids = proof_identities(prof, coeffs=assemble_operator(prof))
+    for name, bound in IDENTITY_BOUNDS.items():
+        value = getattr(ids, name)
+        if not value <= bound:
+            raise RouteMismatch(f"grid proof identity {name} {value!r} exceeds "
+                                f"{bound!r} at --N {args.N}")
     out = _outdir(args)
     payload = {
         "spectrum": spec,

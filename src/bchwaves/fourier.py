@@ -120,27 +120,20 @@ def resample(v: np.ndarray, n_new: int) -> np.ndarray:
     return np.fft.irfft(c / (n / n_new), n=n_new)
 
 
-def random_smooth_coeffs(rng: np.random.Generator, count: int,
-                         kmax: int) -> np.ndarray:
-    """rfft coefficients on modes 0..kmax-1, shape (count, kmax), of count
-    random real periodic fields with spectrum decaying like 1/(1 + k)^2 on
-    modes 1..kmax-1; the higher modes are zero, so irfft(c, n=n) pads them.
-    Row i holds what the i-th of count single-field draws would give: real
-    parts, imaginary parts, then the mean."""
+def random_smooth(n: int, rng: np.random.Generator, count: int,
+                  kmax: int) -> np.ndarray:
+    """count random real periodic fields, shape (count, n), each scaled to
+    unit sup norm: the inverse transforms of rfft coefficients with
+    spectrum decaying like 1/(1 + k)^2 on modes 1..kmax-1 and zero above.
+    Row i is what the i-th of count single-field draws would give: the real
+    parts, the imaginary parts, then the mean."""
     z = rng.standard_normal((count, 2 * kmax - 1))
     decay = 1.0 / (1.0 + np.arange(1, kmax)) ** 2
     c = np.zeros((count, kmax), dtype=complex)
     c.real[:, 1:] = z[:, :kmax - 1] * decay
     c.imag[:, 1:] = z[:, kmax - 1:-1] * decay
     c.real[:, 0] = z[:, -1]
-    return c
-
-
-def random_smooth(n: int, rng: np.random.Generator, count: int,
-                  kmax: int) -> np.ndarray:
-    """count random real periodic fields, shape (count, n): the inverse
-    transforms of random_smooth_coeffs, each scaled to unit sup norm."""
-    v = np.fft.irfft(random_smooth_coeffs(rng, count, kmax), n=n)
+    v = np.fft.irfft(c, n=n)
     return v / np.max(np.abs(v), axis=-1, keepdims=True)
 
 
@@ -159,16 +152,9 @@ def orthonormalize(vectors, period: float) -> list[np.ndarray]:
     return basis
 
 
-def projection_coefficients(m: np.ndarray, orthonormal,
-                            period: float) -> np.ndarray:
-    """L2 inner products of m (one field or a (count, n) block) with each
-    member of an orthonormal set, over the last axis."""
-    u = np.asarray(orthonormal)
-    return (period / m.shape[-1]) * (m @ u.T)
-
-
 def project_out(m: np.ndarray, orthonormal, period: float) -> np.ndarray:
     """Remove the components along an orthonormal set from m, one field
-    or a (count, n) block of fields."""
+    or a (count, n) block of fields, by their L2 inner products over the
+    last axis."""
     u = np.asarray(orthonormal)
-    return m - projection_coefficients(m, u, period) @ u
+    return m - ((period / m.shape[-1]) * (m @ u.T)) @ u

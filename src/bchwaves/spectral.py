@@ -45,19 +45,17 @@ k = 1..M, each a Toeplitz-plus-Hankel matrix in d = |j - k|, s = j + k:
         (row and column 0 divided by sqrt(2)),
     S = kt kt^T (phat[d] + phat[s]) + rhat[d] - rhat[s],   j, k >= 1.
 
-Their eigenvalues together are those of H.  _parity_blocks builds both,
-and solves C, once per operator and mode count (a one-entry memo);
-periodic_spectrum reads C's eigenvalues and solves S, and their leading
-sub-blocks, which are the blocks at M // 2, for its convergence check,
-and the probe takes its ground state from C at M = N // 4 by inverse
-iteration, shifted by the lowest of those eigenvalues.  The caller
-gives M; periodic_spectrum tries no other.  The blocks are graded, their
-diagonal growing like kt^2 toward the bottom right, so they are solved
-from the upper triangle, whose tridiagonal reduction starts from that
-corner: the lowest eigenvalue then agrees with a long-double Rayleigh
-quotient to ~1e-14 relative, where the full matrix ordered -M..M loses
-~1e-12.  hill_matrix, the full matrix, stays as the reference the blocks
-are tested against.  (A collocation product of grid differentiation
+Their eigenvalues together are those of H.  _parity_blocks builds both
+once per operator and mode count (a one-entry memo): periodic_spectrum
+solves them, and their leading sub-blocks, which are the blocks at M // 2,
+for its convergence check, and coercivity_probe reads them at M = N // 4.
+The caller gives M; periodic_spectrum tries no other.  The blocks are
+graded, their diagonal growing like kt^2 toward the bottom right, so they
+are solved from the upper triangle, whose tridiagonal reduction starts
+from that corner: the lowest eigenvalue then agrees with a long-double
+Rayleigh quotient to ~1e-14 relative, where the full matrix ordered -M..M
+loses ~1e-12.  hill_matrix, the full matrix, stays as the reference the
+blocks are tested against.  (A collocation product of grid differentiation
 matrices is avoided deliberately: with even N its annihilated Nyquist mode
 produces a spurious eigenvalue at mean(r).)
 
@@ -87,14 +85,14 @@ Both routes certify convergence by one halving rule (_halving_move) and
 count the inertia at one zero tolerance (_inertia_report); only theta,
 which sees waves alone, refuses an inertia no wave has.  spectrum and
 sweep rows read theta_spectrum; the benchmark's certificate (M = 128) and
-the probe's ground state read the grid route, the theta route's oracle.
+the coercivity probe read the grid route, the theta route's oracle.
 
-The coercivity probe's random directions depend only on the grid size N,
-the seed and the trial count, not on the wave: _probe_directions draws them
-and keeps their grid values and derivatives once per such triple (a
-one-entry memo), so a run that probes many waves with one seed pays for the
-draw and its inverse FFTs once, and each wave's probe is matrix products on
-those grids plus one inverse FFT for its two fixed rows.
+The coercivity probe is exact on the modes 0..N // 4: in the bases above
+the H^1 Gram matrix is K = diag(1 + kt^2), so the stationary values of the
+quotient <L v, v> / ||v||_{H^1}^2 are the eigenvalues of K^(-1/2) C K^(-1/2)
+and K^(-1/2) S K^(-1/2), a congruence of C and S, which keeps their
+inertia (Sylvester's law).  The constraints of the coercivity argument,
+{dF1/dm, dF2/dm} (even) and mu_x (odd), are removed by one QR per block.
 """
 
 from __future__ import annotations
@@ -114,8 +112,11 @@ from .potential import WaveParameters, _cpow
 from .profile import WaveProfile, _samples, turning_point_data
 
 SECOND_VARIATION_SCALE = -0.5
-# rows per block of probe directions; bounds the probe's working memory
-_PROBE_BLOCK = 64
+# the proof-identity residuals above which spectrum refuses its grid as
+# unresolved: the reference wave reads <= 7.4e-8 from N = 64 on
+IDENTITY_BOUNDS = {"muE_residual": 1e-4, "muc_residual": 1e-4,
+                   "psi_identity_residual": 1e-3,
+                   "tangent_orthogonality": 1e-4}
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,7 +166,6 @@ class ProofIdentityReport:
 class ProbeReport:
     min_quotient: float
     n_negative: int
-    trials: int
     projected: bool
 
 
@@ -231,13 +231,11 @@ def hill_matrix(coeffs: OperatorCoefficients, M: int) -> np.ndarray:
 
 
 # one entry: the spectrum and the probe of one operator share its blocks
-# and the eigenvalues of C
 @lru_cache(maxsize=1)
 def _parity_blocks(coeffs: OperatorCoefficients, M: int
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Read-only cosine block C, (M+1)^2, sine block S, M^2, of
-    hill_matrix(coeffs, M) (see the module docstring), and the sorted
-    eigenvalues of C, solved from the upper triangle.  The leading
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only cosine block C, (M+1)^2, and sine block S, M^2, of
+    hill_matrix(coeffs, M) (see the module docstring).  The leading
     sub-blocks C[:m+1, :m+1] and S[:m, :m] are the blocks for m < M
     modes."""
     n = coeffs.p.shape[0]
@@ -256,36 +254,9 @@ def _parity_blocks(coeffs: OperatorCoefficients, M: int
     S = (kk * (pd + ps) + rd - rs)[1:, 1:]
     C[0] /= np.sqrt(2.0)
     C[:, 0] /= np.sqrt(2.0)
-    w = np.linalg.eigvalsh(C, UPLO="U")
-    for block in (C, S, w):
+    for block in (C, S):
         block.setflags(write=False)
-    return C, S, w
-
-
-def _ground_state(coeffs: OperatorCoefficients, M: int) -> tuple[float, np.ndarray]:
-    """Lowest periodic eigenvalue over modes -M..M and its eigenfunction as
-    rfft coefficients on the coefficient grid, L2-normalized.
-
-    The ground state is simple and free of zeros, hence even: it is the
-    lowest eigenvector of the cosine block C.  Two steps of inverse
-    iteration with C shifted by its lowest eigenvalue, from the constant
-    mode (which a zero-free ground state does not annihilate), give it to
-    rounding, since the shift sits ~1e-14 relative from that eigenvalue
-    and far from the next.
-    """
-    C, _, w = _parity_blocks(coeffs, M)
-    lam = float(w[0])
-    shifted = C - lam * np.eye(M + 1)
-    g = np.zeros(M + 1)
-    g[0] = 1.0
-    for _ in range(2):
-        g = np.linalg.solve(shifted, g)
-        g /= np.linalg.norm(g)
-    n = coeffs.p.shape[0]
-    ground = np.zeros(n // 2 + 1, dtype=complex)
-    ground[:M + 1] = g * (n / np.sqrt(2.0 * coeffs.T))
-    ground[0] *= np.sqrt(2.0)
-    return lam, ground
+    return C, S
 
 
 def operator_scale(coeffs: OperatorCoefficients) -> float:
@@ -351,8 +322,8 @@ def periodic_spectrum(coeffs: OperatorCoefficients, M: int) -> SpectralReport:
     if M < 4:
         raise ValueError(f"Hill mode count must be at least 4, got {M}")
     scale = operator_scale(coeffs)
-    C, S, w = _parity_blocks(coeffs, M)
-    evals = np.sort(np.concatenate([w, np.linalg.eigvalsh(S, UPLO="U")]))
+    C, S = _parity_blocks(coeffs, M)
+    evals = _block_eigenvalues(C, S)
     below = _block_eigenvalues(C[:M // 2 + 1, :M // 2 + 1], S[:M // 2, :M // 2])
     move, tol = _halving_move(evals, below, scale)
     if move <= tol:
@@ -451,9 +422,10 @@ def theta_spectrum(params: WaveParameters) -> SpectralReport:
     wave has (_WAVE_INERTIAS).  Non-finite coefficients, and a translation
     mode mu_x (the lowest sine eigenvalue) that does not vanish to the
     rule's tolerance, are refused with CoefficientInconsistency; that
-    |lambda| is the kernel residual of _inertia_report.  F1 and F2 by the midpoint rule on the same nodes must agree with the
-    Clenshaw-Curtis values of restricted_invariants to 1e-5 relative
-    (RouteMismatch otherwise).  scale is operator_scale's on the nodes,
+    |lambda| is the kernel residual of _inertia_report.  F1 and F2 by the
+    midpoint rule on the same nodes must agree with the Clenshaw-Curtis
+    values of restricted_invariants to 1e-5 relative (RouteMismatch
+    otherwise).  scale is operator_scale's on the nodes,
     with the period of restricted_invariants.
     """
     inv = restricted_invariants(params)
@@ -565,121 +537,62 @@ def proof_identities(profile: WaveProfile,
         convention_scale=kappa)
 
 
-# one entry: the probe's random directions depend on the grid, the seed and
-# the trial count, not on the wave, so successive points share their grids
-@lru_cache(maxsize=1)
-def _probe_directions(n: int, seed: int, count: int
-                      ) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only grids, shape (count, 2n), of the probe's count random
-    directions, and each one's sup norm.  Row i is [v_i, v_i'] with v_i' the
-    derivative at unit wavenumber spacing: the irfft of the coefficients c_i
-    of fourier.random_smooth_coeffs from a fresh default_rng(seed) on the
-    modes below n/3, where they are non-zero, and of 1j k c_i.  They are
-    drawn and transformed _PROBE_BLOCK rows at a time from one generator,
-    which gives the same rows as one draw of all count."""
-    kmax = n // 3
-    rng = np.random.default_rng(seed)
-    grids = np.empty((count, 2 * n))
-    sup = np.empty(count)
-    ik = 1j * np.arange(kmax)
-    for start in range(0, count, _PROBE_BLOCK):
-        rows = grids[start:start + _PROBE_BLOCK]
-        c = fourier.random_smooth_coeffs(rng, len(rows), kmax)
-        np.fft.irfft(np.stack([c, ik * c], axis=1), n=n,
-                     out=rows.reshape(len(rows), 2, n))
-        sup[start:start + len(rows)] = np.max(np.abs(rows[:, :n]), axis=-1)
-    grids.setflags(write=False)
-    sup.setflags(write=False)
-    return grids, sup
+def _complement_eigenvalues(B: np.ndarray, G: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the symmetric B on the orthogonal complement of the
+    columns of G, from one QR of G.  A column at most 1e-14 of the largest,
+    or whose part off the earlier ones is, is vanishing or dependent and
+    dropped, as fourier.orthonormalize drops it (exact for the two columns
+    a parity block has at most)."""
+    norms = np.linalg.norm(G, axis=0)
+    tol = 1e-14 * np.max(norms)
+    Q, R = np.linalg.qr(G[:, norms > tol], mode="complete")
+    Z = Q[:, int(np.sum(np.abs(np.diag(R)) > tol)):]
+    return np.linalg.eigvalsh(Z.T @ B @ Z)
 
 
 def coercivity_probe(coeffs: OperatorCoefficients, profile: WaveProfile,
                      trials: int = 1000, seed: int = 0,
                      project: bool = True) -> ProbeReport:
-    """Minimum H^1 Rayleigh quotient of the operator over smooth directions.
+    """Exact minimum of the H^1 Rayleigh quotient <L v, v> / ||v||_{H^1}^2
+    over the trigonometric polynomials v of modes 0..M, M = N // 4, and the
+    number of its negative stationary values.
 
-    The candidates are the spectral ground state (from the Hill cosine
-    block, see _ground_state), the constant direction, and random smooth
-    fields from fourier.random_smooth_coeffs, trials in all; an
-    unconstrained probe (project=False) therefore reliably finds the
-    negative direction.  With project=True each candidate is first
-    projected onto the orthogonal complement of {dF1/dm, dF2/dm, mu_x},
-    the constrained subspace where coercivity is claimed; a strictly
-    positive minimum certifies it at probe resolution only.  The random
-    fields depend only on (N, seed, trials), so their grids are built once
-    per such triple (_probe_directions) and shared by every wave probed
-    with it; a probe transforms only the two fixed rows (and, projecting,
-    the derivatives of the basis), in one inverse FFT.
+    With project=True, v is held orthogonal to dF1/dm, dF2/dm and mu_x, the
+    constrained subspace where coercivity is claimed; a strictly positive
+    minimum certifies it on those modes.  The blocks C and S of
+    _parity_blocks(coeffs, M) are scaled by K^(-1/2), K = diag(1 + kt^2) the
+    H^1 Gram matrix of their bases (see the module docstring), and the
+    constraints, as columns of their L2 coefficients in those bases scaled
+    alike, are removed by one QR per block (_complement_eigenvalues): the
+    even pair {dF1, dF2} from the cosine block and mu_x from the sine block.
+    project=False skips the QR; n_negative is then the Hill matrix's count
+    of negative eigenvalues at M modes (Sylvester).  It counts the values
+    below -1e-8 max|lambda|, so that the translation mode's, which is
+    rounding (|lambda| <= 5e-16 on the panel), is not.
 
-    Every candidate is a grid row [v, v'/s]: its values, and its derivative
-    at unit wavenumber spacing (s = 2 pi / T).  The projection acts on
-    both halves at once through the rows [u, u'/s] of the basis, and the
-    quotient is formed on the grid by one product with the (2N, 2) weights
-    W = (T/N) [[1, symmetric_r], [s^2, s^2 p]] of the squared row:
-
-        ||v||_{H^1}^2 = (T/N) sum(v^2 + v'^2),
-        <L v, v> = (T/N) sum(p v'^2 + symmetric_r v^2),
-
-    which equals <apply_operator(v), v> because the spectral derivative is
-    skew-adjoint in the grid inner product.  Rows go in blocks of
-    _PROBE_BLOCK.  Each counts as scaled to unit sup norm before
-    projection; the quotient does not see the scale, so only the skip of
-    rows with ||v||_{H^1}^2 <= 1e-20 uses it.
+    trials and seed are not read, since no direction is sampled; they
+    remain because benchmarks/run.py passes them.
     """
-    b, T, n = profile.params.b, profile.T, profile.N
-    s = 2.0 * np.pi / T
-    # derivative symbol at unit spacing, Nyquist zeroed as in
-    # fourier.spectral_derivative
-    k = np.arange(n // 2 + 1)
-    unit_deriv = 1j * np.where(2 * k == n, 0, k)
-
-    # one inverse FFT: the ground state and its derivative, the constant
-    # and its (zero) derivative, then the basis derivatives
-    spec = np.zeros((7 if project else 4, n // 2 + 1), dtype=complex)
-    spec[0] = _ground_state(coeffs, n // 4)[1]
-    spec[1] = spec[0] * unit_deriv
-    spec[2, 0] = n  # the constant direction
+    M = profile.N // 4
+    C, S = _parity_blocks(coeffs, M)
+    kt = 2.0 * np.pi * np.arange(M + 1) / coeffs.T
+    scale = 1.0 / np.sqrt(1.0 + kt**2)
+    cosine = C * np.outer(scale, scale)
+    sine = S * np.outer(scale[1:], scale[1:])
     if project:
-        dF1 = delta_F1(profile.mu, b)
-        dF2 = delta_F2(profile.mu, profile.dmu, profile.d2mu, b)
-        basis = np.array(fourier.orthonormalize((dF1, dF2, profile.dmu), T))
-        spec[4:] = np.fft.rfft(basis) * unit_deriv
-    grids = np.fft.irfft(spec, n=n)
-    fixed = grids[:4].reshape(2, 2 * n)
-    if project:
-        rows_basis = np.hstack([basis, grids[4:]])
-    drawn, drawn_sup = _probe_directions(n, seed, max(trials - len(fixed), 0))
-
-    W = np.empty((2 * n, 2))
-    W[:n, 0] = 1.0
-    W[:n, 1] = coeffs.symmetric_r
-    W[n:, 0] = s * s
-    W[n:, 1] = (s * s) * coeffs.p
-    W *= T / n
-
-    blocks = [(fixed, np.max(np.abs(fixed[:, :n]), axis=-1))]
-    blocks += [(drawn[i:i + _PROBE_BLOCK], drawn_sup[i:i + _PROBE_BLOCK])
-               for i in range(0, len(drawn), _PROBE_BLOCK)]
-    # reused by every block: allocating it per block made the probe ~1.4x slower
-    buf = np.empty((_PROBE_BLOCK, 2 * n))
-    min_q = np.inf
-    n_negative = 0
-    evaluated = 0
-    for G, sup in blocks:
-        X = buf[:len(G)]
-        if project:
-            coef = fourier.projection_coefficients(G[:, :n], basis, T)
-            np.matmul(coef, rows_basis, out=X)
-            np.subtract(G, X, out=X)
-            X *= X
-        else:
-            np.multiply(G, G, out=X)
-        h1, quad = (X @ W).T
-        keep = h1 > 1e-20 * sup**2
-        q = quad[keep] / h1[keep]
-        evaluated += q.size
-        if q.size:
-            min_q = min(min_q, float(np.min(q)))
-            n_negative += int(np.sum(q < 0.0))
-    return ProbeReport(min_quotient=float(min_q), n_negative=n_negative,
-                       trials=evaluated, projected=project)
+        # the constraints' L2 coefficients in the bases, scaled as the blocks
+        b, n = profile.params.b, profile.N
+        hat = np.fft.rfft(np.stack([
+            delta_F1(profile.mu, b),
+            delta_F2(profile.mu, profile.dmu, profile.d2mu, b),
+            profile.dmu]))[:, :M + 1] * (scale * np.sqrt(2.0) / n)
+        hat[:, 0] /= np.sqrt(2.0)
+        evals = np.concatenate([
+            _complement_eigenvalues(cosine, hat[:2].real.T),
+            _complement_eigenvalues(sine, hat[2, 1:, None].imag)])
+    else:
+        evals = np.concatenate([np.linalg.eigvalsh(cosine),
+                                np.linalg.eigvalsh(sine)])
+    tol = 1e-8 * float(np.max(np.abs(evals)))
+    return ProbeReport(min_quotient=float(np.min(evals)),
+                       n_negative=int(np.sum(evals < -tol)), projected=project)

@@ -11,7 +11,7 @@ from bchwaves import (WaveParameters, assemble_operator, critical_points,
 from bchwaves.invariants import _complex_step_table, restricted_invariants
 from bchwaves.potential import _critical_values
 from bchwaves.profile import _synthesized, turning_point_data
-from bchwaves.spectral import _parity_blocks, _probe_directions
+from bchwaves.spectral import _parity_blocks
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
 B_VALUES = (1.5, 2.0, 2.5, 3.0, 4.0)
@@ -20,10 +20,9 @@ B_VALUES = (1.5, 2.0, 2.5, 3.0, 4.0)
 STEEPNESS_GUARD = 0.15
 
 
-# the one-entry memos of the per-point stages, and the probe's directions
+# the one-entry memos of the per-point stages
 POINT_MEMOS = (_critical_values, turning_point_data, _synthesized,
-               _complex_step_table, restricted_invariants, _parity_blocks,
-               _probe_directions)
+               _complex_step_table, restricted_invariants, _parity_blocks)
 
 
 @pytest.fixture(autouse=True)

@@ -63,10 +63,19 @@ def test_spectral_derivative_skew_adjoint(n):
 
 
 def test_random_smooth_is_the_scaled_transform_of_its_coefficients():
-    coeffs = fourier.random_smooth_coeffs(np.random.default_rng(5), 4, 85)
-    v = np.fft.irfft(coeffs, n=256)
-    fields = fourier.random_smooth(256, np.random.default_rng(5), 4, 85)
+    """Each field is the inverse transform of coefficients drawn as real
+    parts, imaginary parts, then the mean, with spectrum 1/(1 + k)^2 on
+    modes 1..kmax-1 and none above, scaled to unit sup norm."""
+    n, count, kmax = 256, 4, 85
+    z = np.random.default_rng(5).standard_normal((count, 2 * kmax - 1))
+    decay = 1.0 / (1.0 + np.arange(1, kmax)) ** 2
+    coeffs = np.zeros((count, kmax), dtype=complex)
+    coeffs[:, 0] = z[:, -1]
+    coeffs[:, 1:] = (z[:, :kmax - 1] + 1j * z[:, kmax - 1:-1]) * decay
+    v = np.fft.irfft(coeffs, n=n)
+    fields = fourier.random_smooth(n, np.random.default_rng(5), count, kmax)
     assert np.array_equal(fields, v / np.max(np.abs(v), axis=-1, keepdims=True))
+    assert np.max(np.abs(np.fft.rfft(fields)[:, kmax:])) < 1e-12
 
 
 def test_project_out_matches_sequential_projection():
@@ -74,14 +83,13 @@ def test_project_out_matches_sequential_projection():
     rng = np.random.default_rng(8)
     basis = fourier.orthonormalize(rng.standard_normal((3, n)), T)
     block = rng.standard_normal((5, n))
-    coef = fourier.projection_coefficients(block, basis, T)
-    assert coef.shape == (5, 3)
     want = block.copy()
     for u in basis:
         want -= (T * np.mean(want * u, axis=-1, keepdims=True)) * u
     got = fourier.project_out(block, basis, T)
+    assert got.shape == (5, n)
     assert np.allclose(got, want, rtol=0, atol=1e-14)
-    assert np.max(np.abs(fourier.projection_coefficients(got, basis, T))) < 1e-14
+    assert max(abs(fourier.l2_inner(g, u, T)) for g in got for u in basis) < 1e-14
     assert np.allclose(fourier.project_out(block[0], basis, T), got[0],
                        rtol=0, atol=1e-15)
 
