@@ -2,7 +2,7 @@
 construction, orbital-stability criteria, periodic spectra of the second
 variation, and time evolution of the momentum density."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .errors import (BchWavesError, BlowUp, CoefficientInconsistency,
                      ConvergenceFailure, DiscretizationNotConverged,
@@ -11,9 +11,7 @@ from .errors import (BchWavesError, BlowUp, CoefficientInconsistency,
 from .evolution import (EvolutionState, RunDiagnostics, cfl_dt,
                         make_perturbation, orbital_distance,
                         reconstruct_velocity, run_experiment, step)
-from .invariants import (CrestIdentityReport, InvariantSet, JacobianReport,
-                         Multipliers, StabilityReport, crest_identities,
-                         classify_stability, conserved_quantities,
+from .invariants import (InvariantSet, JacobianReport, Multipliers,
                          family_derivatives, multipliers, parameter_jacobians,
                          restricted_invariants)
 from .potential import (PotentialScan, WaveParameters, a_max, critical_points,
@@ -21,9 +19,7 @@ from .potential import (PotentialScan, WaveParameters, a_max, critical_points,
 from .profile import (ProfileResiduals, WaveProfile, period, profile_residuals,
                       synthesize_profile, wave_integral, write_profile_csv)
 from .spectral import (SECOND_VARIATION_SCALE, OperatorCoefficients,
-                       ProbeReport, ProofIdentityReport, SpectralReport,
-                       apply_operator, assemble_operator, coercivity_probe,
-                       hill_matrix, kernel_residual, periodic_spectrum,
-                       proof_identities, theta_spectrum)
+                       ProofIdentityReport, SpectralReport, apply_operator,
+                       assemble_operator, proof_identities, theta_spectrum)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -133,7 +133,7 @@ def cmd_evolve(args: argparse.Namespace) -> int:
     params = _params_from(args)
     prof = synthesize_profile(params, args.N)
     diag = run_experiment(prof, eps=args.eps,
-                          horizon_periods=args.horizon_periods, N=args.N,
+                          horizon_periods=args.horizon_periods,
                           dt_safety=args.dt_safety, mode=args.perturbation,
                           frame=args.frame, seed=args.seed)
     out = _outdir(args)
@@ -165,10 +165,13 @@ _SWEEP_COLUMNS = ["index", "b", "a", "E", "c", "status", "T", "F1", "F2",
 
 
 def _range_values(text: str) -> list[float]:
-    """The COUNT values of a MIN:MAX:COUNT range; ValueError if malformed."""
+    """The COUNT values of a MIN:MAX:COUNT range; ValueError if malformed,
+    or if COUNT is 1 and MIN differs from MAX, since only MIN would run."""
     lo, hi, count = text.split(":")
     if int(count) < 1:
         raise ValueError("range count must be positive")
+    if int(count) == 1 and float(lo) != float(hi):
+        raise ValueError("a one-value range needs MIN = MAX")
     return np.linspace(float(lo), float(hi), int(count)).tolist()
 
 
@@ -179,7 +182,8 @@ def _range_option(text: str) -> str:
         _range_values(text)
     except ValueError:
         raise argparse.ArgumentTypeError(
-            f"range must be MIN:MAX:COUNT with COUNT >= 1, got {text!r}") from None
+            f"range must be MIN:MAX:COUNT with COUNT >= 1 (MIN = MAX if "
+            f"COUNT is 1), got {text!r}") from None
     return text
 
 

@@ -255,27 +255,28 @@ def make_perturbation(mu: np.ndarray, period: float, b: float, eps: float,
     if mode == "constrained":
         dmu = fourier.spectral_derivative(mu, period, 1)
         d2mu = fourier.spectral_derivative(mu, period, 2)
-        basis = fourier.orthonormalize(
-            (delta_F1(mu, b), delta_F2(mu, dmu, d2mu, b)), period)
-        v = fourier.project_out(v, basis, period)
+        v = fourier.project_out(v, (delta_F1(mu, b),
+                                    delta_F2(mu, dmu, d2mu, b)))
     elif mode != "raw":
         raise ValueError(f"unknown perturbation mode {mode!r}")
     return v * (eps / fourier.h1_norm(v, period))
 
 
 def run_experiment(profile: WaveProfile, eps: float,
-                   horizon_periods: float = 50.0, N: int = 512,
+                   horizon_periods: float = 50.0, N: int | None = None,
                    dt_safety: float = 0.5, mode: str = "raw",
                    frame: str = "traveling", n_samples: int = 200,
                    seed: int = 0) -> RunDiagnostics:
     """Evolve mu + v and record conserved-quantity drifts and the orbital
     semidistance rho(m(t), mu) at sample instants.
 
-    One period means the temporal period T/c of the lab-frame wave.
-    Positivity loss and blow-up are experiment outcomes, recorded in the
-    diagnostics rather than raised.  An eps below zero, a horizon_periods
-    or dt_safety not above zero, or any of them not finite raises
-    ValueError naming it.
+    The run evolves on the profile's grid, never resampled: an N other
+    than profile.N raises ValueError naming both (N remains because
+    benchmarks/run.py passes it).  One period means the temporal period
+    T/c of the lab-frame wave.  Positivity loss and blow-up are experiment
+    outcomes, recorded in the diagnostics rather than raised.  An eps
+    below zero, a horizon_periods or dt_safety not above zero, or any of
+    them not finite raises ValueError naming it.
     """
     params = profile.params
     b, c = params.b, params.c
@@ -289,12 +290,13 @@ def run_experiment(profile: WaveProfile, eps: float,
                         ("dt_safety", dt_safety)):
         if not (np.isfinite(value) and value > 0.0):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    n = profile.N
+    if N not in (None, n):
+        raise ValueError(f"N = {N} differs from the profile's {n} points")
 
-    n = N
-    mu = fourier.resample(profile.mu, n) if n != profile.N else profile.mu
     # the reference: the wave filtered to the 2/3 band, kept as its half
     # spectrum for the samples and on the grid for the perturbation
-    muh = np.fft.rfft(mu) * fourier.rfft_tools(n, period)[2]
+    muh = np.fft.rfft(profile.mu) * fourier.rfft_tools(n, period)[2]
     mu = np.fft.irfft(muh, n=n)
     m0 = mu
     if eps > 0.0:

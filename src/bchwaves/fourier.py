@@ -2,7 +2,10 @@
 
 All functions assume N samples of a real T-periodic function at
 x_j = j*T/N.  Integrals use the periodic trapezoid rule (T * mean), which
-is spectrally accurate for smooth periodic data.
+is spectrally accurate for smooth periodic data.  Every transform is an
+rfft.  orthonormal_basis owns the one rule that drops a vanishing or
+dependent constraint, relative to the largest, for project_out and for
+the coercivity probe (spectral._complement_eigenvalues).
 """
 
 from __future__ import annotations
@@ -10,11 +13,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-
-
-def wavenumbers(n: int, period: float) -> np.ndarray:
-    """Angular wavenumbers 2*pi*k/T in FFT ordering."""
-    return 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
 
 
 @lru_cache(maxsize=16)
@@ -82,42 +80,15 @@ def trig_interpolate(v: np.ndarray, period: float, x_new: np.ndarray) -> np.ndar
     """Evaluate the trigonometric interpolant of the samples at new points.
 
     Periodic in the sample period, so x_new may lie outside [0, T).  The
-    Nyquist mode (even N) is treated as a pure cosine.
+    Nyquist mode (even N) is treated as a pure cosine: each rfft mode
+    strictly between 0 and N/2 stands for itself and its conjugate.
     """
     n = v.shape[-1]
-    c = np.fft.fft(v) / n
-    k = wavenumbers(n, period)
+    c = np.fft.rfft(v) / n
+    c[1:(n + 1) // 2] *= 2.0
     x = np.atleast_1d(np.asarray(x_new, dtype=float))
-    out = np.zeros_like(x)
-    if n % 2 == 0:
-        interior = np.r_[0:n // 2, n // 2 + 1:n]
-        out += np.real(np.exp(1j * np.outer(x, k[interior])) @ c[interior])
-        out += np.real(c[n // 2]) * np.cos(k[n // 2] * x)
-    else:
-        out += np.real(np.exp(1j * np.outer(x, k)) @ c)
-    if np.isscalar(x_new) or np.asarray(x_new).ndim == 0:
-        return out[0]
-    return out
-
-
-def resample(v: np.ndarray, n_new: int) -> np.ndarray:
-    """Trigonometric resampling onto n_new uniform points.
-
-    Upsampling is exact; downsampling truncates modes above the new
-    Nyquist (exact for data band-limited to the coarser grid).  The rfft
-    coefficients are zero-padded or truncated; the Nyquist mode of the
-    even one of the two grids has no partner, so it is halved into a
-    cosine pair when upsampling and takes the pair's sum, twice its
-    coefficient, when downsampling (scipy.signal.resample's convention).
-    """
-    n = v.shape[-1]
-    if n_new == n:
-        return v.copy()
-    m = min(n, n_new)
-    c = np.fft.rfft(v)[..., :m // 2 + 1]
-    if m % 2 == 0:
-        c[..., m // 2] *= 2.0 if n_new < n else 0.5
-    return np.fft.irfft(c / (n / n_new), n=n_new)
+    out = np.real(np.exp(1j * np.outer(x, rfft_tools(n, period)[0])) @ c)
+    return out[0] if np.ndim(x_new) == 0 else out
 
 
 def random_smooth(n: int, rng: np.random.Generator, count: int,
@@ -137,24 +108,22 @@ def random_smooth(n: int, rng: np.random.Generator, count: int,
     return v / np.max(np.abs(v), axis=-1, keepdims=True)
 
 
-def orthonormalize(vectors, period: float) -> list[np.ndarray]:
-    """L2-orthonormal basis spanning the given vectors (modified
-    Gram-Schmidt); required before projecting, since e.g. dF1/dm and
-    dF2/dm are far from orthogonal."""
-    basis: list[np.ndarray] = []
-    for v in vectors:
-        w = v.astype(float).copy()
-        for u in basis:
-            w -= l2_inner(w, u, period) * u
-        nrm = l2_norm(w, period)
-        if nrm > 1e-14:
-            basis.append(w / nrm)
-    return basis
+def orthonormal_basis(columns: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning those of columns, shape (n, count), by
+    one QR.  A column at or below 1e-14 of the largest, or whose part off
+    the earlier columns is, is vanishing or dependent and dropped; the
+    rule is relative, so the basis does not depend on the columns' scale,
+    and exact for the two columns every caller has at most."""
+    norms = np.linalg.norm(columns, axis=0)
+    tol = 1e-14 * np.max(norms)
+    Q, R = np.linalg.qr(columns[:, norms > tol])
+    return Q[:, np.abs(np.diag(R)) > tol]
 
 
-def project_out(m: np.ndarray, orthonormal, period: float) -> np.ndarray:
-    """Remove the components along an orthonormal set from m, one field
-    or a (count, n) block of fields, by their L2 inner products over the
-    last axis."""
-    u = np.asarray(orthonormal)
-    return m - ((period / m.shape[-1]) * (m @ u.T)) @ u
+def project_out(m: np.ndarray, constraints) -> np.ndarray:
+    """m, one field or a (count, n) block of fields, less its projection
+    onto the span of the constraint fields (orthonormal_basis).  The L2
+    weight of the uniform grid is the constant T / n, so the L2
+    projection is the Euclidean one of the samples."""
+    Q = orthonormal_basis(np.asarray(constraints, dtype=float).T)
+    return m - (m @ Q) @ Q.T

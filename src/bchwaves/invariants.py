@@ -40,8 +40,8 @@ from .errors import FDUnreliable, RouteMismatch
 from .potential import WaveParameters, _cpow
 from .profile import (_COMPLEX_STEP, _REL_TOL, WaveProfile, _cheb_ends,
                       _cheb_integral, _cheb_values, _complex_steps,
-                      _complex_turning_points, _samples, synthesize_profile,
-                      turning_point_data, wave_integral)
+                      _complex_turning_points, _momentum, _samples,
+                      synthesize_profile, turning_point_data, wave_integral)
 
 CLASS_STABLE = "StableCriteriaMet"
 CLASS_DEGENERATE = "TrichotomyCase_ii"
@@ -264,9 +264,8 @@ def _crest_quantities(params: WaveParameters, tp) -> tuple:
     of {mu_+, omega1}_{E,c}; complex steps pass through."""
     a, b, c = params.a, params.b, params.c
     phip = tp.phi_max
-    phipp0 = phip - a / _cpow(c - phip, b)
-    mup = a / _cpow(c - phip, b)
-    muxx0 = b * phipp0 * mup / (c - phip)
+    mup, _, muxx0 = _momentum(phip, 0.0, params)
+    phipp0 = phip - mup
     J_mu_w1 = (a ** (1.0 - 1.0 / b) * (b - 1.0) * b
                * (-(c - phip) / phipp0) / _cpow(c - phip, b + 1.0))
     return phip, phipp0, mup, muxx0, J_mu_w1

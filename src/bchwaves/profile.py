@@ -47,12 +47,9 @@ and its second derivative are tabulated at Lobatto points, and each grid
 sample is found by Newton iteration on the quintic Hermite interpolant of
 the table interval that holds it; one evaluation of the exact series then
 checks the residual.
-Grid derivatives are analytic: phi'' = phi - a/(c-phi)^b from the profile
-equation, phi' = -sqrt(2 (E - V)) on the decreasing half, and the
-momentum density mu = a/(c-phi)^b with
-
-    mu_x = b phi' mu / (c - phi),
-    mu_xx = b phi'' mu / (c - phi) + b (b+1) (phi')^2 mu / (c - phi)^2.
+Grid derivatives are analytic: phi' = -sqrt(2 (E - V)) on the decreasing
+half, and phi'' and the momentum density mu = a/(c-phi)^b with its
+derivatives come from _momentum, the one closed form of mu, mu_x, mu_xx.
 """
 
 from __future__ import annotations
@@ -531,6 +528,18 @@ def _noise_cut(mag: np.ndarray) -> int:
     return 1 + int(np.argmax(quiet)) if quiet.any() else mag.size
 
 
+def _momentum(phi, phi_x2, params: WaveParameters | _Params) -> tuple:
+    """(mu, f, mu_xx) of a wave at samples of phi and phi_x^2: mu =
+    a/(c - phi)^b, mu_x = f phi_x with f = b mu/(c - phi), and mu_xx =
+    f (phi_xx + (b + 1) phi_x^2/(c - phi)), phi_xx = phi - mu by the profile
+    equation.  Analytic, so complex steps pass through."""
+    b = params.b
+    u = params.c - phi
+    mu = params.a / _cpow(u, b)
+    f = b * mu / u
+    return mu, f, f * (phi - mu + (b + 1.0) * phi_x2 / u)
+
+
 def synthesize_profile(params: WaveParameters, N: int = 512) -> WaveProfile:
     """Sample phi, its derivatives, and the momentum density on N uniform
     grid points over one period, with the maximum phase-locked at x = 0."""
@@ -546,7 +555,6 @@ def _synthesized(params: WaveParameters, N: int) -> WaveProfile:
         raise ValueError("N must be a power of two with N >= 64")
     tp = turning_point_data(params)
 
-    a, b, c = params.a, params.b, params.c
     A = tp.amplitude
     hp_map = _half_period_map(wave_integral(params, tp=tp).coeffs[0, 0])
     T = 2.0 * hp_map.half_period
@@ -579,10 +587,9 @@ def _synthesized(params: WaveParameters, N: int) -> WaveProfile:
     dphi[0] = 0.0
     dphi[half] = 0.0
 
-    d2phi = phi - a / _cpow(c - phi, b)
-    mu = a / _cpow(c - phi, b)
-    dmu = b * dphi * mu / (c - phi)
-    d2mu = b * d2phi * mu / (c - phi) + b * (b + 1.0) * dphi**2 * mu / (c - phi) ** 2
+    mu, f, d2mu = _momentum(phi, dphi**2, params)
+    d2phi = phi - mu
+    dmu = f * dphi
 
     for arr in (x, phi, dphi, d2phi, mu, dmu, d2mu):
         arr.setflags(write=False)

@@ -92,7 +92,10 @@ the H^1 Gram matrix is K = diag(1 + kt^2), so the stationary values of the
 quotient <L v, v> / ||v||_{H^1}^2 are the eigenvalues of K^(-1/2) C K^(-1/2)
 and K^(-1/2) S K^(-1/2), a congruence of C and S, which keeps their
 inertia (Sylvester's law).  The constraints of the coercivity argument,
-{dF1/dm, dF2/dm} (even) and mu_x (odd), are removed by one QR per block.
+{dF1/dm, dF2/dm} (even) and mu_x (odd), are removed by one QR per block,
+which drops a constraint at or below 1e-14 of the largest, or dependent
+to that level, by fourier.orthonormal_basis's rule, as the tangent check's
+projection does.
 """
 
 from __future__ import annotations
@@ -108,8 +111,8 @@ from .errors import (CoefficientInconsistency, DiscretizationNotConverged,
 from .invariants import (Multipliers, delta_F1, delta_F2, family_derivatives,
                          invariant_densities, multipliers,
                          restricted_invariants)
-from .potential import WaveParameters, _cpow
-from .profile import WaveProfile, _samples, turning_point_data
+from .potential import WaveParameters
+from .profile import WaveProfile, _momentum, _samples, turning_point_data
 
 SECOND_VARIATION_SCALE = -0.5
 # the proof-identity residuals above which spectrum refuses its grid as
@@ -349,23 +352,19 @@ def _theta_samples(params: WaveParameters, n: int) -> tuple[np.ndarray, ...]:
     """p, symmetric_r, G, mu and mu_x^2 at the n midpoint nodes
     theta_i = (i + 1/2) pi / (2n) of (0, pi/2), in closed form from
     phi(theta), E - V and G (profile._samples): on the wave
-    phi_x^2 = 2 (E - V), phi_xx = phi - mu and mu = a / (c - phi)^b, so
-
-        mu_x^2 = phi_x^2 (b mu / (c - phi))^2,
-        mu_xx = b mu / (c - phi) (phi_xx + (b + 1) phi_x^2 / (c - phi)).
+    phi_x^2 = 2 (E - V), and mu, mu_x = f phi_x and mu_xx follow from
+    profile._momentum.
     """
     theta = (np.arange(n) + 0.5) * (0.5 * np.pi / n)
     phi, P, G = _samples(theta, params, turning_point_data(params))
-    b = params.b
-    u = params.c - phi
-    mu = params.a / _cpow(u, b)
     phi_x2 = 2.0 * P
     # at large b, mu^(-1/b - 4) can overflow: refused below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        mux2 = phi_x2 * (b * mu / u) ** 2
-        muxx = b * mu / u * (phi - mu + (b + 1.0) * phi_x2 / u)
-        p, symmetric_r = _sturm_liouville(mu, mux2, muxx, b, multipliers(params))
-    if not all(np.isfinite(f).all() for f in (p, symmetric_r, G)):
+        mu, f, muxx = _momentum(phi, phi_x2, params)
+        mux2 = phi_x2 * f**2
+        p, symmetric_r = _sturm_liouville(mu, mux2, muxx, params.b,
+                                          multipliers(params))
+    if not all(np.isfinite(arr).all() for arr in (p, symmetric_r, G)):
         raise CoefficientInconsistency(
             "theta coefficients p, symmetric_r or G are not finite")
     return p, symmetric_r, G, mu, mux2
@@ -525,8 +524,7 @@ def proof_identities(profile: WaveProfile,
     psi_res = abs(quadform - predicted) / max(abs(predicted), 1e-300)
 
     # <L psi, m> vanishes for m in the tangent space {dF1, dF2}^perp
-    tangent_basis = fourier.orthonormalize((dF1, dF2), T)
-    off_span = fourier.project_out(L_psi, tangent_basis, T)
+    off_span = fourier.project_out(L_psi, (dF1, dF2))
     tangent = (fourier.l2_norm(off_span, T)
                / max(fourier.l2_norm(L_psi, T), 1e-300))
 
@@ -539,14 +537,12 @@ def proof_identities(profile: WaveProfile,
 
 def _complement_eigenvalues(B: np.ndarray, G: np.ndarray) -> np.ndarray:
     """Eigenvalues of the symmetric B on the orthogonal complement of the
-    columns of G, from one QR of G.  A column at most 1e-14 of the largest,
-    or whose part off the earlier ones is, is vanishing or dependent and
-    dropped, as fourier.orthonormalize drops it (exact for the two columns
-    a parity block has at most)."""
-    norms = np.linalg.norm(G, axis=0)
-    tol = 1e-14 * np.max(norms)
-    Q, R = np.linalg.qr(G[:, norms > tol], mode="complete")
-    Z = Q[:, int(np.sum(np.abs(np.diag(R)) > tol)):]
+    columns of G: the trailing columns of a complete QR of their
+    orthonormal basis (fourier.orthonormal_basis, which drops a column at
+    or below 1e-14 of the largest, or one whose part off the earlier ones
+    is that small)."""
+    basis = fourier.orthonormal_basis(G)
+    Z = np.linalg.qr(basis, mode="complete")[0][:, basis.shape[1]:]
     return np.linalg.eigvalsh(Z.T @ B @ Z)
 
 

@@ -1,8 +1,10 @@
 """Exactly known states and direct routes that the package's evolution,
 spectra and profiles are checked against: the constant solution at the
 well bottom, the spectral shift of a grid field, the H^1 distance to a
-shifted reference evaluated directly at one shift, and the residual of
-the stationarity equation on a profile grid."""
+shifted reference evaluated directly at one shift, the residual of the
+stationarity equation on a profile grid, trigonometric resampling, the
+FFT-ordered wavenumbers of the full complex transform, and an explicit
+Gram-Schmidt orthonormalization."""
 
 from __future__ import annotations
 
@@ -67,3 +69,45 @@ def euler_lagrange_residual(profile: WaveProfile,
     resid = (1.0 - w1 * delta_F1(profile.mu, b)
              - w2 * delta_F2(profile.mu, profile.dmu, profile.d2mu, b))
     return float(np.max(np.abs(resid)))
+
+
+def resample(v: np.ndarray, n_new: int) -> np.ndarray:
+    """Trigonometric resampling onto n_new uniform points.
+
+    Upsampling is exact; downsampling truncates modes above the new
+    Nyquist (exact for data band-limited to the coarser grid).  The rfft
+    coefficients are zero-padded or truncated; the Nyquist mode of the
+    even one of the two grids has no partner, so it is halved into a
+    cosine pair when upsampling and takes the pair's sum, twice its
+    coefficient, when downsampling (scipy.signal.resample's convention).
+    """
+    n = v.shape[-1]
+    if n_new == n:
+        return v.copy()
+    m = min(n, n_new)
+    c = np.fft.rfft(v)[..., :m // 2 + 1]
+    if m % 2 == 0:
+        c[..., m // 2] *= 2.0 if n_new < n else 0.5
+    return np.fft.irfft(c / (n / n_new), n=n_new)
+
+
+def wavenumbers(n: int, period: float) -> np.ndarray:
+    """Angular wavenumbers 2 pi k / T in the ordering of the full FFT."""
+    return 2.0 * np.pi * np.fft.fftfreq(n, d=period / n)
+
+
+def gram_schmidt(vectors, period: float) -> list[np.ndarray]:
+    """L2-orthonormal basis of the span of the vectors, by modified
+    Gram-Schmidt one vector at a time; a vector whose part off the earlier
+    ones is at most 1e-14 of the largest vector's norm is dropped."""
+    vectors = [np.asarray(v, dtype=float) for v in vectors]
+    tol = 1e-14 * max(fourier.l2_norm(v, period) for v in vectors)
+    basis: list[np.ndarray] = []
+    for v in vectors:
+        w = v.copy()
+        for u in basis:
+            w -= fourier.l2_inner(w, u, period) * u
+        norm = fourier.l2_norm(w, period)
+        if norm > tol:
+            basis.append(w / norm)
+    return basis

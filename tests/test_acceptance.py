@@ -10,13 +10,13 @@ scope for the package as a whole).
 import numpy as np
 import pytest
 
-from bchwaves import (crest_identities, assemble_operator,
-                      coercivity_probe, make_perturbation, multipliers,
+from bchwaves import (assemble_operator, make_perturbation, multipliers,
                       orbital_distance, parameter_jacobians, period,
-                      periodic_spectrum, profile_residuals, proof_identities,
-                      run_experiment, synthesize_profile)
-from bchwaves.invariants import CLASS_STABLE
-from bchwaves.spectral import SECOND_VARIATION_SCALE
+                      profile_residuals, proof_identities, run_experiment,
+                      synthesize_profile)
+from bchwaves.invariants import CLASS_STABLE, crest_identities
+from bchwaves.spectral import (SECOND_VARIATION_SCALE, coercivity_probe,
+                               periodic_spectrum)
 
 from conftest import sample_admissible
 from fd_oracle import fd_steps_for, richardson_gradient
@@ -77,7 +77,7 @@ def test_criterion_3_stationarity(ref_profile):
 
 def test_criterion_4_kernel_and_parameter_derivatives(ref_params):
     """Translation kernel and the images of the parameter derivatives."""
-    from bchwaves import kernel_residual
+    from bchwaves.spectral import kernel_residual
 
     pts = [ref_params, sample_admissible(1, seed=77)[0]]
     worst_kernel = worst_id = 0.0

@@ -314,7 +314,8 @@ def test_classify_past_the_potential_overflow(tmp_path):
     classify_stability refuses the steep profile by name at N = 512 (its
     F2 routes disagree) and classifies it at N = 1024.  Warnings are
     errors here, so no run overflows."""
-    from bchwaves import RouteMismatch, classify_stability
+    from bchwaves import RouteMismatch
+    from bchwaves.invariants import classify_stability
     from quadrature_oracle import period_by_shooting
 
     b, a, c = 1020.0, 1e-3, 2.0
@@ -344,6 +345,8 @@ def test_evolve_command(tmp_path):
     assert summary["eps"] == 1e-3
     assert summary["ratio"] > 0
     assert summary["run_config"]["cfl_max"] > 0
+    # the profile is synthesized at --N and evolved on that grid
+    assert summary["run_config"]["N"] == 128 == summary["config"]["N"]
 
 
 def test_evolve_rejects_zero_dt_safety(tmp_path, capsys):
@@ -575,10 +578,13 @@ def test_config_file_unreadable_is_refused(tmp_path, capsys, content):
 
 @pytest.mark.parametrize("option", ["b-range", "a-range", "E-range",
                                     "E-frac-range", "c-range"])
-@pytest.mark.parametrize("value", ["5", "1:2", "1:2:0", "1:2:x", "a:2:3"])
+@pytest.mark.parametrize("value", ["5", "1:2", "1:2:0", "1:2:x", "a:2:3",
+                                   "1:2:1"])
 def test_sweep_range_is_checked_by_argparse(tmp_path, capsys, option, value):
     """A malformed MIN:MAX:COUNT, as a flag or from --config, is refused by
-    argparse with the option's name (exit 2), not as a domain error."""
+    argparse with the option's name (exit 2), not as a domain error; so is
+    a one-value range whose ends differ, which would sweep MIN alone while
+    the manifest records both ends."""
     out = tmp_path / "out"
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({option.replace("-", "_"): value}))
@@ -748,7 +754,6 @@ import sys
 
 import bchwaves
 import bchwaves.cli
-from bchwaves import fourier
 
 out = sys.argv[1]
 wave = ["--b", "2", "--a", "0.1", "--E", "0.09", "--c", "1", "--out", out]
@@ -762,16 +767,14 @@ codes = [
     bchwaves.cli.main(["evolve", *ref, "--horizon-periods", "0.05"]),
 ]
 assert codes == [0, 0, 0, 0], codes
-fourier.resample(fourier.random_smooth(64, __import__("numpy").random
-                                       .default_rng(0), 1, 16)[0], 128)
 print(sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
 """
 
 
 def test_runs_on_numpy_alone(tmp_path):
     """A fresh process imports the package and the CLI, runs classify,
-    spectrum, a one-row sweep, a short evolution and a resampling, and
-    has imported no scipy module, also not lazily.  (This process has:
+    spectrum, a one-row sweep and a short evolution, and has imported no
+    scipy module, also not lazily.  (This process has:
     the test oracles import it.)"""
     import os
     import subprocess

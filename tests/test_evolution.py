@@ -12,7 +12,14 @@ from bchwaves.evolution import EvolutionState, rhs
 from bchwaves.invariants import delta_F1, delta_F2
 
 from conftest import sample_admissible
-from state_oracle import circular_shift, h1_shift_distance
+from state_oracle import circular_shift, h1_shift_distance, resample, wavenumbers
+
+
+@pytest.fixture(scope="module")
+def ref_profile_256(ref_params):
+    """The reference wave synthesized on 256 points, for the runs on that
+    grid: a run evolves on its profile's own grid."""
+    return synthesize_profile(ref_params, 256)
 
 
 def _golden_section_min(f, lo: float, hi: float, tol: float = 1e-10) -> float:
@@ -37,7 +44,7 @@ def _orbital_distance_golden(m, ref, period):
     cross-correlation on the grid, its maximum refined by golden-section
     search on the continuous correlation to 1e-10 in the shift."""
     n = m.shape[-1]
-    k = fourier.wavenumbers(n, period)
+    k = wavenumbers(n, period)
     w = 1.0 + k**2
     mh = np.fft.fft(m) / n
     gh = np.fft.fft(ref) / n
@@ -108,7 +115,7 @@ def _filtered_initial_data(profile, n, eps, seed):
     """run_experiment's initial data: the 2/3-filtered wave on n points
     plus its raw perturbation of H^1 norm eps."""
     T, b = profile.T, profile.params.b
-    mu = fourier.resample(profile.mu, n) if n != profile.N else profile.mu
+    mu = resample(profile.mu, n)
     mu = np.fft.irfft(np.fft.rfft(mu) * fourier.rfft_tools(n, T)[2], n=n)
     return mu + make_perturbation(mu, T, b, eps, seed=seed)
 
@@ -147,7 +154,7 @@ def test_rk4_order(ref_profile):
     params = ref_profile.params
     T = ref_profile.T
     n = 256
-    mu = fourier.resample(ref_profile.mu, n)
+    mu = resample(ref_profile.mu, n)
     v = make_perturbation(mu, T, params.b, 1e-2, seed=2)
     m0 = mu + v
 
@@ -214,7 +221,7 @@ def test_orbital_distance_brute_force_oracle(ref_profile):
     the length of N = 510's."""
     T = ref_profile.T
     for n in (ref_profile.N, 511):
-        mu = fourier.resample(ref_profile.mu, n)
+        mu = resample(ref_profile.mu, n)
         v = make_perturbation(mu, T, 2.0, 1e-3, seed=4)
         m = mu + v
         rho, _ = orbital_distance(np.fft.rfft(m), np.fft.rfft(mu), n, T)
@@ -231,18 +238,18 @@ def test_orbital_distance_brute_force_oracle(ref_profile):
         orbital_distance(np.fft.rfft(m)[:-1], np.fft.rfft(mu)[:-1], n, T)
 
 
-def test_frame_equivalence(ref_profile):
+def test_frame_equivalence(ref_profile_256):
     """Evolving in the lab frame and shifting by c t matches the
     traveling-frame picture at a checkpoint."""
-    params = ref_profile.params
-    T = ref_profile.T
-    diag = run_experiment(ref_profile, eps=0.0, horizon_periods=1.0, N=256,
+    params = ref_profile_256.params
+    T = ref_profile_256.T
+    diag = run_experiment(ref_profile_256, eps=0.0, horizon_periods=1.0,
                           frame="lab", n_samples=4)
     assert diag.outcome == "completed"
     assert diag.max_rho < 1e-5  # rho is shift-minimized, frame-agnostic
     # explicit shift comparison
     n = 256
-    mu = fourier.resample(ref_profile.mu, n)
+    mu = ref_profile_256.mu
     mu = np.fft.irfft(np.fft.rfft(mu) * fourier.rfft_tools(n, T)[2], n=n)
     state = EvolutionState(t=0.0, m=mu.copy(), dx=T / n)
     t_end = 0.37 * T / params.c
@@ -305,13 +312,13 @@ def test_perturbation_modes(ref_profile):
 
 def test_positivity_guard(ref_profile):
     with pytest.raises(PositivityLost):
-        run_experiment(ref_profile, eps=50.0, horizon_periods=0.1, N=128)
+        run_experiment(ref_profile, eps=50.0, horizon_periods=0.1)
 
 
 def test_violent_step_aborts(ref_profile):
     n = 128
     T = ref_profile.T
-    mu = fourier.resample(ref_profile.mu, n)
+    mu = resample(ref_profile.mu, n)
     state = EvolutionState(t=0.0, m=mu, dx=T / n)
     with pytest.raises((PositivityLost, BlowUp)):
         s = state
@@ -349,11 +356,11 @@ def test_run_experiment_refuses_out_of_range_input(ref_profile, name, value):
     kwargs = dict(eps=1e-3, horizon_periods=0.1, dt_safety=0.5)
     kwargs[name] = value
     with pytest.raises(ValueError, match=name):
-        run_experiment(ref_profile, N=128, n_samples=2, **kwargs)
+        run_experiment(ref_profile, n_samples=2, **kwargs)
 
 
-def test_constrained_run_smoke(ref_profile):
-    diag = run_experiment(ref_profile, eps=5e-4, horizon_periods=2.0, N=256,
+def test_constrained_run_smoke(ref_profile_256):
+    diag = run_experiment(ref_profile_256, eps=5e-4, horizon_periods=2.0,
                           mode="constrained", n_samples=10, seed=3)
     assert diag.outcome == "completed"
     assert diag.max_rho < 10 * 5e-4
@@ -362,7 +369,7 @@ def test_constrained_run_smoke(ref_profile):
 @pytest.mark.parametrize("n", [512, 511])
 def test_fused_rhs_matches_six_transforms(ref_profile, n):
     T, b, c = ref_profile.T, ref_profile.params.b, ref_profile.params.c
-    mu = fourier.resample(ref_profile.mu, n)
+    mu = resample(ref_profile.mu, n)
     m = mu + make_perturbation(mu, T, b, 1e-2, seed=6)
     expected = _rhs_six_transforms(m, T, b, c)
     err = np.max(np.abs(rhs(m, T, b, c) - expected))
@@ -381,15 +388,15 @@ def test_orbital_distance_matches_golden_section(ref_profile, seed):
     assert x0 == pytest.approx(x0_gold, abs=1e-6)
 
 
-def test_cfl_max_recorded(ref_profile):
+def test_cfl_max_recorded(ref_profile_256):
     """The worst CFL number over the run is reported and is at least the
     one of the initial data at the step actually taken."""
-    T, c = ref_profile.T, ref_profile.params.c
+    T, c = ref_profile_256.T, ref_profile_256.params.c
     n = 256
-    diag = run_experiment(ref_profile, eps=1e-3, horizon_periods=0.5, N=n,
+    diag = run_experiment(ref_profile_256, eps=1e-3, horizon_periods=0.5,
                           n_samples=4, seed=5)
-    assert diag.outcome == "completed"
-    m0 = _filtered_initial_data(ref_profile, n, 1e-3, 5)
+    assert diag.outcome == "completed" and diag.config["N"] == n
+    m0 = _filtered_initial_data(ref_profile_256, n, 1e-3, 5)
     cfl0 = (float(np.max(np.abs(reconstruct_velocity(m0, T) - c)))
             * diag.config["dt"] / (T / n))
     assert diag.config["cfl_max"] >= cfl0 * (1.0 - 1e-12)
@@ -479,7 +486,7 @@ def test_replaced_state_steps_from_its_own_m(ref_profile):
         assert got.cfl == want.cfl
 
 
-def test_step_takes_eight_transforms(ref_profile, monkeypatch):
+def test_step_takes_eight_transforms(ref_profile_256, monkeypatch):
     """Only the first step of a chain transforms a user-built m; every
     later one takes 8 numpy FFT calls.  The sampled diagnostics read m_x
     from the carried fields, not from spectral_derivative."""
@@ -496,18 +503,18 @@ def test_step_takes_eight_transforms(ref_profile, monkeypatch):
     monkeypatch.setattr(fourier, "spectral_derivative",
                         counted(fourier.spectral_derivative,
                                 "spectral_derivative"))
-    n = 256
-    state = EvolutionState(t=0.0, m=_filtered_initial_data(ref_profile, n, 1e-3, 11),
-                           dx=ref_profile.T / n)
+    prof = ref_profile_256
+    state = EvolutionState(t=0.0, m=_filtered_initial_data(prof, prof.N, 1e-3, 11),
+                           dx=prof.T / prof.N)
     per_step = []
     for _ in range(6):
         before = calls["fft"]
-        state = step(state, 1e-3, ref_profile.params.b, ref_profile.params.c)
+        state = step(state, 1e-3, prof.params.b, prof.params.c)
         per_step.append(calls["fft"] - before)
     assert per_step[1:] == [8] * 5
 
-    diag = run_experiment(ref_profile, eps=1e-3, horizon_periods=0.2, N=n,
-                          n_samples=10, seed=11)
+    diag = run_experiment(prof, eps=1e-3, horizon_periods=0.2, n_samples=10,
+                          seed=11)
     assert diag.outcome == "completed"
     assert calls["spectral_derivative"] <= 1
 
@@ -531,15 +538,16 @@ def test_one_period_ladder_within_benchmark_bounds(ref_profile):
     assert max(ratios) / min(ratios) < 3.0
 
 
-def test_sample_takes_one_transform(ref_profile, monkeypatch):
+def test_sample_takes_one_transform(ref_profile_256, monkeypatch):
     """An orbital-distance sample takes one numpy FFT call, and after the
     2/3 filter run_experiment takes no rfft of the reference: the samples
     read its half spectrum from the filter."""
     from bchwaves import evolution
 
-    n = 256
-    mu = fourier.resample(ref_profile.mu, n)  # the filtered reference
-    mu = np.fft.irfft(np.fft.rfft(mu) * fourier.rfft_tools(n, ref_profile.T)[2], n=n)
+    prof = ref_profile_256
+    n = prof.N
+    # the filtered reference
+    mu = np.fft.irfft(np.fft.rfft(prof.mu) * fourier.rfft_tools(n, prof.T)[2], n=n)
     calls = []
 
     def counted(name):
@@ -561,8 +569,20 @@ def test_sample_takes_one_transform(ref_profile, monkeypatch):
     for name in ("rfft", "irfft"):
         monkeypatch.setattr(np.fft, name, counted(name))
     monkeypatch.setattr(evolution, "orbital_distance", sample)
-    diag = run_experiment(ref_profile, eps=1e-3, horizon_periods=0.2, N=n,
-                          n_samples=10, seed=11)
+    diag = run_experiment(prof, eps=1e-3, horizon_periods=0.2, n_samples=10,
+                          seed=11)
     assert diag.outcome == "completed"
     assert per_sample == [1] * diag.rho.size
     assert ("rfft", True) not in calls
+
+
+def test_run_evolves_on_the_profile_grid(ref_profile):
+    """A run evolves on its profile's own grid and never resamples it: an
+    N that differs from the profile's is refused, naming both sizes."""
+    with pytest.raises(ValueError, match=r"N = 256 .* 512 points"):
+        run_experiment(ref_profile, eps=1e-3, horizon_periods=0.1, N=256)
+    diag = run_experiment(ref_profile, eps=0.0, horizon_periods=0.01, N=512,
+                          n_samples=2)
+    assert diag.config["N"] == 512
+    assert run_experiment(ref_profile, eps=0.0, horizon_periods=0.01,
+                          n_samples=2).config == diag.config

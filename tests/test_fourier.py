@@ -3,14 +3,14 @@ import pytest
 
 from bchwaves import fourier
 
-from state_oracle import circular_shift
+from state_oracle import circular_shift, gram_schmidt, resample, wavenumbers
 
 
 def _spectral_derivative_full(v, period, order):
     """Oracle route for spectral_derivative: the full complex FFT with the
     FFT-ordered wavenumbers, Nyquist zeroed for odd orders on even grids."""
     n = v.shape[-1]
-    sym = (1j * fourier.wavenumbers(n, period)) ** order
+    sym = (1j * wavenumbers(n, period)) ** order
     if order % 2 == 1 and n % 2 == 0:
         sym[n // 2] = 0.0
     return np.real(np.fft.ifft(sym * np.fft.fft(v)))
@@ -18,7 +18,7 @@ def _spectral_derivative_full(v, period, order):
 
 def _circular_shift_full(v, shift, period):
     """Oracle route for circular_shift: a full complex FFT phase shift."""
-    k = fourier.wavenumbers(v.shape[-1], period)
+    k = wavenumbers(v.shape[-1], period)
     return np.real(np.fft.ifft(np.fft.fft(v) * np.exp(-1j * k * shift)))
 
 
@@ -79,19 +79,54 @@ def test_random_smooth_is_the_scaled_transform_of_its_coefficients():
 
 
 def test_project_out_matches_sequential_projection():
+    """One field and a block of fields, against a projection onto the
+    Gram-Schmidt basis, one basis vector at a time."""
     T, n = 3.0, 128
     rng = np.random.default_rng(8)
-    basis = fourier.orthonormalize(rng.standard_normal((3, n)), T)
+    constraints = rng.standard_normal((3, n))
+    basis = gram_schmidt(constraints, T)
     block = rng.standard_normal((5, n))
     want = block.copy()
     for u in basis:
         want -= (T * np.mean(want * u, axis=-1, keepdims=True)) * u
-    got = fourier.project_out(block, basis, T)
+    got = fourier.project_out(block, constraints)
     assert got.shape == (5, n)
     assert np.allclose(got, want, rtol=0, atol=1e-14)
     assert max(abs(fourier.l2_inner(g, u, T)) for g in got for u in basis) < 1e-14
-    assert np.allclose(fourier.project_out(block[0], basis, T), got[0],
+    assert np.allclose(fourier.project_out(block[0], constraints), got[0],
                        rtol=0, atol=1e-15)
+
+
+def test_project_out_is_scale_free():
+    """The drop rule is relative: constraint fields scaled by 1e-20 or
+    1e20 give the projection at scale 1 to rounding, orthogonal to them
+    (an absolute rule would drop both fields at 1e-20), and a dependent
+    pair (g, 2g) or a vanishing field is dropped at any scale."""
+    T, n = 4.0, 256
+    x = np.arange(n) * T / n
+    g1 = np.exp(np.cos(2.0 * np.pi * x / T))
+    g2 = np.sin(4.0 * np.pi * x / T) + 0.3 * np.cos(6.0 * np.pi * x / T)
+    m = np.random.default_rng(3).standard_normal(n)
+    want = m.copy()
+    for u in gram_schmidt((g1, g2), T):
+        want -= fourier.l2_inner(want, u, T) * u
+    scale_m = fourier.l2_norm(m, T)
+    for scale in (1.0, 1e-20, 1e20):
+        got = fourier.project_out(m, (scale * g1, scale * g2))
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(m))
+        for g in (g1, g2):
+            assert (abs(fourier.l2_inner(got, g, T))
+                    <= 1e-14 * scale_m * fourier.l2_norm(g, T))
+        assert fourier.orthonormal_basis(np.stack([scale * g1, scale * g2]).T
+                                         ).shape == (n, 2)
+        for dropped in ((g1, 2.0 * g1), (g1, 0.0 * g1), (0.0 * g1, g1)):
+            fields = np.stack(dropped).T * scale
+            assert fourier.orthonormal_basis(fields).shape == (n, 1)
+            assert len(gram_schmidt(dropped, T)) == 1
+            got = fourier.project_out(m, scale * np.stack(dropped))
+            u = g1 / fourier.l2_norm(g1, T)
+            assert np.allclose(got, m - fourier.l2_inner(m, u, T) * u,
+                               rtol=0, atol=1e-13 * np.max(np.abs(m)))
 
 
 @pytest.mark.parametrize("n", [64, 65])
@@ -104,9 +139,28 @@ def test_resample_matches_scipy(n):
     rng = np.random.default_rng(n)
     for n_old, n_new in ((n, 2 * n), (2 * n, n)):
         v = rng.standard_normal(n_old)
-        got = fourier.resample(v, n_new)
+        got = resample(v, n_new)
         assert got.shape == (n_new,)
         assert np.max(np.abs(got - scipy_resample(v, n_new))) <= 1e-14 * np.max(np.abs(v))
     # upsampling keeps the samples it started from, the Nyquist mode too
     v = rng.standard_normal(n)
-    assert np.allclose(fourier.resample(v, 2 * n)[::2], v, rtol=0, atol=1e-14)
+    assert np.allclose(resample(v, 2 * n)[::2], v, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [64, 65])
+def test_trig_interpolate_matches_full_fft(n):
+    """The rfft interpolant against the full complex transform's, its
+    Nyquist mode (even n) a pure cosine, off and on the grid, and a
+    scalar point giving a scalar."""
+    T = 2.5
+    v = _band_limited(n, T, 7)
+    x = np.array([-0.7, 0.0, 0.31, 1.9, T + 0.2])
+    want = np.real(np.exp(1j * np.outer(x, wavenumbers(n, T)))
+                   @ (np.fft.fft(v) / n))
+    got = fourier.trig_interpolate(v, T, x)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(v))
+    grid = np.arange(n) * T / n
+    assert np.allclose(fourier.trig_interpolate(v, T, grid), v, rtol=0,
+                       atol=1e-13 * np.max(np.abs(v)))
+    scalar = fourier.trig_interpolate(v, T, 0.31)
+    assert np.ndim(scalar) == 0 and scalar == pytest.approx(got[2], abs=1e-15)

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from bchwaves import (BchWavesError, FDUnreliable, RouteMismatch,
-                      WaveParameters, crest_identities, classify_stability,
-                      conserved_quantities, critical_points,
-                      family_derivatives, multipliers, parameter_jacobians,
-                      profile_residuals, restricted_invariants,
-                      synthesize_profile, wave_integral)
+                      WaveParameters, critical_points, family_derivatives,
+                      multipliers, parameter_jacobians, profile_residuals,
+                      restricted_invariants, synthesize_profile,
+                      wave_integral)
 from bchwaves import fourier
 from bchwaves.invariants import (CLASS_DEGENERATE, CLASS_PRODUCT_FAIL,
                                  CLASS_STABLE, CLASS_TWO_NEGATIVE,
                                  _F1F2_integrands, classify_from_signs,
-                                 delta_F1)
+                                 classify_stability, conserved_quantities,
+                                 crest_identities, delta_F1)
 from bchwaves.profile import (_COMPLEX_STEP, _complex_steps,
                               _complex_turning_points, turning_point_data)
 
@@ -273,8 +273,9 @@ def test_one_complex_step_table_per_certificate(ref_params, monkeypatch):
     complex-step table: the complex turning points are polished once, and
     the complex integrand is sampled at the reference wave's two Lobatto
     levels (64 and 128) only."""
-    from bchwaves import (assemble_operator, coercivity_probe, invariants,
-                          periodic_spectrum, profile, proof_identities)
+    from bchwaves import (assemble_operator, invariants, profile,
+                          proof_identities)
+    from bchwaves.spectral import coercivity_probe, periodic_spectrum
 
     calls = {"turning points": 0, "samples": 0}
     turning_points, samples = profile._complex_turning_points, profile._samples

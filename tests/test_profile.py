@@ -392,8 +392,9 @@ def test_turning_point_memo(ref_params):
 
 def test_turning_points_once_per_point(ref_params):
     """A sweep row and a full certificate each find the roots once."""
-    from bchwaves import (assemble_operator, classify_stability,
-                          coercivity_probe, periodic_spectrum, proof_identities)
+    from bchwaves import assemble_operator, proof_identities
+    from bchwaves.invariants import classify_stability
+    from bchwaves.spectral import coercivity_probe, periodic_spectrum
     from bchwaves.cli import _sweep_row
 
     turning_point_data.cache_clear()

@@ -6,10 +6,8 @@ import scipy.linalg
 
 from bchwaves import (CoefficientInconsistency, DiscretizationNotConverged,
                       RouteMismatch, WaveParameters, apply_operator,
-                      assemble_operator, coercivity_probe, critical_points,
-                      family_derivatives, hill_matrix,
-                      kernel_residual, multipliers, parameter_jacobians,
-                      periodic_spectrum, proof_identities,
+                      assemble_operator, critical_points, family_derivatives,
+                      multipliers, parameter_jacobians, proof_identities,
                       restricted_invariants, synthesize_profile,
                       theta_spectrum)
 from bchwaves import fourier, spectral
@@ -17,9 +15,10 @@ from bchwaves.cli import main
 from bchwaves.invariants import delta_F1, delta_F2
 from bchwaves.spectral import (IDENTITY_BOUNDS, SECOND_VARIATION_SCALE,
                                _block_eigenvalues, _parity_blocks,
-                               operator_scale)
+                               coercivity_probe, hill_matrix, kernel_residual,
+                               operator_scale, periodic_spectrum)
 
-from state_oracle import equilibrium_profile
+from state_oracle import equilibrium_profile, gram_schmidt, wavenumbers
 
 
 def _wave(point: dict) -> WaveParameters:
@@ -50,10 +49,9 @@ def _coercivity_probe_loop(coeffs, profile, trials, seed, project):
     returns (min_quotient, n_negative).  Its minimum is an upper
     bound of the exact one, up to the modes above N//4 that it reaches."""
     b, T, n = profile.params.b, profile.T, profile.N
-    basis = fourier.orthonormalize((delta_F1(profile.mu, b),
-                                    delta_F2(profile.mu, profile.dmu,
-                                             profile.d2mu, b),
-                                    profile.dmu), T)
+    basis = gram_schmidt((delta_F1(profile.mu, b),
+                          delta_F2(profile.mu, profile.dmu, profile.d2mu, b),
+                          profile.dmu), T)
     _, evecs = np.linalg.eigh(hill_matrix(coeffs, n // 4))
     rng = np.random.default_rng(seed)
     candidates = [modes_to_grid(evecs[:, 0], coeffs), np.ones(n)]
@@ -64,7 +62,7 @@ def _coercivity_probe_loop(coeffs, profile, trials, seed, project):
         if project:
             for u in basis:
                 m = m - fourier.l2_inner(m, u, T) * u
-        h1 = T * float(np.sum((1.0 + fourier.wavenumbers(n, T) ** 2)
+        h1 = T * float(np.sum((1.0 + wavenumbers(n, T) ** 2)
                               * np.abs(np.fft.fft(m) / n) ** 2))
         if h1 <= 1e-20:
             continue
@@ -86,13 +84,14 @@ def _sampled_tangent_orthogonality(profile, coeffs, trials=16, seed=0):
            - fam.mu_E * (gT[0] * gF[2] - gT[2] * gF[0])
            + fam.mu_c * (gT[0] * gF[1] - gT[1] * gF[0]))
     L_psi = apply_operator(coeffs, psi)
-    basis = fourier.orthonormalize((delta_F1(profile.mu, b),
-                                    delta_F2(profile.mu, profile.dmu,
-                                             profile.d2mu, b)), T)
+    basis = gram_schmidt((delta_F1(profile.mu, b),
+                          delta_F2(profile.mu, profile.dmu, profile.d2mu, b)),
+                         T)
     rng = np.random.default_rng(seed)
     worst = 0.0
     for m in fourier.random_smooth(profile.N, rng, trials, profile.N // 3):
-        m = fourier.project_out(m, basis, T)
+        for u in basis:
+            m = m - fourier.l2_inner(m, u, T) * u
         worst = max(worst, abs(fourier.l2_inner(L_psi, m, T))
                     / (fourier.l2_norm(L_psi, T) * fourier.l2_norm(m, T)))
     return worst
@@ -307,7 +306,7 @@ def test_h1_norm_sq_block_matches_full_spectrum(ref_profile):
     T = ref_profile.T
     for n in (128, 127):
         block = fourier.random_smooth(n, np.random.default_rng(2), 3, n // 3)
-        full = [T * float(np.sum((1.0 + fourier.wavenumbers(n, T) ** 2)
+        full = [T * float(np.sum((1.0 + wavenumbers(n, T) ** 2)
                                  * np.abs(np.fft.fft(v) / n) ** 2)) for v in block]
         assert np.allclose(fourier.h1_norm_sq(block, T), full, rtol=1e-13, atol=0)
         assert fourier.h1_norm_sq(block[0], T) == pytest.approx(full[0], rel=1e-13)
