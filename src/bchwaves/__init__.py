@@ -2,7 +2,7 @@
 construction, orbital-stability criteria, periodic spectra of the second
 variation, and time evolution of the momentum density."""
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 from .errors import (BchWavesError, BlowUp, CoefficientInconsistency,
                      ConvergenceFailure, DiscretizationNotConverged,
@@ -18,8 +18,9 @@ from .potential import (PotentialScan, WaveParameters, a_max, critical_points,
                         eval_g, eval_potential, existence_check)
 from .profile import (ProfileResiduals, WaveProfile, period, profile_residuals,
                       synthesize_profile, wave_integral, write_profile_csv)
-from .spectral import (SECOND_VARIATION_SCALE, OperatorCoefficients,
-                       ProofIdentityReport, SpectralReport, apply_operator,
-                       assemble_operator, proof_identities, theta_spectrum)
+from .spectral import (SECOND_VARIATION_SCALE, KernelInertia,
+                       OperatorCoefficients, ProofIdentityReport,
+                       SpectralReport, apply_operator, assemble_operator,
+                       kernel_inertia, proof_identities, theta_spectrum)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -17,6 +17,7 @@ import itertools
 import json
 import os
 import sys
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +28,8 @@ from .evolution import run_experiment
 from .invariants import CLASS_OUT_OF_SCOPE, parameter_jacobians
 from .potential import WaveParameters, critical_points
 from .profile import profile_header, synthesize_profile, write_profile_csv
-from .spectral import (IDENTITY_BOUNDS, assemble_operator, proof_identities,
-                       theta_spectrum)
+from .spectral import (IDENTITY_BOUNDS, assemble_operator, kernel_inertia,
+                       proof_identities, theta_spectrum)
 
 # what a command refuses: a package error, or bad input (exit code 2)
 _REFUSALS = (BchWavesError, ValueError)
@@ -209,21 +210,51 @@ def _sweep_grid(args: argparse.Namespace) -> list[dict]:
             for i, (b, a, ev, c) in enumerate(grid)]
 
 
-def _sweep_row(point: dict) -> dict:
+# the columns a row has exactly when its status is ok
+_RESULTS = ("T", "F1", "F2", "omega1", "omega2", "J_T_omega1", "J_T_F1", "J3",
+            "theta")
+_RESULT_INDEX = {column: i for i, column in enumerate(_RESULTS)}
+
+
+class _SweepRow:
+    """One row of sweep.csv, read as row[column], with "" in the columns
+    its point did not reach.  The other columns sit in slots, and the
+    results of an ok row in one array of doubles: ~0.3 KB a row, against
+    ~0.8 KB as a dict of floats, for a caller that keeps every row, as
+    the benchmark's timing harness (benchmarks/run.py) does."""
+
+    __slots__ = (*(c for c in _SWEEP_COLUMNS if c not in _RESULT_INDEX),
+                 "_results")
+
+    def __init__(self, values: dict):
+        for column in self.__slots__[:-1]:
+            setattr(self, column, values.get(column, ""))
+        self._results = (array("d", [values[c] for c in _RESULTS])
+                         if values["status"] == "ok" else None)
+
+    def __getitem__(self, column: str):
+        i = _RESULT_INDEX.get(column)
+        if i is None:
+            return getattr(self, column)
+        return "" if self._results is None else self._results[i]
+
+
+def _sweep_row(point: dict) -> _SweepRow:
     """One grid point's row: the Jacobians, as classify reads them, and
-    the inertia of the second variation by Hill's method in theta
-    (theta_spectrum), so no row builds a uniform-grid profile; a point
-    theta_spectrum refuses fails, whatever its Jacobians."""
-    row = {k: "" for k in _SWEEP_COLUMNS}
-    row["index"] = point["index"]
-    row["b"], row["a"], row["c"] = point["b"], point["a"], point["c"]
+    the inertia of the second variation counted from the zeros of the
+    even kernel solution (kernel_inertia), which reads the Jacobians'
+    complex-step table: no eigensolve and no uniform-grid profile.  A
+    point that either refuses fails, with the error's name as its
+    status."""
+    row = {"index": point["index"], "b": point["b"], "a": point["a"],
+           "c": point["c"]}
     try:
         params_probe = WaveParameters(b=point["b"], a=point["a"], E=0.0,
                                       c=point["c"])
     except ValueError as exc:
         row["status"] = f"{CLASS_OUT_OF_SCOPE}: {exc}"
         row["E"] = point["e_val"]
-        return row
+        return _SweepRow(row)
     try:
         if point["e_mode"] == "frac":
             scan = critical_points(params_probe)
@@ -233,7 +264,7 @@ def _sweep_row(point: dict) -> dict:
         row["E"] = E
         params = WaveParameters(b=point["b"], a=point["a"], E=E, c=point["c"])
         jac = parameter_jacobians(params)
-        spec = theta_spectrum(params)
+        spec = kernel_inertia(params)
         inv = jac.invariants
         row.update({"status": "ok", "T": inv.T, "F1": inv.F1, "F2": inv.F2,
                     "omega1": inv.omega1, "omega2": inv.omega2,
@@ -243,10 +274,10 @@ def _sweep_row(point: dict) -> dict:
                     "classification": jac.classification})
     except _REFUSALS as exc:
         row["status"] = f"{type(exc).__name__}: {exc}"
-    return row
+    return _SweepRow(row)
 
 
-def _row_to_csv(row: dict) -> list[str]:
+def _row_to_csv(row: _SweepRow) -> list[str]:
     out = []
     for col in _SWEEP_COLUMNS:
         v = row[col]

@@ -40,7 +40,7 @@ from .errors import FDUnreliable, RouteMismatch
 from .potential import WaveParameters, _cpow
 from .profile import (_COMPLEX_STEP, _REL_TOL, WaveProfile, _cheb_ends,
                       _cheb_integral, _cheb_values, _complex_steps,
-                      _complex_turning_points, _momentum, _samples,
+                      _complex_turning_points, _momentum, _mu, _samples,
                       synthesize_profile, turning_point_data, wave_integral)
 
 CLASS_STABLE = "StableCriteriaMet"
@@ -271,14 +271,19 @@ def _crest_quantities(params: WaveParameters, tp) -> tuple:
     return phip, phipp0, mup, muxx0, J_mu_w1
 
 
+def _T_omega1(inv: InvariantSet) -> tuple[float, float]:
+    """{T, omega1}_{E,c} and its error bound, from the gradients of T and
+    the closed-form gradient of omega1."""
+    w1_E, w1_c = inv.grad_omega1[1], inv.grad_omega1[2]
+    return (inv.grad_T[1] * w1_c - inv.grad_T[2] * w1_E,
+            inv.err_grad_T[1] * abs(w1_c) + inv.err_grad_T[2] * abs(w1_E))
+
+
 def parameter_jacobians(params: WaveParameters) -> JacobianReport:
     """Assemble the three stability determinants, their error estimates,
     the monodromy coefficient theta, and the classification."""
     inv = restricted_invariants(params)
-    w1_E, w1_c = inv.grad_omega1[1], inv.grad_omega1[2]
-
-    J1 = inv.grad_T[1] * w1_c - inv.grad_T[2] * w1_E
-    e1 = inv.err_grad_T[1] * abs(w1_c) + inv.err_grad_T[2] * abs(w1_E)
+    J1, e1 = _T_omega1(inv)
 
     J2 = inv.grad_T[1] * inv.grad_F1[2] - inv.grad_T[2] * inv.grad_F1[1]
     e2 = (inv.err_grad_T[1] * abs(inv.grad_F1[2])
@@ -384,32 +389,53 @@ class FamilyDerivatives:
     T_c: float
 
 
+def _map_derivatives(params: WaveParameters) -> tuple:
+    """(A_p, A_p(-1), T_p): the Chebyshev antiderivatives A_p in
+    t = 4 theta / pi - 1 of the G row of the invariants' complex-step
+    table, at the level where its imaginary parts converged, so that the
+    map's derivatives are xi_p(theta) = (pi / 4) (A_p(t) - A_p(-1)); their
+    values at t = -1; and the period derivatives T_p = 2 xi_p(pi / 2)."""
+    quad = _complex_step_table(params)[2]
+    A_p = _cheb_integral(quad.coeffs[0].imag / _COMPLEX_STEP)
+    A_right, A_left = _cheb_ends(A_p)
+    return A_p, A_left, 0.5 * np.pi * (A_right - A_left)
+
+
+def _momentum_derivatives(params: WaveParameters, theta: np.ndarray,
+                          xi_p: np.ndarray, target: np.ndarray
+                          ) -> tuple[np.ndarray, np.ndarray]:
+    """mu_a, mu_E and mu_c (rows) at the points theta(p) where the
+    half-period map takes the value target(p), and G at theta.
+    Differentiating xi(theta(p); p) = target(p) gives
+
+        theta_p = (target_p - xi_p(theta)) / G(theta),
+
+    with xi_p at theta given; mu then follows in closed form from
+    phi = phi_min + A sin^2(theta) under the complex steps.  At a fixed
+    phase s the target is T (1/2 - s), at a fixed x it is T / 2 - x."""
+    pc, tpc, _ = _complex_step_table(params)
+    h = _COMPLEX_STEP
+    G = _samples(theta, params, turning_point_data(params))[2]
+    theta_p = (target - xi_p) / G
+    phi_c = tpc.phi_min + tpc.amplitude * np.sin(theta + 1j * h * theta_p) ** 2
+    return _mu(phi_c, pc).imag / h, G
+
+
 def family_derivatives(profile: WaveProfile) -> FamilyDerivatives:
-    """The map's parameter derivatives xi_p(theta) are the antiderivatives
-    of the G row of the invariants' complex-step table, at the level where
-    its imaginary parts converged (QuadratureFailure where they do not).
-    Differentiating xi(theta; p) = T(p) (1/2 - s) at fixed s gives
-
-        theta_p = (T_p (1/2 - s) - xi_p(theta)) / xi_theta(theta)
-
-    at the synthesis' own theta samples, with no second inversion; mu then
-    follows in closed form from phi = phi_min + A sin^2(theta), and the
-    even symmetry of every member of the family mirrors the half to the
-    grid."""
+    """The map's parameter derivatives xi_p(theta) come from _map_derivatives
+    (QuadratureFailure where the complex-step table does not converge),
+    and mu_p at the fixed phase s = j / N of each grid index from
+    _momentum_derivatives at the synthesis' own theta samples, with no
+    second inversion; the even symmetry of every member of the family
+    mirrors the half to the grid."""
     if profile.theta is None:
         raise ValueError("derivatives need the samples of a synthesized profile")
-    params, theta, h = profile.params, profile.theta, _COMPLEX_STEP
-    pc, tpc, quad = _complex_step_table(params)
-    A_p = _cheb_integral(quad.coeffs[0].imag / h)
-    A_right, A_left = _cheb_ends(A_p)
+    params, theta = profile.params, profile.theta
+    A_p, A_left, T_p = _map_derivatives(params)
     xi_p = 0.25 * np.pi * (_cheb_values(A_p, 4.0 * theta / np.pi - 1.0) - A_left[:, None])
-    T_p = 0.5 * np.pi * (A_right - A_left)
     s = np.arange(theta.size) / profile.N
-    G = _samples(theta, params, turning_point_data(params))[2]
-    theta_p = (T_p[:, None] * (0.5 - s) - xi_p) / G
-
-    phi_c = tpc.phi_min + tpc.amplitude * np.sin(theta + 1j * h * theta_p) ** 2
-    mu_p = (pc.a / _cpow(pc.c - phi_c, params.b)).imag / h
+    mu_p = _momentum_derivatives(params, theta, xi_p,
+                                 T_p[:, None] * (0.5 - s))[0]
     mu_s = np.concatenate([mu_p, mu_p[:, -2:0:-1]], axis=1)
     mu_grads = mu_s - (T_p[:, None] / profile.T) * profile.x * profile.dmu
     return FamilyDerivatives(

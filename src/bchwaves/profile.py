@@ -48,8 +48,8 @@ sample is found by Newton iteration on the quintic Hermite interpolant of
 the table interval that holds it; one evaluation of the exact series then
 checks the residual.
 Grid derivatives are analytic: phi' = -sqrt(2 (E - V)) on the decreasing
-half, and phi'' and the momentum density mu = a/(c-phi)^b with its
-derivatives come from _momentum, the one closed form of mu, mu_x, mu_xx.
+half; the momentum density mu = a/(c-phi)^b is spelled once (_mu), and
+phi'' with mu_x and mu_xx come from _momentum, their one closed form.
 """
 
 from __future__ import annotations
@@ -152,8 +152,14 @@ def _complex_steps(params: WaveParameters) -> _Params:
                    c=params.c + step[2])
 
 
+def _mu(phi, params: WaveParameters | _Params):
+    """The momentum density mu = a/(c - phi)^b of the wave at phi, the one
+    spelling of it; analytic, so complex steps pass through."""
+    return params.a / _cpow(params.c - phi, params.b)
+
+
 def _dV(phi, params: WaveParameters):
-    return -phi + params.a / _cpow(params.c - phi, params.b)
+    return -phi + _mu(phi, params)
 
 
 def _log1p(z):
@@ -463,12 +469,17 @@ def _cheb_derivative(coeffs: np.ndarray) -> np.ndarray:
 
 
 def _lobatto_values(coeffs: np.ndarray, m: int) -> np.ndarray:
-    """A Chebyshev series at the m + 1 Lobatto points t_j = cos(pi j / m),
-    m + 1 >= coeffs.size, by one DCT-I of the zero-padded series."""
-    padded = np.zeros(m + 1)
-    padded[:coeffs.size] = coeffs
-    padded[1:-1] *= 0.5  # DCT-I doubles the interior terms
-    return _dct1(padded)
+    """Chebyshev series along the last axis at the m + 1 Lobatto points
+    t_j = cos(pi j / m), by one DCT-I of the zero-padded series.  A series
+    of more than m + 1 terms is evaluated at the level 2^k m that holds
+    them all, whose every 2^k-th point is a point of level m."""
+    n, level = coeffs.shape[-1], m
+    while level + 1 < n:
+        level *= 2
+    padded = np.zeros(coeffs.shape[:-1] + (level + 1,))
+    padded[..., :n] = coeffs
+    padded[..., 1:-1] *= 0.5  # DCT-I doubles the interior terms
+    return _dct1(padded)[..., ::level // m]
 
 
 def _invert_half_period(map_: _HalfPeriodMap, x_targets: np.ndarray) -> np.ndarray:
@@ -535,7 +546,7 @@ def _momentum(phi, phi_x2, params: WaveParameters | _Params) -> tuple:
     equation.  Analytic, so complex steps pass through."""
     b = params.b
     u = params.c - phi
-    mu = params.a / _cpow(u, b)
+    mu = _mu(phi, params)
     f = b * mu / u
     return mu, f, f * (phi - mu + (b + 1.0) * phi_x2 / u)
 

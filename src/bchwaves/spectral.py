@@ -1,5 +1,6 @@
 """Second-variation operator: assembly, periodic spectrum (on the grid and in
-theta), proof identities, and the constrained coercivity probe.
+theta), the inertia from the even kernel solution, proof identities, and
+the constrained coercivity probe.
 
 The operator is the Hessian of the conserved combination
 omega1 F1 + omega2 F2 - E at the wave, scaled so that its leading
@@ -83,9 +84,24 @@ by eigvalsh.
 
 Both routes certify convergence by one halving rule (_halving_move) and
 count the inertia at one zero tolerance (_inertia_report); only theta,
-which sees waves alone, refuses an inertia no wave has.  spectrum and
-sweep rows read theta_spectrum; the benchmark's certificate (M = 128) and
-the coercivity probe read the grid route, the theta route's oracle.
+which sees waves alone, refuses an inertia no wave has.  spectrum reads
+theta_spectrum; the benchmark's certificate (M = 128) and the coercivity
+probe read the grid route, the theta route's oracle.
+
+Sweep rows need the inertia alone, and kernel_inertia reads it with no
+eigensolve.  By the identities above, v = (omega1)_c mu_E - (omega1)_E mu_c
+solves L v = 0, and it is even, so it is the cosine block's Neumann
+solution at 0 on the half period; its slope at the trough is
+-(mu_xx(T/2) / 2) {T, omega1}_{E,c}.  By Sturm oscillation (Magnus &
+Winkler, Hill's Equation, 1966) the block's count below 0 is the number
+of zeros of v in (0, T/2), plus one where v(T/2) {T, omega1} > 0
+(_neumann_count); the sine block adds the translation mode mu_x, its
+lowest, at 0.  This mirrors the construction of Bronski, Johnson &
+Kapitula (Proc. Roy. Soc. Edinburgh A 141, 2011) for KdV-type equations.
+mu_E and mu_c at a fixed x are closed forms on theta nodes, from the
+complex-step table the Jacobians already hold, so a count builds neither
+a grid nor a block; it refines its nodes until the zero count is stable,
+and checks the sign of v(T/2) and its slope there.
 
 The coercivity probe is exact on the modes 0..N // 4: in the bases above
 the H^1 Gram matrix is K = diag(1 + kt^2), so the stationary values of the
@@ -107,12 +123,14 @@ import numpy as np
 
 from . import fourier
 from .errors import (CoefficientInconsistency, DiscretizationNotConverged,
-                     RouteMismatch)
-from .invariants import (Multipliers, delta_F1, delta_F2, family_derivatives,
+                     FDUnreliable, RouteMismatch)
+from .invariants import (Multipliers, _map_derivatives, _momentum_derivatives,
+                         _T_omega1, delta_F1, delta_F2, family_derivatives,
                          invariant_densities, multipliers,
                          restricted_invariants)
 from .potential import WaveParameters
-from .profile import WaveProfile, _momentum, _samples, turning_point_data
+from .profile import (WaveProfile, _lobatto_theta, _lobatto_values, _momentum,
+                      _samples, turning_point_data)
 
 SECOND_VARIATION_SCALE = -0.5
 # the proof-identity residuals above which spectrum refuses its grid as
@@ -140,9 +158,10 @@ class OperatorCoefficients:
 class SpectralReport:
     """Either Hill route's spectrum (_inertia_report): the lowest M sorted
     eigenvalues, and the inertia of all at the zero tolerance tau.  In
-    theta (theta_spectrum: spectrum, sweep) M is K and kernel_residual the
-    translation mode's |lambda|; on the grid (periodic_spectrum) M is the
-    grid mode count and kernel_residual ||L mu_x|| / ||mu_x||."""
+    theta (theta_spectrum, which spectrum reads) M is K and
+    kernel_residual the translation mode's |lambda|; on the grid
+    (periodic_spectrum) M is the grid mode count and kernel_residual
+    ||L mu_x|| / ||mu_x||."""
 
     eigenvalues: np.ndarray
     n_neg: int
@@ -348,14 +367,13 @@ _THETA_NODES_PER_MODE = 4
 _WAVE_INERTIAS = ((1, 1), (2, 1), (1, 2))
 
 
-def _theta_samples(params: WaveParameters, n: int) -> tuple[np.ndarray, ...]:
-    """p, symmetric_r, G, mu and mu_x^2 at the n midpoint nodes
-    theta_i = (i + 1/2) pi / (2n) of (0, pi/2), in closed form from
-    phi(theta), E - V and G (profile._samples): on the wave
-    phi_x^2 = 2 (E - V), and mu, mu_x = f phi_x and mu_xx follow from
+def _theta_samples(params: WaveParameters,
+                   theta: np.ndarray) -> tuple[np.ndarray, ...]:
+    """p, symmetric_r, G, mu and mu_x^2 at the nodes theta of [0, pi/2], in
+    closed form from phi(theta), E - V and G (profile._samples): on the
+    wave phi_x^2 = 2 (E - V), and mu, mu_x = f phi_x and mu_xx follow from
     profile._momentum.
     """
-    theta = (np.arange(n) + 0.5) * (0.5 * np.pi / n)
     phi, P, G = _samples(theta, params, turning_point_data(params))
     phi_x2 = 2.0 * P
     # at large b, mu^(-1/b - 4) can overflow: refused below, not warned about
@@ -431,7 +449,9 @@ def theta_spectrum(params: WaveParameters) -> SpectralReport:
     below = None
     for K in _THETA_LADDER:
         n = _THETA_NODES_PER_MODE * K
-        p, symmetric_r, G, mu, mux2 = _theta_samples(params, n)
+        # the midpoint nodes theta_i = (i + 1/2) pi / (2n) of (0, pi/2)
+        p, symmetric_r, G, mu, mux2 = _theta_samples(
+            params, (np.arange(n) + 0.5) * (0.5 * np.pi / n))
         scale = _operator_scale(p, symmetric_r, inv.T)
         cosine, sine = _theta_blocks(
             _cosine_moments(np.stack([p / G, G * symmetric_r, G]), 2 * K + 1), K)
@@ -466,6 +486,141 @@ def theta_spectrum(params: WaveParameters) -> SpectralReport:
             raise RouteMismatch(f"{name} routes disagree: theta midpoint "
                                 f"{midpoint!r} vs quadrature {quad!r}")
     return report
+
+
+# ---------------------------------------------------------------------------
+# the inertia from the even kernel solution
+# ---------------------------------------------------------------------------
+
+# the Lobatto levels m (m + 1 nodes in theta, each level's nodes among the
+# next one's) on which kernel_inertia counts the zeros of v; the first is
+# only compared with, so a count is read on 513 nodes or more
+_KERNEL_LEVELS = (256, 512, 1024, 2048, 4096)
+# the least |v(T/2)| against the larger of its two terms: the terms are
+# closed-form values, exact to rounding, so a smaller one leaves the sign
+# of v(T/2) to rounding
+_TROUGH_MARGIN = 1e-8
+# the largest mismatch of the trough slope of v, by a one-sided difference
+# on the accepted nodes, with its closed form, relative to the closed
+# form: the 86 points and the 7 edge points read <= 2.1e-7
+_SLOPE_BOUND = 1e-5
+
+
+@dataclass(frozen=True)
+class KernelInertia:
+    """The inertia (n_neg, n_zero) of the second variation read from the
+    even kernel solution v (kernel_inertia): zeros is the number of zeros
+    of v in (0, T/2), alike on the accepted nodes and on every other one
+    of them; trough_margin is |v(T/2)| against the larger of its two terms
+    and slope_mismatch the trough-slope check's relative mismatch."""
+
+    n_neg: int
+    n_zero: int
+    zeros: int
+    nodes: int
+    trough_margin: float
+    slope_mismatch: float
+
+
+def _sign_changes(v: np.ndarray) -> int:
+    return int(np.count_nonzero(np.signbit(v[1:]) != np.signbit(v[:-1])))
+
+
+def _neumann_count(sample, slope: float
+                   ) -> tuple[int, int, int, int, np.ndarray]:
+    """The inertia (n, z) at 0 of a Neumann problem -(p v')' + r v = lambda v
+    on [0, l], p > 0, by Sturm oscillation (Magnus & Winkler, Hill's
+    Equation, 1966), from its solution at lambda = 0 with v'(0) = 0 and
+    the sign of v'(l), slope: the Prufer angle of v ends between
+    k pi + pi/2 and k pi + pi after k zeros in (0, l) exactly when
+    v(l) v'(l) < 0, so
+
+        n = #zeros of v in (0, l) + [v(l) slope < 0],   z = 0,
+
+    and slope = 0 makes v the eigenfunction at 0: n = #zeros, z = 1.
+
+    sample(m) gives v at the m + 1 nodes of level m, ordered from 0 to l,
+    with every other node a node of level m / 2.  The zeros are the sign
+    changes between nodes.  From the second of _KERNEL_LEVELS on, a
+    level's count is accepted when it equals the count on the level
+    below's nodes; otherwise the next level is tried, and past the last
+    the count is refused with DiscretizationNotConverged.  Returns
+    (n, z, zeros, m, v) at the accepted level m."""
+    for m in _KERNEL_LEVELS[1:]:
+        v = sample(m)
+        # every other node of level m is a node of the level below
+        below, zeros = _sign_changes(v[::2]), _sign_changes(v)
+        if zeros == below:
+            break
+    else:
+        raise DiscretizationNotConverged(
+            f"zeros of the kernel solution changed from {below} to {zeros} "
+            f"at {m + 1} nodes")
+    if slope == 0.0:
+        return zeros, 1, zeros, m, v
+    return zeros + int(v[-1] * slope < 0.0), 0, zeros, m, v
+
+
+def kernel_inertia(params: WaveParameters) -> KernelInertia:
+    """The inertia of the second variation with no eigensolve, counted
+    from the even kernel solution v = (omega1)_c mu_E - (omega1)_E mu_c at
+    fixed x (module docstring): _neumann_count on v over [0, T/2], with
+    the trough slope v'(T/2) = -(mu_xx(T/2) / 2) {T, omega1}_{E,c}, which
+    follows from mu_p(x + T) - mu_p(x) = -T_p mu_x(x), or with slope 0
+    where {T, omega1} = 0 within its bound (CLASS_DEGENERATE's case); the
+    translation mode adds one to n_zero.
+
+    mu_E and mu_c come from _momentum_derivatives on the Lobatto nodes in
+    theta (crest to trough), with the target T / 2 of a fixed x and xi_p
+    from one DCT-I of the invariants' complex-step table: no quadrature
+    and no grid.  Two checks certify the count besides _neumann_count's
+    refinement.  |v(T/2)| must exceed _TROUGH_MARGIN times the larger of
+    its two terms (FDUnreliable otherwise), not a fraction of sup |v|,
+    which at large b is 1e8 and more times v(T/2).  And the trough slope
+    by a three-point one-sided difference on the accepted nodes,
+    v_x = -v_theta / G at theta = 0, must match its closed form to
+    _SLOPE_BOUND, relative to mu_xx(T/2) / 2 max(|{T, omega1}|, its bound)
+    (RouteMismatch otherwise).
+    """
+    inv = restricted_invariants(params)
+    J1, e1 = _T_omega1(inv)
+    w1_E, w1_c = inv.grad_omega1[1], inv.grad_omega1[2]
+    A_p, A_left, T_p = _map_derivatives(params)
+    trough = None
+
+    def sample(m: int) -> np.ndarray:
+        nonlocal trough
+        xi_p = 0.25 * np.pi * (_lobatto_values(A_p, m) - A_left[:, None])
+        mu_p, G = _momentum_derivatives(params, _lobatto_theta(m), xi_p,
+                                        0.5 * T_p[:, None])
+        terms = w1_c * mu_p[1], w1_E * mu_p[2]
+        trough = terms[0][-1], terms[1][-1], G[-1]
+        return terms[0] - terms[1]
+
+    half_muxx = 0.5 * _momentum(turning_point_data(params).phi_min, 0.0,
+                                params)[2]
+    n, z, zeros, m, v = _neumann_count(
+        sample, 0.0 if abs(J1) <= e1 else -half_muxx * J1)
+
+    term_E, term_c, G0 = trough
+    if not abs(v[-1]) > _TROUGH_MARGIN * max(abs(term_E), abs(term_c)):
+        raise FDUnreliable(
+            f"kernel solution at the trough {v[-1]!r} is within "
+            f"{_TROUGH_MARGIN!r} of its terms {term_E!r} and {term_c!r}")
+    # the three-point one-sided difference at theta = 0 on the last nodes
+    t1, t2 = _lobatto_theta(m)[-2:-4:-1]
+    v_theta = (-(t1 + t2) / (t1 * t2) * v[-1] - t2 / (t1 * (t1 - t2)) * v[-2]
+               - t1 / (t2 * (t2 - t1)) * v[-3])
+    mismatch = (abs(v_theta / G0 - half_muxx * J1)
+                / (half_muxx * max(abs(J1), e1)))
+    if not mismatch <= _SLOPE_BOUND:
+        raise RouteMismatch(
+            f"trough slope of the kernel solution is off its closed form by "
+            f"{mismatch!r} relative (bound {_SLOPE_BOUND!r})")
+    return KernelInertia(
+        n_neg=n, n_zero=z + 1, zeros=zeros, nodes=m + 1,
+        trough_margin=abs(v[-1]) / max(abs(term_E), abs(term_c)),
+        slope_mismatch=mismatch)
 
 
 def _minor(g1: np.ndarray, g2: np.ndarray, i: int, j: int) -> float:

@@ -9,6 +9,8 @@ from bchwaves import (BchWavesError, CoefficientInconsistency, WaveParameters,
                       __version__, a_max, cli, critical_points, spectral)
 from bchwaves.cli import main
 
+from edge_points import EDGE_POINTS, mid_well
+
 REF = ["--b", "2", "--a", "0.1", "--E", "0.09", "--c", "1"]
 # the README sweep, the argv of the benchmark's sweep workload
 _README_SWEEP = ["sweep", "--b", "2", "--c", "1", "--a-range", "0.02:0.13:8",
@@ -181,25 +183,25 @@ def test_spectrum_coefficient_inconsistency_exit_code(tmp_path, capsys,
     assert "numerical error" in capsys.readouterr().err
 
 
-def test_sweep_coefficient_inconsistency_row(tmp_path, monkeypatch):
-    """Coefficients whose symmetric_r is off by 1e-3 shift the translation
-    mode's eigenvalue by 1e-3: the theta route's kernel check refuses the
-    row by name, and the sweep goes on."""
-    sturm_liouville = spectral._sturm_liouville
+def test_sweep_route_mismatch_row(tmp_path, monkeypatch):
+    """Period derivatives off by 1e-3 relative in the kernel solution's
+    input (spectral._map_derivatives) move its slope at the trough 1e-3
+    off the closed form: the slope check refuses the row by name, and the
+    sweep goes on."""
+    map_derivatives = spectral._map_derivatives
 
-    def shifted(*args):
-        p, symmetric_r = sturm_liouville(*args)
-        return p, symmetric_r + 1e-3
+    def scaled(params):
+        A_p, A_left, T_p = map_derivatives(params)
+        return A_p, A_left, T_p * (1.0 + 1e-3)
 
-    monkeypatch.setattr(spectral, "_sturm_liouville", shifted)
+    monkeypatch.setattr(spectral, "_map_derivatives", scaled)
     out = tmp_path / "s"
     rc = main(["sweep", "--b", "2", "--c", "1", "--a-range", "0.1:0.1:1",
                "--E-range", "0.09:0.09:1", "--jobs", "1", "--out", str(out)])
     assert rc == 0
     lines = (out / "sweep.csv").read_text().strip().splitlines()
     assert len(lines) == 2
-    assert (",CoefficientInconsistency: translation mode eigenvalue "
-            in lines[1])
+    assert ",RouteMismatch: trough slope of the kernel solution " in lines[1]
 
 
 def _error_classes(base=BchWavesError):
@@ -250,18 +252,44 @@ def test_random_sweep_rows_refuse_by_name():
             assert (row["n_neg"], row["n_zero"]) == inertia, point
 
 
-def test_sweep_row_builds_no_grid_profile():
-    """A sweep row reads its inertia from Hill's method in theta: it
-    synthesizes no uniform-grid profile and builds no grid Hill block."""
+def test_sweep_row_builds_no_grid_profile(monkeypatch):
+    """A sweep row counts its inertia from the kernel solution: it
+    synthesizes no uniform-grid profile, builds no grid Hill block, and
+    calls neither theta_spectrum nor an eigensolver."""
     from bchwaves.profile import _synthesized
     from bchwaves.spectral import _parity_blocks
 
+    def not_called(*args, **kwargs):
+        raise AssertionError("a sweep row called an eigensolve")
+
+    monkeypatch.setattr(cli, "theta_spectrum", not_called)
+    monkeypatch.setattr(spectral, "theta_spectrum", not_called)
+    monkeypatch.setattr(np.linalg, "eigvalsh", not_called)
     row = cli._sweep_row({"index": 0, "b": 2.0, "a": 0.1, "e_mode": "abs",
                           "e_val": 0.09, "c": 1.0})
     assert row["status"] == "ok"
     assert (row["n_neg"], row["n_zero"]) == (1, 1)
     assert _synthesized.cache_info().misses == 0
     assert _parity_blocks.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("point", EDGE_POINTS.values(), ids=EDGE_POINTS.keys())
+def test_sweep_rows_at_the_edge_points(point, tmp_path):
+    """At the 7 edge points, which Hill's method in theta refuses, a sweep
+    row is ok, with inertia (1, 1) and classify's classification and
+    Jacobians."""
+    b, a, c, frac = point
+    row = cli._sweep_row({"index": 0, "b": b, "a": a, "e_mode": "frac",
+                          "e_val": frac, "c": c})
+    assert row["status"] == "ok"
+    assert (row["n_neg"], row["n_zero"]) == (1, 1)
+    assert row["E"] == mid_well(*point).E
+    wave = [f"--{k}={row[k]!r}" for k in ("b", "a", "E", "c")]
+    assert main(["classify", *wave, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "classify.json").read_text())
+    assert report["classification"] == row["classification"]
+    for key in ("J_T_omega1", "J_T_F1", "J3"):
+        assert report["jacobians"][key] == row[key]
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

@@ -5,11 +5,11 @@ import pytest
 import scipy.linalg
 
 from bchwaves import (CoefficientInconsistency, DiscretizationNotConverged,
-                      RouteMismatch, WaveParameters, apply_operator,
-                      assemble_operator, critical_points, family_derivatives,
+                      FDUnreliable, NumericalFailure, RouteMismatch, WaveParameters, apply_operator,
+                      assemble_operator, family_derivatives,
                       multipliers, parameter_jacobians, proof_identities,
-                      restricted_invariants, synthesize_profile,
-                      theta_spectrum)
+                      kernel_inertia, restricted_invariants,
+                      synthesize_profile, theta_spectrum)
 from bchwaves import fourier, spectral
 from bchwaves.cli import main
 from bchwaves.invariants import delta_F1, delta_F2
@@ -18,6 +18,8 @@ from bchwaves.spectral import (IDENTITY_BOUNDS, SECOND_VARIATION_SCALE,
                                coercivity_probe, hill_matrix, kernel_residual,
                                operator_scale, periodic_spectrum)
 
+from edge_points import EDGE_POINTS, mid_well
+from prufer_oracle import prufer_count
 from state_oracle import equilibrium_profile, gram_schmidt, wavenumbers
 
 
@@ -594,7 +596,9 @@ def _theta_block_eigenvalues(params, K):
     """Sorted eigenvalues of the cosine and the sine block at K modes, each
     sampled as theta_spectrum's rung K samples it, and the largest
     eigenvalue magnitude."""
-    p, symmetric_r, G, _, _ = spectral._theta_samples(params, 4 * K)
+    n = 4 * K
+    p, symmetric_r, G, _, _ = spectral._theta_samples(
+        params, (np.arange(n) + 0.5) * (0.5 * np.pi / n))
     cosine, sine = spectral._theta_blocks(spectral._cosine_moments(
         np.stack([p / G, G * symmetric_r, G]), 2 * K + 1), K)
     blocks = (np.linalg.eigvalsh(cosine, UPLO="U"),
@@ -666,14 +670,6 @@ def test_theta_ladder_refuses_past_its_cap(ref_params, monkeypatch):
         theta_spectrum(ref_params)
 
 
-def _mid_well(b, a, c, frac=0.5):
-    """The wave at energy fraction frac of the well, as a sweep row's
-    --E-frac-range places it."""
-    scan = critical_points(WaveParameters(b=b, a=a, E=0.0, c=c))
-    return WaveParameters(b=b, a=a, c=c,
-                          E=scan.V_phi2 + frac * (scan.V_phi1 - scan.V_phi2))
-
-
 def _assert_spectrum_refused(params, tmp_path, capsys, message):
     """spectrum exits 3 at params, naming message, and writes nothing."""
     out = tmp_path / "out"
@@ -685,9 +681,9 @@ def _assert_spectrum_refused(params, tmp_path, capsys, message):
 
 
 @pytest.mark.parametrize("params", [
-    pytest.param(_mid_well(2.0, 1.4814814814814815e-05, 1.0), id="b2-small-a"),
-    pytest.param(_mid_well(50.0, 1e-3, 2.0), id="b50-c2"),
-    pytest.param(_mid_well(100.0, 1e-3, 2.0), id="b100-c2")])
+    pytest.param(mid_well(2.0, 1.4814814814814815e-05, 1.0), id="b2-small-a"),
+    pytest.param(mid_well(50.0, 1e-3, 2.0), id="b50-c2"),
+    pytest.param(mid_well(100.0, 1e-3, 2.0), id="b100-c2")])
 def test_theta_refuses_an_impossible_inertia(params, tmp_path, capsys):
     """mu_x has two zeros a period, so by Sturm oscillation 0 is the second
     or third periodic eigenvalue: (1, 1), (2, 1) and (1, 2) are the only
@@ -705,7 +701,170 @@ def test_theta_refuses_non_finite_coefficients(tmp_path, capsys):
     """b = 1020, a = 0.001, c = 2, mid-well: mu^(-1/b - 4) overflows near
     the trough.  The theta route refuses the coefficients by name before
     any transform, and no warning is raised (warnings are errors here)."""
-    params = _mid_well(1020.0, 1e-3, 2.0)
+    params = mid_well(1020.0, 1e-3, 2.0)
     with pytest.raises(CoefficientInconsistency, match="not finite"):
         theta_spectrum(params)
     _assert_spectrum_refused(params, tmp_path, capsys, "not finite")
+
+
+# ---------------------------------------------------------------------------
+# the inertia from the even kernel solution
+# ---------------------------------------------------------------------------
+
+def test_kernel_inertia_matches_theta(reference_points, ref_params):
+    """At the 86 points, where theta_spectrum converges, the count from the
+    kernel solution is its inertia and the one {T, omega1} calls for.  It
+    is read on 513 nodes, with one zero of v inside the half period and
+    v(T/2) against its terms at least 0.08."""
+    for params, _, inertia in _theta_points(reference_points, ref_params):
+        count = kernel_inertia(params)
+        theta = theta_spectrum(params)
+        assert (count.n_neg, count.n_zero) == (theta.n_neg, theta.n_zero)
+        assert (count.n_neg, count.n_zero) == inertia, params
+        assert (count.zeros, count.nodes) == (1, 513), params
+        assert count.trough_margin >= 0.08
+
+
+@pytest.mark.parametrize("point", EDGE_POINTS.values(), ids=EDGE_POINTS.keys())
+def test_kernel_inertia_at_the_edge_points(point):
+    """theta_spectrum refuses the 7 edge points by name; the count gives
+    each the inertia (1, 1) that {T, omega1} > 0 calls for, and passes
+    both of its checks: at b = 1020, v(T/2) = -6e-110, yet its two terms
+    differ by 64% of the larger."""
+    params = mid_well(*point)
+    assert parameter_jacobians(params).J_T_omega1 > 0.0
+    with pytest.raises(NumericalFailure):
+        theta_spectrum(params)
+    count = kernel_inertia(params)
+    assert (count.n_neg, count.n_zero) == (1, 1)
+    assert count.trough_margin >= 0.08
+    assert count.slope_mismatch <= 1e-6
+
+
+def test_prufer_count_matches_kernel_inertia(reference_points, ref_params):
+    """The Prufer angle of the cosine block, integrated in theta
+    (prufer_oracle), gives kernel_inertia's count at the reference wave
+    and the 13 panel points, with its end at least 0.005 pi from the
+    nearest pi/2 + k pi."""
+    waves = [ref_params] + [_wave(p) for p in reference_points["panel"]]
+    for params in waves:
+        count, margin = prufer_count(params)
+        assert count == kernel_inertia(params).n_neg, params
+        assert margin >= 0.005, params
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("point", EDGE_POINTS.values(), ids=EDGE_POINTS.keys())
+def test_prufer_count_at_the_edge_points(point):
+    """The Prufer oracle reaches 6 of the 7 edge points and agrees with
+    kernel_inertia there.  b = 1020 it cannot reach: mu^(-1/b - 4)
+    overflows near the trough, and _theta_samples refuses the
+    coefficients.  At the steep and the small-a points p -> 0 at the
+    crest pins the end angle within 1e-6 pi of pi/2 + k pi, so there the
+    count is an agreement, not a margin."""
+    params = mid_well(*point)
+    if point[0] == 1020.0:
+        with pytest.raises(CoefficientInconsistency, match="not finite"):
+            prufer_count(params)
+        return
+    assert prufer_count(params)[0] == kernel_inertia(params).n_neg == 1
+
+
+def _cosine_on(omega_l):
+    """cos(omega x) on [0, 1] at the m + 1 uniform nodes of level m, the
+    Neumann solution at 0 of -v'' - omega^2 v = lambda v, and its slope
+    -omega sin(omega) at x = 1.  The Neumann eigenvalues are
+    (k pi)^2 - omega^2, k >= 0."""
+    return (lambda m: np.cos(omega_l * np.linspace(0.0, 1.0, m + 1)),
+            -omega_l * np.sin(omega_l))
+
+
+@pytest.mark.parametrize("omega_l, count", [
+    pytest.param(0.3 * np.pi, (1, 0, 0), id="no-zero"),
+    pytest.param(0.7 * np.pi, (1, 0, 1), id="one-zero"),
+    pytest.param(1.3 * np.pi, (2, 0, 1), id="count-2"),
+    pytest.param(2.6 * np.pi, (3, 0, 3), id="three-zeros")])
+def test_neumann_count_on_closed_forms(omega_l, count):
+    """The counting rule (n, z, zeros) on cos(omega x): n = #{k : k pi <
+    omega}, and the branch v(1) v'(1) < 0 adds the one after the last
+    zero.  At omega = 1.3 pi that is the count-2 branch: v'(1) > 0, the
+    sign kernel_inertia gives it where {T, omega1} < 0."""
+    sample, slope = _cosine_on(omega_l)
+    assert spectral._neumann_count(sample, slope)[:3] == count
+
+
+def test_neumann_count_degenerate_branch():
+    """At omega = pi the Neumann solution cos(pi x) is the eigenfunction at
+    0: slope 0 (what kernel_inertia passes where {T, omega1} = 0 within
+    its bound) counts (1, 1) on the cosine block, and kernel_inertia adds
+    the translation mode: (1, 2)."""
+    sample, _ = _cosine_on(np.pi)
+    assert spectral._neumann_count(sample, 0.0)[:3] == (1, 1, 1)
+
+
+def test_kernel_inertia_degenerate_branch(ref_params, monkeypatch):
+    """{T, omega1} inside its error bound (here a bound 1e6 times it) is
+    CLASS_DEGENERATE's case: the inertia is (1, 2)."""
+    T_omega1 = spectral._T_omega1
+    monkeypatch.setattr(spectral, "_T_omega1", lambda inv: (
+        T_omega1(inv)[0], 1e6 * abs(T_omega1(inv)[0])))
+    count = kernel_inertia(ref_params)
+    assert (count.n_neg, count.n_zero, count.zeros) == (1, 2, 1)
+
+
+def _dip(centre, width):
+    """1 - 2 exp(-((x - centre) / width)^2) on [0, 1] at the m + 1 uniform
+    nodes of level m: a pair of zeros 1.67 width apart."""
+    return lambda m: 1.0 - 2.0 * np.exp(
+        -((np.linspace(0.0, 1.0, m + 1) - centre) / width) ** 2)
+
+
+def test_neumann_count_resolves_a_pair_between_coarse_nodes():
+    """A pair of zeros between two nodes of level 256, which the nodes of
+    level 512 see: the counts differ, level 1024 agrees with 512, and the
+    pair is counted."""
+    n, z, zeros, m, _ = spectral._neumann_count(_dip(0.5 + 0.5 / 256, 1e-3),
+                                                1.0)
+    assert (zeros, m, n, z) == (2, 1024, 2, 0)
+
+
+def test_neumann_count_refuses_an_unconfirmed_pair(monkeypatch):
+    """The same pair with levels 256 and 512 alone: the counts differ and no
+    level is left to confirm either, so the count is refused by name."""
+    monkeypatch.setattr(spectral, "_KERNEL_LEVELS", (256, 512))
+    with pytest.raises(DiscretizationNotConverged,
+                       match="^zeros of the kernel solution changed from 0 "
+                             "to 2 at 513 nodes$"):
+        spectral._neumann_count(_dip(0.5 + 0.5 / 256, 1e-3), 1.0)
+
+
+def test_kernel_inertia_trough_margin(ref_params, monkeypatch):
+    """mu_c at the trough set so that the two terms of v(T/2) cancel: its
+    sign is left to rounding, and the count is refused by name."""
+    derivatives = spectral._momentum_derivatives
+    grad = multipliers(ref_params).grad_omega1
+
+    def cancelled(*args):
+        mu_p, G = derivatives(*args)
+        mu_p = mu_p.copy()
+        mu_p[2, -1] = grad[2] * mu_p[1, -1] / grad[1]
+        return mu_p, G
+
+    monkeypatch.setattr(spectral, "_momentum_derivatives", cancelled)
+    with pytest.raises(FDUnreliable, match="^kernel solution at the trough"):
+        kernel_inertia(ref_params)
+
+
+def test_kernel_inertia_slope_check(ref_params, monkeypatch):
+    """Period derivatives off by 1e-3 relative move v near the trough, and
+    its slope then misses the closed form by 1e-3: refused by name."""
+    map_derivatives = spectral._map_derivatives
+
+    def scaled(params):
+        A_p, A_left, T_p = map_derivatives(params)
+        return A_p, A_left, T_p * (1.0 + 1e-3)
+
+    assert kernel_inertia(ref_params).slope_mismatch <= 1e-8
+    monkeypatch.setattr(spectral, "_map_derivatives", scaled)
+    with pytest.raises(RouteMismatch, match="^trough slope of the kernel"):
+        kernel_inertia(ref_params)
