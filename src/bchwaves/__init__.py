@@ -2,7 +2,7 @@
 construction, orbital-stability criteria, periodic spectra of the second
 variation, and time evolution of the momentum density."""
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 from .errors import (BchWavesError, BlowUp, CoefficientInconsistency,
                      ConvergenceFailure, DiscretizationNotConverged,

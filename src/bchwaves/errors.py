@@ -21,10 +21,6 @@ class NotInExistenceSet(BchWavesError):
 
     exit_code = 2
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 class NumericalFailure(BchWavesError):
     """A computation did not converge or failed its own consistency check."""
@@ -59,8 +55,9 @@ class CoefficientInconsistency(NumericalFailure):
 
 
 class DiscretizationNotConverged(NumericalFailure):
-    """Low eigenvalues still move when the mode count is doubled, or, in
-    theta, the zero tolerance counts an inertia that no wave has."""
+    """The lowest five Hill eigenvalues differ from those at half the modes
+    beyond tolerance, theta counts an inertia no wave has, or the zero
+    count of the kernel solution does not settle by its last level."""
 
 
 class PositivityLost(NumericalFailure):

@@ -48,9 +48,8 @@ k = 1..M, each a Toeplitz-plus-Hankel matrix in d = |j - k|, s = j + k:
 
 Their eigenvalues together are those of H.  _parity_blocks builds both
 once per operator and mode count (a one-entry memo): periodic_spectrum
-solves them, and their leading sub-blocks, which are the blocks at M // 2,
-for its convergence check, and coercivity_probe reads them at M = N // 4.
-The caller gives M; periodic_spectrum tries no other.  The blocks are
+solves them at the M its caller gives, and coercivity_probe reads them at
+M = N // 4.  The blocks are
 graded, their diagonal growing like kt^2 toward the bottom right, so they
 are solved from the upper triangle, whose tridiagonal reduction starts
 from that corner: the lowest eigenvalue then agrees with a long-double
@@ -82,9 +81,11 @@ formula assemble_operator uses (_sturm_liouville).  Each block is reduced
 to standard form by the Cholesky factor of its mass matrix B and solved
 by eigvalsh.
 
-Both routes certify convergence by one halving rule (_halving_move) and
-count the inertia at one zero tolerance (_inertia_report); only theta,
-which sees waves alone, refuses an inertia no wave has.  spectrum reads
+Both routes solve their blocks by one halving rule (_hill_eigenvalues):
+the lowest five eigenvalues at K modes must agree with those of the
+blocks' own leading sub-blocks, the blocks at K // 2.  Both count the
+inertia at one zero tolerance (_inertia_report); only theta, which sees
+waves alone, refuses an inertia no wave has.  spectrum reads
 theta_spectrum; the benchmark's certificate (M = 128) and the coercivity
 probe read the grid route, the theta route's oracle.
 
@@ -281,12 +282,8 @@ def _parity_blocks(coeffs: OperatorCoefficients, M: int
     return C, S
 
 
-def operator_scale(coeffs: OperatorCoefficients) -> float:
-    """Magnitude of the low-lying spectrum: p k1^2 + |r| scale."""
-    return _operator_scale(coeffs.p, coeffs.symmetric_r, coeffs.T)
-
-
 def _operator_scale(p: np.ndarray, symmetric_r: np.ndarray, T: float) -> float:
+    """Magnitude of the low-lying spectrum: p k1^2 + |r| scale."""
     k1 = 2.0 * np.pi / T
     return float(np.max(p) * k1**2 + np.max(np.abs(symmetric_r)))
 
@@ -300,18 +297,20 @@ def kernel_residual(coeffs: OperatorCoefficients) -> float:
     return float(np.max(np.abs(apply_operator(coeffs, mux)))) / denom
 
 
-def _block_eigenvalues(C: np.ndarray, S: np.ndarray) -> np.ndarray:
-    """Sorted eigenvalues of the Hill matrix with parity blocks C and S."""
-    return np.sort(np.concatenate([np.linalg.eigvalsh(C, UPLO="U"),
-                                   np.linalg.eigvalsh(S, UPLO="U")]))
-
-
-def _halving_move(evals: np.ndarray, below: np.ndarray,
-                  scale: float) -> tuple[float, float]:
-    """The halving rule of both Hill routes: how far the lowest five sorted
-    eigenvalues moved from half the mode count (below) to the full one
-    (evals), and the tolerance 1e-6 max(scale, 1) a converged one meets."""
-    return (float(np.max(np.abs(evals[:5] - below[:5]))),
+def _hill_eigenvalues(C: np.ndarray, S: np.ndarray, scale: float
+                      ) -> tuple[np.ndarray, float, float, float]:
+    """The one solver and halving rule of both Hill routes, on a cosine
+    block C, (K+1)^2, and a sine block S, K^2, each solved from its upper
+    triangle: the sorted eigenvalues of both, the lowest of S, how far the
+    lowest five moved from those of the leading sub-blocks (the blocks at
+    K // 2), and the tolerance 1e-6 max(scale, 1) a converged move meets."""
+    w = [np.linalg.eigvalsh(block, UPLO="U") for block in (C, S)]
+    evals = np.sort(np.concatenate(w))
+    h = S.shape[0] // 2
+    below = np.sort(np.concatenate([
+        np.linalg.eigvalsh(C[:h + 1, :h + 1], UPLO="U"),
+        np.linalg.eigvalsh(S[:h, :h], UPLO="U")]))
+    return (evals, float(w[1][0]), float(np.max(np.abs(evals[:5] - below[:5]))),
             1e-6 * max(scale, 1.0))
 
 
@@ -333,7 +332,7 @@ def periodic_spectrum(coeffs: OperatorCoefficients, M: int) -> SpectralReport:
     """Sorted periodic eigenvalues over modes -M..M and the inertia counts,
     from the parity blocks of the Hill matrix.
 
-    Convergence is certified by the halving rule (_halving_move): the
+    Convergence is certified by the halving rule (_hill_eigenvalues): the
     lowest five eigenvalues at M must agree with those of the leading
     sub-blocks, the blocks at M // 2, or the point is refused with
     DiscretizationNotConverged.  The zero tolerance scales with the grid
@@ -343,11 +342,8 @@ def periodic_spectrum(coeffs: OperatorCoefficients, M: int) -> SpectralReport:
     # M//2, so it needs M >= 4
     if M < 4:
         raise ValueError(f"Hill mode count must be at least 4, got {M}")
-    scale = operator_scale(coeffs)
-    C, S = _parity_blocks(coeffs, M)
-    evals = _block_eigenvalues(C, S)
-    below = _block_eigenvalues(C[:M // 2 + 1, :M // 2 + 1], S[:M // 2, :M // 2])
-    move, tol = _halving_move(evals, below, scale)
+    scale = _operator_scale(coeffs.p, coeffs.symmetric_r, coeffs.T)
+    evals, _, move, tol = _hill_eigenvalues(*_parity_blocks(coeffs, M), scale)
     if move <= tol:
         return _inertia_report(evals, kernel_residual(coeffs), M, scale)
     raise DiscretizationNotConverged(
@@ -433,47 +429,42 @@ def theta_spectrum(params: WaveParameters) -> SpectralReport:
 
     The mode counts of _THETA_LADDER are tried in turn, each sampled afresh
     at 4 K midpoint nodes; the first that passes the halving rule
-    (_halving_move) against K // 2 (the rung below, or the leading
-    sub-blocks at the first rung) is reported, and past the last the
-    point is refused with DiscretizationNotConverged, as is an inertia no
-    wave has (_WAVE_INERTIAS).  Non-finite coefficients, and a translation
-    mode mu_x (the lowest sine eigenvalue) that does not vanish to the
-    rule's tolerance, are refused with CoefficientInconsistency; that
-    |lambda| is the kernel residual of _inertia_report.  F1 and F2 by the
-    midpoint rule on the same nodes must agree with the Clenshaw-Curtis
-    values of restricted_invariants to 1e-5 relative (RouteMismatch
-    otherwise).  scale is operator_scale's on the nodes,
-    with the period of restricted_invariants.
+    (_hill_eigenvalues) is reported, and past the last the point is
+    refused with DiscretizationNotConverged, as is an inertia no wave has
+    (_WAVE_INERTIAS).  A rung and its sub-blocks share one set of moments,
+    so the rule checks the mode truncation only, not the moments'
+    quadrature: at 4 K nodes that is far finer than the tolerance (2 or 8
+    nodes a mode move the lowest five by at most 1.1e-6 of it wherever
+    this route resolves a wave of the README grid, the panel or a random
+    scan).  Non-finite coefficients, and a translation mode
+    mu_x (the lowest sine eigenvalue) that does not vanish to the rule's
+    tolerance, are refused with CoefficientInconsistency; that |lambda| is
+    the kernel residual of _inertia_report.  F1 and F2 by the midpoint
+    rule on the same nodes must agree with the Clenshaw-Curtis values of
+    restricted_invariants to 1e-5 relative (RouteMismatch otherwise).
+    scale is _operator_scale's on the nodes, with restricted_invariants' T.
     """
     inv = restricted_invariants(params)
-    below = None
     for K in _THETA_LADDER:
         n = _THETA_NODES_PER_MODE * K
         # the midpoint nodes theta_i = (i + 1/2) pi / (2n) of (0, pi/2)
         p, symmetric_r, G, mu, mux2 = _theta_samples(
             params, (np.arange(n) + 0.5) * (0.5 * np.pi / n))
         scale = _operator_scale(p, symmetric_r, inv.T)
-        cosine, sine = _theta_blocks(
-            _cosine_moments(np.stack([p / G, G * symmetric_r, G]), 2 * K + 1), K)
-        w_sine = np.linalg.eigvalsh(sine, UPLO="U")
-        evals = np.sort(np.concatenate([np.linalg.eigvalsh(cosine, UPLO="U"),
-                                        w_sine]))
-        if below is None:
-            below = _block_eigenvalues(cosine[:K // 2 + 1, :K // 2 + 1],
-                                       sine[:K // 2, :K // 2])
-        move, tol = _halving_move(evals, below, scale)
+        evals, lowest_sine, move, tol = _hill_eigenvalues(*_theta_blocks(
+            _cosine_moments(np.stack([p / G, G * symmetric_r, G]), 2 * K + 1),
+            K), scale)
         if move <= tol:
             break
-        below = evals
     else:
         raise DiscretizationNotConverged(
             f"lowest theta eigenvalues moved by {move!r} when modes doubled "
             f"from {K // 2}")
 
-    kernel = abs(float(w_sine[0]))
+    kernel = abs(lowest_sine)
     if kernel > tol:
         raise CoefficientInconsistency(
-            f"translation mode eigenvalue {float(w_sine[0])!r} exceeds {tol!r}")
+            f"translation mode eigenvalue {lowest_sine!r} exceeds {tol!r}")
     report = _inertia_report(evals, kernel, K, scale)
     if (report.n_neg, report.n_zero) not in _WAVE_INERTIAS:
         raise DiscretizationNotConverged(

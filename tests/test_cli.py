@@ -75,10 +75,10 @@ def test_classify_command(tmp_path, capsys):
 
 
 def test_spectrum_command(tmp_path):
-    rc = main(["spectrum", *REF, "--N", "256", "--out", str(tmp_path),
-               "--format", "csv"])
+    rc = main(["spectrum", *REF, "--out", str(tmp_path), "--format", "csv"])
     assert rc == 0
     payload = json.loads((tmp_path / "spectrum.json").read_text())
+    assert payload["N"] == 512
     assert payload["spectrum"]["n_neg"] == 1
     assert payload["spectrum"]["n_zero"] == 1
     assert payload["identities"]["psi_identity_residual"] < 1e-3
@@ -92,8 +92,7 @@ def _assert_modes_unrecognized(modes, tmp_path, capsys):
     argparse refuses it (exit 2) before anything is written."""
     out = tmp_path / "out"
     with pytest.raises(SystemExit) as exc:
-        main(["spectrum", *REF, "--N", "256", "--modes", modes,
-              "--out", str(out)])
+        main(["spectrum", *REF, "--modes", modes, "--out", str(out)])
     assert exc.value.code == 2
     assert (f"unrecognized arguments: --modes {modes}"
             in capsys.readouterr().err)
@@ -126,12 +125,12 @@ def test_spectrum_theta_refusal_writes_nothing(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "spectrum.json").exists()
 
 
-def test_spectrum_agrees_with_sweep(tmp_path, capsys):
+def test_spectrum_agrees_with_sweep(tmp_path):
     """At the 72 README sweep rows (six of which the grid route refuses at
-    N = 512), spectrum exits 0, except at row 8 (a = 0.02, E-fraction 0.9):
-    there the N = 512 grid does not resolve the proof identities, so it
-    exits 3, naming the residual, its bound and --N, and writes nothing;
-    with --N 1024 it exits 0.  Its spectrum.json holds the eigenvalues,
+    N = 512), spectrum exits 0.  It reads the proof identities on the
+    N = 512 grid, except at row 8 (a = 0.02, E-fraction 0.9), where that
+    grid leaves them above their bounds and N = 1024 resolves them; its
+    spectrum.json records that N.  Its spectrum.json holds the eigenvalues,
     n_neg, n_zero and M of theta_spectrum bit for bit, and its inertia is
     the sweep row's.  classify exits 0 there too, with the sweep row's
     classification, J_T_omega1, J_T_F1 and J3 bit for bit."""
@@ -142,19 +141,12 @@ def test_spectrum_agrees_with_sweep(tmp_path, capsys):
     assert len(rows) == 72
     for row in rows:
         wave = [f"--{k}={row[k]}" for k in ("b", "a", "E", "c")]
-        argv = ["spectrum", *wave, "--out", str(out)]
-        if row["index"] == "8":
-            (out / "spectrum.json").unlink()
-            capsys.readouterr()
-            assert main(argv) == 3
-            err = capsys.readouterr().err
-            assert re.search(r"^numerical error: grid proof identity "
-                             r"muE_residual \S+ exceeds 0\.0001 at --N 512$",
-                             err, re.M), err
-            assert not (out / "spectrum.json").exists()
-            argv += ["--N", "1024"]
-        assert main(argv) == 0, row["index"]
-        got = json.loads((out / "spectrum.json").read_text())["spectrum"]
+        assert main(["spectrum", *wave, "--out", str(out)]) == 0, row["index"]
+        payload = json.loads((out / "spectrum.json").read_text())
+        assert payload["N"] == (1024 if row["index"] == "8" else 512)
+        for name, bound in spectral.IDENTITY_BOUNDS.items():
+            assert payload["identities"][name] <= bound, (row["index"], name)
+        got = payload["spectrum"]
         want = spectral.theta_spectrum(WaveParameters(
             b=float(row["b"]), a=float(row["a"]), E=float(row["E"]),
             c=float(row["c"])))
@@ -170,6 +162,21 @@ def test_spectrum_agrees_with_sweep(tmp_path, capsys):
             assert got["jacobians"][key] == float(row[key]), (row["index"], key)
 
 
+def test_spectrum_refuses_identities_past_its_last_grid(tmp_path, capsys,
+                                                       monkeypatch):
+    """A proof identity that no grid up to N = 4096 brings within its bound
+    (here, a muE bound below rounding) is refused with RouteMismatch
+    (exit 3), naming the residual, its bound and N, and nothing is
+    written."""
+    monkeypatch.setitem(spectral.IDENTITY_BOUNDS, "muE_residual", 1e-300)
+    out = tmp_path / "out"
+    assert main(["spectrum", *REF, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"^numerical error: grid proof identity muE_residual "
+                     r"\S+ exceeds 1e-300 at N = 4096$", err, re.M), err
+    assert not out.exists()
+
+
 def _raise_coefficient_inconsistency(*args, **kwargs):
     raise CoefficientInconsistency("coefficient check failed")
 
@@ -178,7 +185,7 @@ def test_spectrum_coefficient_inconsistency_exit_code(tmp_path, capsys,
                                                       monkeypatch):
     monkeypatch.setattr(cli, "assemble_operator",
                         _raise_coefficient_inconsistency)
-    rc = main(["spectrum", *REF, "--N", "256", "--out", str(tmp_path)])
+    rc = main(["spectrum", *REF, "--out", str(tmp_path)])
     assert rc == 3
     assert "numerical error" in capsys.readouterr().err
 
@@ -562,7 +569,10 @@ def test_config_file_unknown_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command,config,named", [
-    ("spectrum", {"N": 512.5}, "--N"), ("spectrum", {"modes": 64.0}, "modes"),
+    # spectrum takes no --N either: a key it does not define
+    pytest.param("spectrum", {"N": 512.5}, "spectrum has no option N",
+                 id="spectrum-config0---N"),
+    ("spectrum", {"modes": 64.0}, "modes"),
     ("spectrum", {"format": "xml"}, "--format"),
     ("evolve", {"seed": 1.5}, "--seed"),
     # classify takes no --N: the key is refused as one it does not define
@@ -573,7 +583,7 @@ def test_config_file_values_are_checked(tmp_path, capsys, command, config,
                                         named):
     """A file value is checked as its flag would be, and refused (exit 2)
     before the command writes anything; so is a key the command does not
-    define (spectrum's former --modes, classify's former --N)."""
+    define (spectrum's former --modes and --N, classify's former --N)."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps(config))
     out = tmp_path / "out"
@@ -666,7 +676,7 @@ _COMMON = {"b", "a", "E", "c", "N", "out", "config"}
 _COMMAND_OPTIONS = {
     "profile": _COMMON,
     "classify": _COMMON - {"N"},
-    "spectrum": _COMMON | {"format"},
+    "spectrum": _COMMON - {"N"} | {"format"},
     "evolve": _COMMON | {"dt-safety", "frame", "eps", "horizon-periods",
                          "perturbation", "seed"},
     "sweep": _COMMON - {"N"} | {"jobs", "seed", "b-range", "a-range",
@@ -716,6 +726,41 @@ def test_parallel_sweep_matches_serial(tmp_path):
     assert main([*args, "--jobs", "1", "--out", str(serial)]) == 0
     assert main([*args, "--jobs", "2", "--out", str(parallel)]) == 0
     assert (serial / "sweep.csv").read_bytes() == (parallel / "sweep.csv").read_bytes()
+
+
+def test_sweep_pool_has_no_more_workers_than_rows(tmp_path, monkeypatch):
+    """The fork start method forks every worker of a ProcessPoolExecutor at
+    its first submit, so the pool is capped at the rows left to run: a
+    2-row grid at --jobs 64 asks for 2 workers.  A stand-in executor
+    records max_workers and maps serially, so no process starts; the CSV
+    is the serial one."""
+    import concurrent.futures
+
+    workers = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    args = ["sweep", "--b", "2", "--c", "1", "--a-range", "0.06:0.12:2",
+            "--E-frac-range", "0.5:0.5:1"]
+    serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+    assert main([*args, "--jobs", "1", "--out", str(serial)]) == 0
+    assert workers == []
+    assert main([*args, "--jobs", "64", "--out", str(pooled)]) == 0
+    assert workers == [2]
+    assert ((serial / "sweep.csv").read_bytes()
+            == (pooled / "sweep.csv").read_bytes())
 
 
 _SERIAL_SWEEP = """
@@ -788,7 +833,7 @@ wave = ["--b", "2", "--a", "0.1", "--E", "0.09", "--c", "1", "--out", out]
 ref = [*wave, "--N", "256"]
 codes = [
     bchwaves.cli.main(["classify", *wave]),
-    bchwaves.cli.main(["spectrum", *ref]),
+    bchwaves.cli.main(["spectrum", *wave]),
     bchwaves.cli.main(["sweep", "--b", "2", "--c", "1", "--a-range",
                        "0.1:0.1:1", "--E-frac-range", "0.5:0.5:1", "--jobs",
                        "1", "--out", out]),

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from bchwaves import (CoefficientInconsistency, DiscretizationNotConverged,
-                      FDUnreliable, NumericalFailure, RouteMismatch, WaveParameters, apply_operator,
+                      FDUnreliable, NumericalFailure, RouteMismatch, WaveParameters, a_max, apply_operator,
                       assemble_operator, family_derivatives,
                       multipliers, parameter_jacobians, proof_identities,
                       kernel_inertia, restricted_invariants,
@@ -14,9 +14,9 @@ from bchwaves import fourier, spectral
 from bchwaves.cli import main
 from bchwaves.invariants import delta_F1, delta_F2
 from bchwaves.spectral import (IDENTITY_BOUNDS, SECOND_VARIATION_SCALE,
-                               _block_eigenvalues, _parity_blocks,
-                               coercivity_probe, hill_matrix, kernel_residual,
-                               operator_scale, periodic_spectrum)
+                               _hill_eigenvalues, _operator_scale,
+                               _parity_blocks, coercivity_probe, hill_matrix,
+                               kernel_residual, periodic_spectrum)
 
 from edge_points import EDGE_POINTS, mid_well
 from prufer_oracle import prufer_count
@@ -439,8 +439,8 @@ def test_parity_blocks_match_full_hill_matrix(panel_operators, ref_profile,
     tolerance."""
     for prof, coeffs in [*panel_operators, (ref_profile, ref_coeffs)]:
         full = np.linalg.eigvalsh(hill_matrix(coeffs, M))
-        blocks = _block_eigenvalues(*_parity_blocks(coeffs, M))
-        scale = operator_scale(coeffs)
+        scale = _operator_scale(coeffs.p, coeffs.symmetric_r, coeffs.T)
+        blocks = _hill_eigenvalues(*_parity_blocks(coeffs, M), scale)[0]
         assert blocks.shape == full.shape
         assert np.max(np.abs(blocks[:M] - full[:M])) <= 1e-11 * scale
         tau = max(1e-8 * scale, 10.0 * kernel_residual(coeffs))
@@ -663,11 +663,41 @@ def test_theta_mass_matrix_not_positive_is_refused(ref_params, monkeypatch):
 
 def test_theta_ladder_refuses_past_its_cap(ref_params, monkeypatch):
     """A ladder that stops at K = 8 does not resolve the reference wave,
-    which the full ladder stops at K = 32."""
-    assert theta_spectrum(ref_params).M == 32
+    which the full ladder stops at K = 32.  Each rung is checked against
+    its own leading sub-blocks and carries nothing to the next, so the
+    one-rung ladder K = 32 reports the full ladder's spectrum bit for bit."""
+    full = theta_spectrum(ref_params)
+    assert full.M == 32
+    monkeypatch.setattr(spectral, "_THETA_LADDER", (32,))
+    alone = theta_spectrum(ref_params)
+    assert np.array_equal(alone.eigenvalues, full.eigenvalues)
+    assert ((alone.M, alone.n_neg, alone.n_zero, alone.tau)
+            == (full.M, full.n_neg, full.n_zero, full.tau))
     monkeypatch.setattr(spectral, "_THETA_LADDER", (4, 8))
     with pytest.raises(DiscretizationNotConverged, match="from 4$"):
         theta_spectrum(ref_params)
+
+
+@pytest.mark.parametrize("b, a_frac, c, frac", [
+    pytest.param(2.0, 3.5e-4, 1.8, 0.17, id="b2-small-a"),
+    pytest.param(1.05, 0.18, 1.65, 0.46, id="b1.05-steep"),
+    pytest.param(1.2, 1.7e-4, 1.3, 0.0015, id="b1.2-small-a")])
+def test_theta_nodes_resolve_the_moments(b, a_frac, c, frac, monkeypatch):
+    """The halving rule checks the mode truncation only: a rung's leading
+    sub-blocks come from its own 4 K midpoint nodes.  The moments'
+    quadrature is checked here, at small-a and steep waves that theta
+    resolves at K = 128 and 256: 2 or 8 nodes a mode at the accepted K
+    move the lowest five eigenvalues by under 1e-3 of the rule's
+    tolerance (1e-7 to 1e-6 of it measured)."""
+    params = mid_well(b, a_frac * a_max(b, c), c, frac)
+    report = theta_spectrum(params)
+    assert report.M >= 128
+    tol = 1e-6 * max(report.op_scale, 1.0)
+    monkeypatch.setattr(spectral, "_THETA_LADDER", (report.M,))
+    for per_mode in (2, 8):
+        monkeypatch.setattr(spectral, "_THETA_NODES_PER_MODE", per_mode)
+        moved = theta_spectrum(params).eigenvalues[:5] - report.eigenvalues[:5]
+        assert np.max(np.abs(moved)) <= 1e-3 * tol, per_mode
 
 
 def _assert_spectrum_refused(params, tmp_path, capsys, message):
